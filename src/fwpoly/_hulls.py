@@ -204,8 +204,3 @@ def hull_distance(points_a, points_b, tol=1e-12):
     dist, _ = project_to_hull(diffs, np.zeros(Pa.shape[1]), tol=tol)
     return dist
 
-
-def hull_membership(points, x, tol=1e-9):
-    """True if ``x`` lies in conv(points) up to ``tol``."""
-    dist, _ = project_to_hull(points, x)
-    return dist <= tol

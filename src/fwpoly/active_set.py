@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polytope import ETA_CAP, PolytopeError
+from .polytope import ETA_CAP
 
 EPS_WEIGHT = 1e-12
 KEY_DECIMALS = 12

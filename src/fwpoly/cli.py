@@ -1,10 +1,11 @@
 """Command-line entry point: solve / geometry / bench subcommands.
 
 Polytope arguments accept either a built-in name (simplex3, box2, ...) or a
-path to a JSON file holding {"A","b","D","e"} (H-form, equalities optional)
-or {"vertices": [[...], ...]} (V-form).  Objective specs use a small
-key=value mini-language documented in the README; vector- and matrix-valued
-keys take either a file path or semicolon-separated numbers.
+path to a file that ``load_polytope`` reads: JSON holding {"A","b","D","e"}
+(H-form, equalities optional) or {"vertices": [[...], ...]} (V-form), or the
+keyword text format.  Objective specs use a small key=value mini-language
+documented in the README; vector- and matrix-valued keys take either a file
+path or semicolon-separated numbers.
 
 Exit codes: 0 success, 1 envelope/invariant failure, 2 usage error.
 """
@@ -12,7 +13,6 @@ Exit codes: 0 success, 1 envelope/invariant failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -29,8 +29,8 @@ from .geometry import (
 )
 from .harness import bench
 from .instances import named_objective, named_polytope
-from .objectives import curvature_constant, distance_squared, power_distance, quadratic
-from .polytope import HFormPolytope, PolytopeError, VRepPolytope, load_polytope
+from .objectives import distance_squared, power_distance, quadratic
+from .polytope import PolytopeError, load_polytope
 from .solvers import solve
 
 
@@ -42,31 +42,12 @@ def _load_polytope(spec):
     try:
         return named_polytope(spec)
     except KeyError:
-        pass
-    if not os.path.exists(spec):
-        raise UsageError(f"unknown polytope {spec!r}: not a built-in name or a file")
+        if not os.path.exists(spec):
+            raise UsageError(f"unknown polytope {spec!r}: not a built-in name or a file")
     try:
-        with open(spec) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError:
-        # not JSON: try the keyword text format (simplex/box/l1ball/vrep/...)
-        try:
-            return load_polytope(spec)
-        except PolytopeError as exc:
-            raise UsageError(f"cannot read polytope file {spec!r}: {exc}")
-    except OSError as exc:
+        return load_polytope(spec)
+    except (OSError, PolytopeError) as exc:
         raise UsageError(f"cannot read polytope file {spec!r}: {exc}")
-    name = data.get("name", os.path.basename(spec))
-    try:
-        if "vertices" in data:
-            return VRepPolytope(np.asarray(data["vertices"], dtype=float), name=name)
-        D = np.asarray(data["D"], dtype=float)
-        e = np.asarray(data["e"], dtype=float)
-        A = np.asarray(data["A"], dtype=float) if "A" in data else None
-        b = np.asarray(data["b"], dtype=float) if "b" in data else None
-        return HFormPolytope(A, b, D, e, name=name)
-    except (KeyError, ValueError, PolytopeError) as exc:
-        raise UsageError(f"malformed polytope file {spec!r}: {exc}")
 
 
 def _load_array(val):
@@ -127,8 +108,7 @@ def _cmd_solve(args):
     obj = _parse_objective(args.objective, poly.n)
     x0 = _parse_point(args.x0, "--x0") if args.x0 else None
     trace = solve(poly, obj, args.variant.upper(), step=args.step,
-                  L=curvature_constant(obj, poly), max_iters=args.max_iters,
-                  gap_tol=args.tol, x0=x0)
+                  max_iters=args.max_iters, gap_tol=args.tol, x0=x0)
     trace.to_csv(args.trace)
     print(f"{poly.name} {args.variant} {args.step}: {len(trace.records)} iterations, "
           f"final f={trace.f_final:.12g}, fw_gap={trace.fw_gap_final:.6g}, "
@@ -190,7 +170,6 @@ def build_parser():
     sp.add_argument("--x0", default=None,
                     help="start point, comma-separated (default: a vertex)")
     sp.add_argument("--trace", default="trace.csv")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_solve)
 
     gp = sub.add_parser("geometry", help="evaluate distances and face constants")
@@ -201,7 +180,6 @@ def build_parser():
     gp.add_argument("--face", default=None, help="vertex indices, e.g. v0 or v0,v2")
     gp.add_argument("--x", default=None)
     gp.add_argument("--y", default=None)
-    gp.add_argument("--seed", type=int, default=0)
     gp.set_defaults(fn=_cmd_geometry)
 
     bp = sub.add_parser("bench", help="run a named suite and write traces + summary")
@@ -210,7 +188,6 @@ def build_parser():
     bp.add_argument("--out", required=True)
     bp.add_argument("--tol", type=float, default=1e-10)
     bp.add_argument("--max-iters", type=int, default=20000)
-    bp.add_argument("--seed", type=int, default=0)
     bp.set_defaults(fn=_cmd_bench)
     return ap
 

@@ -45,7 +45,8 @@ class Direction:
         return _SET_STEP[self.kind]
 
 
-def _fw_direction(g, x, v):
+def fw_direction(g, x, v):
+    """The global step toward the LMO vertex v."""
     vec = v - x
     return Direction(KIND_FW, vec, 1.0, float(g @ vec), payload=v)
 
@@ -57,7 +58,7 @@ def candidates_afw(aset, g, v):
     vec = x - a
     away = Direction(KIND_AWAY, vec, aset.max_step_for(AWAY_STEP, a),
                      float(g @ vec), payload=a)
-    return [_fw_direction(g, x, v), away]
+    return [fw_direction(g, x, v), away]
 
 
 def candidates_bpfw(aset, g, v):
@@ -67,7 +68,7 @@ def candidates_bpfw(aset, g, v):
     vec = z - a
     swap = Direction(KIND_BPFW, vec, aset.max_step_for(PAIRWISE_SWAP, a),
                      float(g @ vec), payload=(a, z))
-    return [_fw_direction(g, x, v), swap]
+    return [fw_direction(g, x, v), swap]
 
 
 def candidates_ifw(poly, x, g, v=None):
@@ -80,7 +81,7 @@ def candidates_ifw(poly, x, g, v=None):
     g = np.asarray(g, dtype=float)
     if v is None:
         v = poly.lmo(g)
-    fw = _fw_direction(g, x, v)
+    fw = fw_direction(g, x, v)
     # moving toward a vertex never exits before eta = 1, so snap roundoff
     oracle = poly.max_step(x, fw.vec)
     if np.isfinite(oracle) and abs(oracle - 1.0) <= 1e-9:
@@ -98,10 +99,9 @@ def candidates_ifw(poly, x, g, v=None):
     return out
 
 
-def pairwise_direction(poly, x, g):
+def pairwise_direction(poly, x, g, v):
     """The in-face pairwise direction d = v - a used by the integer-step solver."""
     g = np.asarray(g, dtype=float)
-    v = poly.lmo(g)
     a = poly.in_face_lmo(x, -g)
     vec = v - a
     return Direction(KIND_PW, vec, np.inf, float(g @ vec), payload=(a, v))

@@ -29,7 +29,6 @@ from .polytope import (
     EPS_BIND,
     FACE_LATTICE_MAX,
     Face,
-    Polytope,
     PolytopeError,
     StdFormPolytope,
 )

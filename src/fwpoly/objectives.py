@@ -18,13 +18,13 @@ power distances).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._hulls import project_to_hull
 from .geometry import face_lattice, binding_rows_of_vset, minimal_face_of_set
-from .polytope import Face, Polytope, PolytopeError
+from .polytope import Face, PolytopeError
 
 _PD_TOL = 1e-10
 

@@ -17,6 +17,8 @@ Conventions shared across the package:
 from __future__ import annotations
 
 import itertools
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -479,10 +481,6 @@ class StdFormPolytope(Polytope):
         )
         return res.status == 0 and -res.fun > 1e-9
 
-    def lmo(self, g):
-        V = np.asarray(self.enumerate_vertices())
-        return V[int(np.argmin(V @ np.asarray(g, dtype=float)))].copy()
-
     def in_face_lmo(self, x, g):
         """LMO of the sub-polytope with the zero coordinates of x pinned."""
         x = np.asarray(x, dtype=float)
@@ -568,22 +566,34 @@ def simplex_like_cube(n, name=None):
 # -- file format -----------------------------------------------------------
 
 
-def _tokens(path):
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                yield line.split()
+def _from_json(path, text):
+    """A polytope from JSON text: {"vertices"} or {"A","b","D","e"}, plus "name"."""
+    try:
+        data = json.loads(text)
+        name = data.get("name", os.path.basename(path))
+        if "vertices" in data:
+            return VRepPolytope(data["vertices"], name=name)
+        return HFormPolytope(data.get("A"), data.get("b"), data["D"], data["e"], name=name)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PolytopeError(f"{path}: malformed polytope JSON: {exc}") from exc
 
 
 def load_polytope(path):
-    """Read a polytope from a small keyword text format.
+    """Read a polytope file, either JSON or the keyword text format.
 
-    The first non-comment line names the kind (simplex, box, l1ball, vrep,
-    stdform, hform); following lines carry the payload, one keyword per line.
-    See the README for the grammar.
+    A file whose text starts with "{" is JSON: {"vertices": [[...], ...]}
+    (V-form) or {"A","b","D","e"} (H-form, equalities optional), plus an
+    optional "name".  Any other file is the keyword text format: the first
+    non-comment line names the kind (simplex, box, l1ball, vrep, stdform,
+    hform); following lines carry the payload, one keyword per line.  See the
+    README for the grammar.
     """
-    rows = list(_tokens(path))
+    with open(path) as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        return _from_json(path, text)
+    rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    rows = [r for r in rows if r]
     if not rows:
         raise PolytopeError(f"{path}: empty polytope file")
     kind, *head = rows[0]

@@ -1,8 +1,11 @@
-"""The four solver loops: FW, AFW/BPFW, IFW, and the integer-step variant.
+"""One solver loop for all five variants: FW, AFW, BPFW, IFW, and FWIPW.
 
-Every loop records one IterRecord per executed step: the iterate value, the
-optimality gaps, the selected direction kind, the step and its cap, and the
-case label used by the counting arguments:
+The loop owns the gradient, the LMO, the gap stop, the records and the
+feasibility check; a small per-variant state supplies the direction, the
+step, the strong gap, the support or face dimension, and the update with
+its own invariant.  The loop records one IterRecord per executed step: the
+iterate value, the optimality gaps, the selected direction kind, the step
+and its cap, and the case label used by the counting arguments:
 
 * Case 1: the step stayed strictly below its cap,
 * Case 2: the step hit a cap that was at least 1 (full progress available),
@@ -20,16 +23,15 @@ import numpy as np
 
 from .active_set import ActiveSet
 from .directions import (
-    KIND_FW,
-    KIND_PW,
-    Direction,
     candidates_afw,
     candidates_bpfw,
     candidates_ifw,
+    fw_direction,
+    pairwise_direction,
     select,
 )
 from .objectives import curvature_constant
-from .polytope import Polytope, PolytopeError, StdFormPolytope
+from .polytope import PolytopeError, StdFormPolytope
 from .stepsize import StepRule, target_pow2
 
 CASE_TOL = 1e-12
@@ -53,7 +55,6 @@ class RunConfig:
     step: StepRule
     max_iters: int = 1000
     gap_tol: float = 1e-8
-    record_every: int = 1  # cadence of the feasibility assertion
     record_points: bool = False
     fstar: float | None = None
 
@@ -132,182 +133,153 @@ def _check_feasible(poly, x, t):
         raise PolytopeError(f"iterate left the polytope at t={t}")
 
 
-def _face_dim(poly, x):
-    return poly.minimal_face(x).dim
+class _PointState:
+    """FW and IFW: the iterate is a bare point, moved along the chosen direction."""
+
+    gamma = None  # the integer-step target; only FWIPW records one
+
+    def __init__(self, poly, cfg, x0):
+        self.poly, self.cfg = poly, cfg
+        self.x = np.asarray(x0, dtype=float) if x0 is not None else poly.initial_vertex()
+        _check_feasible(poly, self.x, 0)
+
+    def direction(self, g, v):
+        """(chosen direction, strong gap <g, a - v> or None)."""
+        if self.cfg.variant == "FW":
+            return fw_direction(g, self.x, v), None
+        cands = candidates_ifw(self.poly, self.x, g, v)
+        return select(cands), float(g @ (cands[1].payload - v))
+
+    def step(self, obj, g, d):
+        return self.cfg.step.step(obj, self.x, g, d)
+
+    def count(self):
+        return self.poly.minimal_face(self.x).dim
+
+    def update(self, d, eta, t):
+        self.x = self.x + eta * d.vec
 
 
-def run_fw(poly, obj, cfg, x0=None):
-    """Algorithm: repeat x <- x + eta (v - x) with v the LMO vertex."""
-    x = np.asarray(x0, dtype=float) if x0 is not None else poly.initial_vertex()
-    _check_feasible(poly, x, 0)
-    records = []
-    reason = "max_iters"
-    for t in range(cfg.max_iters):
-        g = obj.grad(x)
-        v = poly.lmo(g)
-        gap = fw_gap_value(g, x, v)
-        if gap <= cfg.gap_tol:
-            reason = "gap_tol"
-            break
-        d = Direction(KIND_FW, v - x, 1.0, float(g @ (v - x)), payload=v)
-        eta = cfg.step.step(obj, x, g, d)
-        records.append(IterRecord(
-            t, obj.value(x),
-            None if cfg.fstar is None else obj.value(x) - cfg.fstar,
-            gap, _classify(eta, d.eta_max), d.kind, eta, d.eta_max, d.inner,
-            _face_dim(poly, x),
-            x=x.copy() if cfg.record_points else None))
-        x = x + eta * d.vec
-        if cfg.record_every and t % cfg.record_every == 0:
-            _check_feasible(poly, x, t + 1)
-    g = obj.grad(x)
-    return RunTrace("FW", records, reason, x, obj.value(x),
-                    fw_gap_value(g, x, poly.lmo(g)), cfg.fstar)
+class _ActiveSetState(_PointState):
+    """AFW and BPFW: the iterate is a convex combination of support vertices.
 
+    The global step competes with the away step (AFW) or with the
+    support-local pairwise swap (BPFW).
+    """
 
-def run_afw_bpfw(poly, obj, cfg, x0=None):
-    """Active-set loop sharing the FW candidate with either the away step
-    (AFW) or the support-local pairwise swap (BPFW)."""
-    if cfg.variant not in ("AFW", "BPFW"):
-        raise ValueError("run_afw_bpfw handles the AFW and BPFW variants")
-    v0 = poly.initial_vertex() if x0 is None else np.asarray(x0, dtype=float)
-    aset = ActiveSet.from_vertex(poly, v0)
-    records = []
-    reason = "max_iters"
-    for t in range(cfg.max_iters):
-        x = aset.point
-        g = obj.grad(x)
-        v = poly.lmo(g)
-        gap = fw_gap_value(g, x, v)
-        if gap <= cfg.gap_tol:
-            reason = "gap_tol"
-            break
-        cands = (candidates_afw(aset, g, v) if cfg.variant == "AFW"
-                 else candidates_bpfw(aset, g, v))
-        a, _ = aset.away_and_local_fw(g)
-        strong = float(g @ (a - v))
-        d = select(cands)
-        eta = cfg.step.step(obj, x, g, d)
-        records.append(IterRecord(
-            t, obj.value(x),
-            None if cfg.fstar is None else obj.value(x) - cfg.fstar,
-            gap, _classify(eta, d.eta_max), d.kind, eta, d.eta_max, d.inner,
-            aset.support_size(), strong_gap=strong,
-            x=x.copy() if cfg.record_points else None))
-        aset.apply_step(d.set_step_kind, d.payload, eta)
-        drift = np.linalg.norm(aset.point - (x + eta * d.vec))
-        if drift > POINT_TOL * max(1.0, np.linalg.norm(x)):
+    def __init__(self, poly, cfg, x0):
+        self.poly, self.cfg = poly, cfg
+        v0 = poly.initial_vertex() if x0 is None else np.asarray(x0, dtype=float)
+        self.aset = ActiveSet.from_vertex(poly, v0)
+        self.x = self.aset.point
+
+    def direction(self, g, v):
+        build = candidates_afw if self.cfg.variant == "AFW" else candidates_bpfw
+        cands = build(self.aset, g, v)
+        a = cands[1].payload if self.cfg.variant == "AFW" else cands[1].payload[0]
+        return select(cands), float(g @ (a - v))
+
+    def count(self):
+        return self.aset.support_size()
+
+    def update(self, d, eta, t):
+        self.aset.apply_step(d.set_step_kind, d.payload, eta)
+        x = self.aset.point
+        drift = np.linalg.norm(x - (self.x + eta * d.vec))
+        if drift > POINT_TOL * max(1.0, np.linalg.norm(self.x)):
             raise PolytopeError(f"active-set point drifted by {drift:g} at t={t}")
-        if cfg.record_every and t % cfg.record_every == 0:
-            _check_feasible(poly, aset.point, t + 1)
-    x = aset.point
-    g = obj.grad(x)
-    return RunTrace(cfg.variant, records, reason, x, obj.value(x),
-                    fw_gap_value(g, x, poly.lmo(g)), cfg.fstar)
+        self.x = x
 
 
-def run_ifw(poly, obj, cfg, x0=None):
-    """Decomposition-invariant loop: in-face away and swap candidates with
-    ratio-test caps; no active set is maintained."""
-    x = np.asarray(x0, dtype=float) if x0 is not None else poly.initial_vertex()
-    _check_feasible(poly, x, 0)
-    records = []
-    reason = "max_iters"
-    for t in range(cfg.max_iters):
-        g = obj.grad(x)
-        v = poly.lmo(g)
-        gap = fw_gap_value(g, x, v)
-        if gap <= cfg.gap_tol:
-            reason = "gap_tol"
-            break
-        cands = candidates_ifw(poly, x, g, v)
-        a = poly.in_face_lmo(x, -g)
-        strong = float(g @ (a - v))
-        d = select(cands)
-        eta = cfg.step.step(obj, x, g, d)
-        records.append(IterRecord(
-            t, obj.value(x),
-            None if cfg.fstar is None else obj.value(x) - cfg.fstar,
-            gap, _classify(eta, d.eta_max), d.kind, eta, d.eta_max, d.inner,
-            _face_dim(poly, x), strong_gap=strong,
-            x=x.copy() if cfg.record_points else None))
-        x = x + eta * d.vec
-        if cfg.record_every and t % cfg.record_every == 0:
-            _check_feasible(poly, x, t + 1)
-    g = obj.grad(x)
-    return RunTrace("IFW", records, reason, x, obj.value(x),
-                    fw_gap_value(g, x, poly.lmo(g)), cfg.fstar)
-
-
-def run_fwipw(poly, obj, cfg, x0=None):
-    """Integer-step pairwise loop for 0/1 standard-form polytopes.
+class _IntegerStepState(_PointState):
+    """FWIPW on 0/1 standard-form polytopes: the in-face pairwise direction.
 
     The step is the largest power of two below both the curvature target
     gamma = -<g, d>/L and the previous step, so every iterate is an integer
     multiple of the current step.  That integrality is asserted each
     iteration; feasibility needs no ratio test.
     """
-    if not (isinstance(poly, StdFormPolytope) and poly.is_simplex_like()):
-        raise PolytopeError("FWIPW needs a standard-form polytope with 0/1 vertices")
-    L = cfg.step.L
-    x = np.asarray(x0, dtype=float) if x0 is not None else poly.initial_vertex()
-    if not poly.is_vertex(x):
-        raise PolytopeError("FWIPW must start at a vertex")
-    eta_prev = 1.0
+
+    def __init__(self, poly, cfg, x0):
+        if not (isinstance(poly, StdFormPolytope) and poly.is_simplex_like()):
+            raise PolytopeError("FWIPW needs a standard-form polytope with 0/1 vertices")
+        self.poly, self.cfg = poly, cfg
+        self.x = np.asarray(x0, dtype=float) if x0 is not None else poly.initial_vertex()
+        if not poly.is_vertex(self.x):
+            raise PolytopeError("FWIPW must start at a vertex")
+        self.eta_prev = 1.0
+
+    def direction(self, g, v):
+        d = pairwise_direction(self.poly, self.x, g, v)
+        return d, float(g @ (d.payload[0] - v))
+
+    def step(self, obj, g, d):
+        """The power-of-two step, or None when the target is not positive."""
+        self.gamma = -d.inner / self.cfg.step.L
+        if self.gamma <= 0.0:
+            return None
+        return target_pow2(self.gamma, self.eta_prev)
+
+    def update(self, d, eta, t):
+        self.x = self.x + eta * d.vec
+        alpha = self.x / eta
+        if np.abs(alpha - np.round(alpha)).max() > 1e-9:
+            raise PolytopeError(
+                f"integer-step invariant broken at t={t}: check L and the polytope")
+        self.eta_prev = eta
+
+
+_STATES = {"FW": _PointState, "IFW": _PointState, "AFW": _ActiveSetState,
+           "BPFW": _ActiveSetState, "FWIPW": _IntegerStepState}
+
+
+def run(poly, obj, cfg, x0=None):
+    """The solver loop shared by every variant.
+
+    Each iteration takes the gradient and the LMO vertex, stops on the FW
+    gap, lets the variant's state choose a direction and a step, records
+    the iteration, applies the step, and checks the iterate is feasible.
+    """
+    state = _STATES[cfg.variant](poly, cfg, x0)
     records = []
     reason = "max_iters"
     for t in range(cfg.max_iters):
+        x = state.x
         g = obj.grad(x)
         v = poly.lmo(g)
         gap = fw_gap_value(g, x, v)
         if gap <= cfg.gap_tol:
             reason = "gap_tol"
             break
-        a = poly.in_face_lmo(x, -g)
-        vec = v - a
-        inner = float(g @ vec)
-        gamma = -inner / L
-        if gamma <= 0.0:
+        d, strong = state.direction(g, v)
+        eta = state.step(obj, g, d)
+        if eta is None:
             reason = "stationary"
             break
-        eta = target_pow2(gamma, eta_prev)
+        f_val = obj.value(x)
         records.append(IterRecord(
-            t, obj.value(x),
-            None if cfg.fstar is None else obj.value(x) - cfg.fstar,
-            gap, 1, KIND_PW, eta, np.inf, inner,
-            _face_dim(poly, x), strong_gap=float(g @ (a - v)), gamma=gamma,
+            t, f_val, None if cfg.fstar is None else f_val - cfg.fstar,
+            gap, _classify(eta, d.eta_max), d.kind, eta, d.eta_max, d.inner,
+            state.count(), strong_gap=strong, gamma=state.gamma,
             x=x.copy() if cfg.record_points else None))
-        x = x + eta * vec
-        alpha = x / eta
-        if np.abs(alpha - np.round(alpha)).max() > 1e-9:
-            raise PolytopeError(
-                f"integer-step invariant broken at t={t}: check L and the polytope")
-        eta_prev = eta
-        if cfg.record_every and t % cfg.record_every == 0:
-            _check_feasible(poly, x, t + 1)
+        state.update(d, eta, t)
+        _check_feasible(poly, state.x, t + 1)
+    x = state.x
     g = obj.grad(x)
-    return RunTrace("FWIPW", records, reason, x, obj.value(x),
+    return RunTrace(cfg.variant, records, reason, x, obj.value(x),
                     fw_gap_value(g, x, poly.lmo(g)), cfg.fstar)
 
 
-_RUNNERS = {"FW": run_fw, "AFW": run_afw_bpfw, "BPFW": run_afw_bpfw,
-            "IFW": run_ifw, "FWIPW": run_fwipw}
-
-
 def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
-          x0=None, fstar=None, record_points=False, record_every=1):
-    """One-call front end: build the step rule and dispatch on the variant.
+          x0=None, fstar=None, record_points=False):
+    """One-call front end: build the step rule and the config, then run.
 
     ``step`` is "ls", "ss", or "pow2"; the curvature constant L defaults to
     smoothness times squared diameter when a rule needs it.
     """
     variant = variant.upper()
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     if step in ("ss", "pow2") and L is None:
         L = curvature_constant(obj, poly)
-    rule = StepRule(step, L)
-    cfg = RunConfig(variant, rule, max_iters=max_iters, gap_tol=gap_tol,
-                    record_every=record_every, record_points=record_points,
-                    fstar=fstar)
-    return _RUNNERS[variant](poly, obj, cfg, x0=x0)
+    cfg = RunConfig(variant, StepRule(step, L), max_iters=max_iters, gap_tol=gap_tol,
+                    record_points=record_points, fstar=fstar)
+    return run(poly, obj, cfg, x0=x0)

@@ -104,7 +104,6 @@ class StepRule:
 
     kind: str
     L: float | None = None
-    ls_tol: float = LS_TOL
 
     def __post_init__(self):
         if self.kind not in ("ls", "ss", "pow2"):
@@ -114,8 +113,7 @@ class StepRule:
 
     def step(self, objective, x, g, direction):
         if self.kind == "ls":
-            return line_search(objective, x, direction.vec, direction.eta_max,
-                               self.ls_tol)
+            return line_search(objective, x, direction.vec, direction.eta_max)
         if self.kind == "ss":
             return short_step(g, direction.vec, self.L, direction.eta_max)
         raise ValueError("pow2 steps are computed inside the integer-step solver")

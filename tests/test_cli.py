@@ -78,9 +78,13 @@ class TestGeometryCommand:
         assert float(capsys.readouterr().out.strip()) == pytest.approx(
             0.7071067811865476, abs=1e-12)
 
-    def test_garbled_file_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        pytest.param("dodecahedron\nv 1 2 3\n", id="keyword"),
+        pytest.param(json.dumps({"D": [[1, 0]]}), id="json"),
+    ])
+    def test_garbled_file_is_usage_error(self, tmp_path, text):
         p = tmp_path / "bad.poly"
-        p.write_text("dodecahedron\nv 1 2 3\n")
+        p.write_text(text)
         assert run_cli("geometry", "--polytope", str(p), "--op", "sigma") == 2
 
 
@@ -104,7 +108,7 @@ class TestSolveCommand:
             assert run_cli("solve", "--polytope", "simplex3", "--objective",
                            "wolfe1", "--variant", "bpfw", "--step", "ss",
                            "--tol", "1e-10", "--x0", "0,0,1",
-                           "--trace", str(p), "--seed", "3") == 0
+                           "--trace", str(p)) == 0
             outs.append(p.read_bytes())
         assert outs[0] == outs[1]
 
@@ -114,6 +118,19 @@ class TestSolveCommand:
                        "interior1", "--variant", "fwipw", "--step", "pow2",
                        "--tol", "1e-9", "--trace", str(trace))
         assert code == 0
+
+    def test_line_search_needs_no_curvature_constant(self, tmp_path):
+        # L = smoothness * diam^2 needs the vertices of box 8 (256 of them,
+        # over the enumeration cap); line search never reads L
+        poly = tmp_path / "box8.poly"
+        poly.write_text("box 8\n")
+        trace = tmp_path / "box8.csv"
+        code = run_cli("solve", "--polytope", str(poly), "--objective",
+                       "powdist:p=3,center=0.5;0.5;0.5;0.5;0.5;0.5;0.5;0.2",
+                       "--variant", "fw", "--step", "ls", "--max-iters", "50",
+                       "--trace", str(trace))
+        assert code == 0
+        assert len(trace.read_text().splitlines()) > 1
 
     def test_powdist_mini_language(self, tmp_path):
         trace = tmp_path / "p4.csv"

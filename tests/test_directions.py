@@ -92,7 +92,7 @@ class TestPairwise:
     def test_vector_and_payload(self):
         x = np.array([0.3, 0.7, 0.0])
         g = np.array([1.0, -1.0, -2.0])  # global lmo e2, in-face away e0
-        d = pairwise_direction(S3, x, g)
+        d = pairwise_direction(S3, x, g, S3.lmo(g))
         assert d.kind == "PW"
         assert np.allclose(d.vec, E[2] - E[0])
         assert d.eta_max == np.inf

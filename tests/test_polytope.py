@@ -5,6 +5,7 @@ scans, per-coordinate ratio tests, and rank computations done by hand.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -284,6 +285,24 @@ class TestFileFormat:
             poly = load_polytope(p)
             assert poly.n == expected_n[fname]
             poly.enumerate_vertices()
+
+    def test_json_forms(self, tmp_path):
+        p = tmp_path / "tri.json"
+        p.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1]]}))
+        tri = load_polytope(p)
+        assert isinstance(tri, VRepPolytope) and tri.name == "tri.json"
+        assert len(tri.enumerate_vertices()) == 3
+        p.write_text(json.dumps({
+            "name": "trunc", "A": [[1, 1, 1]], "b": [1],
+            "D": np.vstack([np.eye(3), -np.eye(3)]).tolist(),
+            "e": [0, 0, 0, -0.6, -0.6, -0.6]}))
+        trunc = load_polytope(p)
+        assert isinstance(trunc, HFormPolytope) and trunc.name == "trunc"
+        assert len(trunc.enumerate_vertices()) == 6
+        for bad in ({"D": [[1, 0]]}, {"vertices": "abc"}, "{not json"):
+            p.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+            with pytest.raises(PolytopeError):
+                load_polytope(p)
 
     def test_comments_and_unknown_kind(self, tmp_path):
         p = tmp_path / "c.poly"
