@@ -2,13 +2,19 @@
 
 The solvers that move weight between vertices (away-step and blended
 pairwise) track the iterate as x = sum_v lam_v * v over a support of
-vertices with strictly positive weights.  Vertices are interned by rounding
-their coordinates to 12 decimals, weights below EPS_WEIGHT are pruned after
-every update, and the cached point is recomputed from scratch each step so
-no drift accumulates.
+vertices with strictly positive weights.  The support is held in arrays:
+one row per vertex, its key (the coordinates rounded to 12 decimals, which
+is how a vertex is identified), its weight, and the sequence number at
+which it joined the support.  Rows stay sorted by key, so every reduction
+over the support runs in a fixed order: the point and the away / local-FW
+selection go in key order, the renormalising total in joining order.
+Weights below EPS_WEIGHT are pruned after every update, and the cached
+point is recomputed from scratch each step so no drift accumulates.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -33,29 +39,36 @@ def _key(v):
 class ActiveSet:
     """Convex-combination representation of an iterate.
 
-    Weights live in a dict keyed by interned vertex coordinates; iteration
-    order over the support is sorted by key so every reduction over the
-    support is deterministic.
+    ``_rows`` (k x n), ``_keys``, ``_weights`` and ``_born`` describe the k
+    support vertices in key order.
     """
 
     def __init__(self, vertices, weights):
-        self._points = {}
-        self._weights = {}
+        vertices = [np.asarray(v, dtype=float) for v in vertices]
+        self._keys = []
+        self._rows = np.zeros((0, vertices[0].size if vertices else 0))
+        self._weights = np.zeros(0)
+        self._born = np.zeros(0, dtype=np.int64)
+        self._next = 0
         for v, w in zip(vertices, weights):
             if w < -EPS_WEIGHT:
                 raise ActiveSetError(f"negative weight {w}")
             if w <= EPS_WEIGHT:
                 continue
             k = _key(v)
-            self._points[k] = np.asarray(v, dtype=float).copy()
-            self._weights[k] = self._weights.get(k, 0.0) + float(w)
-        if not self._weights:
+            i = self._find(k)
+            if i is None:
+                self._insert(k, v, float(w))
+            else:
+                # a repeated vertex keeps the latest coordinates
+                self._rows[i] = v
+                self._weights[i] += float(w)
+        if not self._keys:
             raise ActiveSetError("empty support")
-        total = sum(self._weights.values())
+        total = self._total()
         if abs(total - 1.0) > 1e-9:
             raise ActiveSetError(f"weights sum to {total}, expected 1")
-        for k in self._weights:
-            self._weights[k] /= total
+        self._weights /= total
         self._refresh_point()
 
     @classmethod
@@ -65,31 +78,45 @@ class ActiveSet:
             raise ActiveSetError("from_vertex: the point is not a vertex")
         return cls([v], [1.0])
 
-    # -- views ------------------------------------------------------------
+    # -- support arrays -----------------------------------------------------
+
+    def _find(self, k):
+        """Row of the vertex with key k, or None."""
+        i = bisect_left(self._keys, k)
+        return i if i < len(self._keys) and self._keys[i] == k else None
+
+    def _insert(self, k, v, w):
+        """Add a vertex with key k and weight w at its place in key order."""
+        i = bisect_left(self._keys, k)
+        self._keys.insert(i, k)
+        self._rows = np.insert(self._rows, i, np.asarray(v, dtype=float), axis=0)
+        self._weights = np.insert(self._weights, i, w)
+        self._born = np.insert(self._born, i, self._next)
+        self._next += 1
+
+    def _total(self):
+        """Sum of the weights, accumulated in the order the vertices joined."""
+        return sum(self._weights[np.argsort(self._born)].tolist())
 
     def _refresh_point(self):
-        keys = self.support_keys()
-        self._point = sum(self._weights[k] * self._points[k] for k in keys)
+        self._point = (self._weights[:, None] * self._rows).sum(axis=0)
+
+    # -- views ------------------------------------------------------------
 
     @property
     def point(self):
         return self._point.copy()
 
-    def support_keys(self):
-        return sorted(self._weights)
-
     def support_size(self):
-        return len(self._weights)
-
-    def __len__(self):
-        return len(self._weights)
+        return len(self._keys)
 
     def items(self):
-        for k in self.support_keys():
-            yield self._points[k], self._weights[k]
+        """(vertex row, weight) pairs in key order."""
+        return zip(self._rows, self._weights.tolist())
 
     def weight_of(self, v):
-        return self._weights.get(_key(v), 0.0)
+        i = self._find(_key(v))
+        return 0.0 if i is None else float(self._weights[i])
 
     def snapshot(self):
         """Text snapshot of the support, stable across runs."""
@@ -104,14 +131,11 @@ class ActiveSet:
     def away_and_local_fw(self, g):
         """(away vertex, local FW vertex): argmax / argmin of <g, v> over the support.
 
-        Ties break deterministically by the sorted vertex key.
+        Ties break deterministically to the smallest vertex key.
         """
-        g = np.asarray(g, dtype=float)
-        keys = self.support_keys()
-        vals = [g @ self._points[k] for k in keys]
-        a = self._points[keys[int(np.argmax(vals))]].copy()
-        z = self._points[keys[int(np.argmin(vals))]].copy()
-        return a, z
+        vals = self._rows @ np.asarray(g, dtype=float)
+        return (self._rows[int(np.argmax(vals))].copy(),
+                self._rows[int(np.argmin(vals))].copy())
 
     def max_step_for(self, kind, away=None):
         """Largest step the weight update allows for the given move kind."""
@@ -130,6 +154,15 @@ class ActiveSet:
 
     # -- update -------------------------------------------------------------
 
+    def _add(self, v, eta):
+        """Add eta to the weight of v, which joins the support if absent."""
+        k = _key(v)
+        i = self._find(k)
+        if i is None:
+            self._insert(k, v, eta)
+        else:
+            self._weights[i] += eta
+
     def apply_step(self, kind, payload, eta):
         """Apply one weight update; returns the new cached point.
 
@@ -144,29 +177,19 @@ class ActiveSet:
             raise ActiveSetError(f"step {eta} exceeds cap {cap} for {kind}")
 
         if kind == FW_STEP:
-            v = payload
             if eta >= 1.0:
                 # full step: the support collapses to the target vertex
-                self._points = {_key(v): np.asarray(v, dtype=float).copy()}
-                self._weights = {_key(v): 1.0}
-                self._refresh_point()
+                self.__init__([payload], [1.0])
                 return self.point
-            for k in list(self._weights):
-                self._weights[k] *= 1.0 - eta
-            kv = _key(v)
-            self._points.setdefault(kv, np.asarray(v, dtype=float).copy())
-            self._weights[kv] = self._weights.get(kv, 0.0) + eta
+            self._weights *= 1.0 - eta
+            self._add(payload, eta)
         elif kind == AWAY_STEP:
-            ka = _key(payload)
-            for k in list(self._weights):
-                self._weights[k] *= 1.0 + eta
-            self._weights[ka] -= eta
+            self._weights *= 1.0 + eta
+            self._weights[self._find(_key(payload))] -= eta
         elif kind == PAIRWISE_SWAP:
             a, z = payload
-            ka, kz = _key(a), _key(z)
-            self._weights[ka] -= eta
-            self._points.setdefault(kz, np.asarray(z, dtype=float).copy())
-            self._weights[kz] = self._weights.get(kz, 0.0) + eta
+            self._weights[self._find(_key(a))] -= eta
+            self._add(z, eta)
         else:
             raise ActiveSetError(f"unknown step kind {kind!r}")
 
@@ -175,16 +198,18 @@ class ActiveSet:
         return self.point
 
     def _prune_and_renormalize(self):
-        for k, w in list(self._weights.items()):
-            if w < -1e-10:
-                raise ActiveSetError(f"weight went negative: {w}")
-            if w <= EPS_WEIGHT:
-                del self._weights[k]
-                del self._points[k]
-        if not self._weights:
+        negative = self._weights < -1e-10
+        if negative.any():
+            raise ActiveSetError(f"weight went negative: {self._weights[negative].min()}")
+        keep = self._weights > EPS_WEIGHT
+        if not keep.any():
             raise ActiveSetError("support emptied out")
-        total = sum(self._weights.values())
+        if not keep.all():
+            self._keys = [k for k, ok in zip(self._keys, keep.tolist()) if ok]
+            self._rows = self._rows[keep]
+            self._weights = self._weights[keep]
+            self._born = self._born[keep]
+        total = self._total()
         if abs(total - 1.0) > 1e-8:
             raise ActiveSetError(f"weights drifted to {total}")
-        for k in self._weights:
-            self._weights[k] /= total
+        self._weights /= total

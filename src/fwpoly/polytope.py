@@ -7,7 +7,9 @@ oracle, in-face minimization, maximum feasible step, and vertex enumeration.
 Conventions shared across the package:
 
 * all points are 1-d float numpy arrays,
-* inequality rows within EPS_BIND of equality count as binding,
+* inequality rows within EPS_BIND of equality count as binding, and the
+  inequality slacks D x - e and rates D d come from ``_slack`` and ``_rate``,
+  which Simplex and Box compute in O(n) without the dense rows,
 * LMO ties break toward the lowest vertex index (vertex lists keep a fixed
   deterministic order),
 * max_step returns ``inf`` for directions of norm below EPS_DIRECTION, and
@@ -50,6 +52,14 @@ def _as_matrix(M, n):
     if M.shape[1] != n:
         raise PolytopeError(f"expected {n} columns, got {M.shape[1]}")
     return M
+
+
+def _rank(M):
+    """Numerical rank: singular values above 1e-9 times max(1, the largest)."""
+    if not M.size:
+        return 0
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s > 1e-9 * max(1.0, s[0])))
 
 
 def _as_vector(v, k):
@@ -107,12 +117,7 @@ class Polytope:
         """Dimension of the polytope (affine dimension of its vertex set)."""
         if self._dim is None:
             V = self.enumerate_vertices()
-            if len(V) == 1:
-                self._dim = 0
-            else:
-                R = np.asarray(V) - V[0]
-                s = np.linalg.svd(R, compute_uv=False)
-                self._dim = int(np.sum(s > 1e-9 * max(1.0, s[0])))
+            self._dim = _rank(np.asarray(V) - V[0])
         return self._dim
 
     def diameter(self):
@@ -122,11 +127,19 @@ class Polytope:
 
     # -- membership and faces -------------------------------------------
 
+    def _slack(self, x):
+        """Inequality slacks D x - e."""
+        return self.D @ x - self.e
+
+    def _rate(self, d):
+        """Rates D d at which the slacks change along d."""
+        return self.D @ d
+
     def contains(self, x, tol=1e-8):
         x = np.asarray(x, dtype=float)
         if self.A.size and np.abs(self.A @ x - self.b).max() > tol:
             return False
-        if self.D.size and (self.D @ x - self.e).min() < -tol:
+        if self.D.size and self._slack(x).min() < -tol:
             return False
         return True
 
@@ -134,7 +147,7 @@ class Polytope:
         """Boolean mask of inequality rows binding at x."""
         if not self.D.size:
             return np.zeros(0, dtype=bool)
-        return self.D @ np.asarray(x, dtype=float) - self.e <= eps
+        return self._slack(np.asarray(x, dtype=float)) <= eps
 
     def minimal_face(self, x, eps=EPS_BIND):
         """Smallest face of the polytope containing x."""
@@ -145,15 +158,26 @@ class Polytope:
         return Face(binding, self.face_dim(binding))
 
     def face_dim(self, binding):
+        """Dimension of the face cut out by the given binding inequality rows."""
         rows = [self.A] if self.A.size else []
         idx = sorted(binding)
         if idx:
             rows.append(self.D[idx])
         if not rows:
             return self.n
-        M = np.vstack(rows)
-        s = np.linalg.svd(M, compute_uv=False)
-        return self.n - int(np.sum(s > 1e-9 * max(1.0, s[0])))
+        return self.n - _rank(np.vstack(rows))
+
+    def face_dim_at(self, x):
+        """Dimension of the minimal face of x, which must lie in the polytope.
+
+        Here it is ``minimal_face(x).dim`` without the membership check.
+        Simplex and Box give it exactly in closed form; StdFormPolytope and
+        L1Ball give closed forms that can differ from the SVD of the rows
+        only where rounding decides whether a row binds, and on an L1Ball
+        with no facet rows (n > 12) only this method sees the faces.
+        """
+        binding = frozenset(np.flatnonzero(self.binding_rows(x)).tolist())
+        return self.face_dim(binding)
 
     def face_vertex_index(self, binding, eps=EPS_BIND):
         """Indices of the polytope vertices lying on the given face."""
@@ -169,8 +193,8 @@ class Polytope:
         V = self.enumerate_vertices()
         return [V[i] for i in self.face_vertex_index(binding, eps)]
 
-    def is_vertex(self, x, eps=EPS_BIND):
-        return self.contains(x) and self.minimal_face(x, eps).dim == 0
+    def is_vertex(self, x):
+        return self.contains(x) and self.face_dim_at(x) == 0
 
     # -- oracles ---------------------------------------------------------
 
@@ -203,8 +227,8 @@ class Polytope:
             raise PolytopeError("max_step: direction leaves the affine hull")
         if not self.D.size:
             return np.inf
-        slack = self.D @ x - self.e
-        rate = self.D @ d
+        slack = self._slack(x)
+        rate = self._rate(d)
         shrink = rate < -EPS_DIRECTION * max(1.0, nd)
         if not shrink.any():
             return np.inf
@@ -278,6 +302,16 @@ class Simplex(Polytope):
             n=n, name=name or f"simplex{n}",
         )
 
+    def _slack(self, x):
+        return x - self.e  # D is the identity
+
+    def _rate(self, d):
+        return d
+
+    def face_dim_at(self, x):
+        # each zero coordinate is a binding row; sum(x) = 1 pins one more
+        return max(int(np.count_nonzero(np.asarray(x, dtype=float) > EPS_BIND)) - 1, 0)
+
     def lmo(self, g):
         v = np.zeros(self.n)
         v[int(np.argmin(np.asarray(g, dtype=float)))] = 1.0
@@ -318,6 +352,18 @@ class Box(Polytope):
             n=n, name=name or f"box{n}",
         )
         self.lo, self.hi = lo, hi
+
+    def _slack(self, x):
+        # D = [I; -I] and e = [lo; -hi], so -x - (-hi) is exactly hi - x
+        return np.concatenate([x - self.lo, self.hi - x])
+
+    def _rate(self, d):
+        return np.concatenate([d, -d])
+
+    def face_dim_at(self, x):
+        # a coordinate at either bound is pinned; the free ones span the face
+        x = np.asarray(x, dtype=float)
+        return int(np.count_nonzero((x - self.lo > EPS_BIND) & (self.hi - x > EPS_BIND)))
 
     def lmo(self, g):
         g = np.asarray(g, dtype=float)
@@ -377,6 +423,21 @@ class L1Ball(Polytope):
 
     def contains(self, x, tol=1e-8):
         return float(np.abs(np.asarray(x, dtype=float)).sum()) <= self.radius + tol
+
+    def face_dim_at(self, x):
+        """Closed form that agrees with the facet rows where they exist.
+
+        A facet row s binds when <s, x> >= r - EPS_BIND.  With slack
+        ||x||_1 - (r - EPS_BIND) >= 0, flipping the sign of coordinate i costs
+        2|x_i|, so the rows pin exactly the coordinates with 2|x_i| <= slack
+        and the face has dimension |supp| - 1 over the rest; inside the ball
+        no row binds and the face is the whole ball.
+        """
+        a = np.abs(np.asarray(x, dtype=float))
+        slack = a.sum() - (self.radius - EPS_BIND)
+        if slack < 0.0:
+            return self.n
+        return max(int(np.count_nonzero(2.0 * a > slack)) - 1, 0)
 
     def lmo(self, g):
         g = np.asarray(g, dtype=float)
@@ -480,6 +541,11 @@ class StdFormPolytope(Polytope):
             method="highs",
         )
         return res.status == 0 and -res.fun > 1e-9
+
+    def face_dim_at(self, x):
+        # the binding rows x_i >= 0 pin the zero coordinates; A pins the rest
+        supp = np.asarray(x, dtype=float) > EPS_BIND
+        return int(supp.sum()) - _rank(self.A[:, supp])
 
     def in_face_lmo(self, x, g):
         """LMO of the sub-polytope with the zero coordinates of x pinned."""
@@ -586,12 +652,23 @@ def load_polytope(path):
     optional "name".  Any other file is the keyword text format: the first
     non-comment line names the kind (simplex, box, l1ball, vrep, stdform,
     hform); following lines carry the payload, one keyword per line.  See the
-    README for the grammar.
+    README for the grammar.  A file that is not UTF-8 text or whose payload
+    does not parse raises PolytopeError.
     """
-    with open(path) as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return _from_json(path, text)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        if text.lstrip().startswith("{"):
+            return _from_json(path, text)
+        return _from_keywords(path, text)
+    except PolytopeError:
+        raise
+    except (ValueError, IndexError) as exc:  # UnicodeDecodeError is a ValueError
+        raise PolytopeError(f"{path}: malformed polytope file: {exc}") from exc
+
+
+def _from_keywords(path, text):
+    """A polytope from the keyword text format."""
     rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
     rows = [r for r in rows if r]
     if not rows:

@@ -154,7 +154,8 @@ class _PointState:
         return self.cfg.step.step(obj, self.x, g, d)
 
     def count(self):
-        return self.poly.minimal_face(self.x).dim
+        # x has passed the feasibility check, so no second membership test
+        return self.poly.face_dim_at(self.x)
 
     def update(self, d, eta, t):
         self.x = self.x + eta * d.vec

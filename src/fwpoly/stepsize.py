@@ -40,8 +40,8 @@ def golden_section(phi, lo, hi, tol=LS_TOL):
     return 0.5 * (a + b)
 
 
-def line_search(objective, x, d, eta_max, tol=LS_TOL):
-    """Exact step along d within [0, eta_max].
+def line_search(objective, x, g, d, eta_max, tol=LS_TOL):
+    """Exact step along d within [0, eta_max]; g is the gradient at x.
 
     Quadratic objectives expose their curvature along d, which gives the
     minimizer in closed form; anything else falls back to golden section
@@ -49,10 +49,9 @@ def line_search(objective, x, d, eta_max, tol=LS_TOL):
     """
     if eta_max <= 0.0:
         return 0.0
-    g = objective.grad(x)
-    slope = float(g @ d)
     curv = objective.curvature_along(d) if hasattr(objective, "curvature_along") else None
     if curv is not None:
+        slope = float(g @ d)
         if curv <= 0.0:
             return eta_max if slope < 0.0 else 0.0
         return float(np.clip(-slope / curv, 0.0, eta_max))
@@ -113,7 +112,7 @@ class StepRule:
 
     def step(self, objective, x, g, direction):
         if self.kind == "ls":
-            return line_search(objective, x, direction.vec, direction.eta_max)
+            return line_search(objective, x, g, direction.vec, direction.eta_max)
         if self.kind == "ss":
             return short_step(g, direction.vec, self.L, direction.eta_max)
         raise ValueError("pow2 steps are computed inside the integer-step solver")

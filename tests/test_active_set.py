@@ -1,5 +1,7 @@
 """Tests for active-set weight bookkeeping."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,11 @@ class TestConstruction:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ActiveSetError):
             simplex_set([0.5, 0.2, 0.1])
+
+    def test_empty_support_rejected(self):
+        for vertices, weights in (([], []), ([np.ones(2)], [0.0])):
+            with pytest.raises(ActiveSetError, match="empty support"):
+                ActiveSet(vertices, weights)
 
 
 class TestSelectors:
@@ -162,3 +169,54 @@ def test_random_walks_keep_invariants(steps, seed):
         assert min(weights) > 0
         assert abs(sum(weights) - 1.0) < 1e-9
         assert poly.contains(new_point, tol=1e-8)
+
+
+# A fixed walk on the corners of the unit cube.  The gradient (1, 1, 0) ties
+# <g, v> among four corners at either end, so every selection below is a
+# tie broken by vertex key; the weights are not dyadic, so the snapshots
+# also pin the order in which the renormalising total is accumulated.
+PINNED_WALK = [(FW_STEP, 0, 0.5), (FW_STEP, 6, 0.3), (FW_STEP, 3, 0.2),
+               (FW_STEP, 4, 0.1), (AWAY_STEP, None, 0.25),
+               (PAIRWISE_SWAP, None, 0.5), (FW_STEP, 1, 1.0 / 3.0),
+               (AWAY_STEP, None, 1.0), (PAIRWISE_SWAP, None, 1.0),
+               (FW_STEP, 5, 0.7), (AWAY_STEP, None, 0.6), (FW_STEP, 7, 0.4),
+               (PAIRWISE_SWAP, None, 0.9)]
+PINNED_SELECTIONS = [
+    ((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)),
+    ((1, 1, 0), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)),
+    ((1, 1, 0), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)), ((1, 1, 1), (0, 0, 0)),
+    ((0, 1, 1), (0, 0, 0)), ((0, 1, 1), (0, 0, 0)), ((0, 1, 1), (0, 0, 0)),
+    ((1, 1, 1), (0, 0, 0)),
+]
+PINNED_FINAL_SNAPSHOT = """\
+0.4406105853889759 : 0.0 0.0 0.0
+0.06503850826680861 : 0.0 0.0 1.0
+0.009762264313759329 : 0.0 1.0 1.0
+0.013903640287649392 : 1.0 0.0 0.0
+0.4306850017428066 : 1.0 0.0 1.0
+0.03999999999999997 : 1.0 1.0 1.0"""
+PINNED_TRANSCRIPT_SHA256 = (
+    "f0720fc973658d0dbde1130b65cbadf25483c10730dbd3ab79633196bd3bb7a3")
+
+
+def test_pinned_walk_with_ties():
+    box = Box(np.zeros(3), np.ones(3))
+    V = box.enumerate_vertices()
+    g = np.array([1.0, 1.0, 0.0])
+    aset = ActiveSet.from_vertex(box, V[7])
+    selections, lines = [], []
+    for kind, target, frac in PINNED_WALK:
+        a, z = aset.away_and_local_fw(g)
+        selections.append((tuple(a.astype(int)), tuple(z.astype(int))))
+        lines.append(f"away {a.tolist()} local {z.tolist()}")
+        if kind == FW_STEP:
+            payload, eta = V[target], frac
+        else:
+            payload = a if kind == AWAY_STEP else (a, z)
+            eta = frac * aset.max_step_for(kind, a)
+        aset.apply_step(kind, payload, eta)
+        lines += [f"{kind} {eta!r}", aset.snapshot()]
+    assert selections == PINNED_SELECTIONS
+    assert aset.snapshot() == PINNED_FINAL_SNAPSHOT
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_TRANSCRIPT_SHA256

@@ -78,13 +78,15 @@ class TestGeometryCommand:
         assert float(capsys.readouterr().out.strip()) == pytest.approx(
             0.7071067811865476, abs=1e-12)
 
-    @pytest.mark.parametrize("text", [
-        pytest.param("dodecahedron\nv 1 2 3\n", id="keyword"),
-        pytest.param(json.dumps({"D": [[1, 0]]}), id="json"),
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"dodecahedron\nv 1 2 3\n", id="keyword"),
+        pytest.param(json.dumps({"D": [[1, 0]]}).encode(), id="json"),
+        pytest.param(b"box\nlo 0 x\nhi 1 1\n", id="non-numeric"),
+        pytest.param(b"box\nlo 0 \xff\nhi 1 1\n", id="non-utf8"),
     ])
-    def test_garbled_file_is_usage_error(self, tmp_path, text):
+    def test_garbled_file_is_usage_error(self, tmp_path, data):
         p = tmp_path / "bad.poly"
-        p.write_text(text)
+        p.write_bytes(data)
         assert run_cli("geometry", "--polytope", str(p), "--op", "sigma") == 2
 
 

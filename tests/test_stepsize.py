@@ -25,21 +25,21 @@ class TestLineSearch:
         x = np.array([1.0, 0.0])
         d = np.array([-1.0, 1.0])
         # phi(eta) = |x + eta d - c|^2, minimized at eta = 0.5
-        eta = line_search(obj, x, d, eta_max=1.0)
+        eta = line_search(obj, x, obj.grad(x), d, eta_max=1.0)
         assert eta == pytest.approx(0.5, abs=1e-12)
 
     def test_clips_at_eta_max(self):
         obj = distance_squared(np.array([2.0, 2.0]))
         x = np.zeros(2)
         d = np.array([1.0, 1.0])
-        eta = line_search(obj, x, d, eta_max=0.25)
+        eta = line_search(obj, x, obj.grad(x), d, eta_max=0.25)
         assert eta == 0.25
 
     def test_zero_when_ascent(self):
         obj = distance_squared(np.zeros(2))
         x = np.array([0.5, 0.5])
         d = np.array([1.0, 1.0])
-        assert line_search(obj, x, d, eta_max=1.0) == 0.0
+        assert line_search(obj, x, obj.grad(x), d, eta_max=1.0) == 0.0
 
     def test_nonquadratic_endpoint_snap(self):
         from fwpoly.objectives import power_distance
@@ -48,7 +48,7 @@ class TestLineSearch:
         x = np.zeros(2)
         d = np.array([1.0, 1.0])
         # objective still decreasing at the cap; must return the cap exactly
-        assert line_search(obj, x, d, eta_max=1.0) == 1.0
+        assert line_search(obj, x, obj.grad(x), d, eta_max=1.0) == 1.0
 
 
 class TestShortStep:

@@ -4,14 +4,22 @@ rule it accepts must reproduce its trace CSV byte for byte.
 The digests are SHA-256 hashes of ``RunTrace.to_csv`` output for runs of at
 most 300 iterations at gap_tol 1e-10.  A changed digest is a behaviour change
 of the solvers, not noise: reruns are byte-identical by design.
+
+A second set pins 100-iteration runs on Simplex(60) and Box(60), where the
+face dimensions and oracles come from closed forms.  Those digests were
+generated with the generic SVD and ratio-test path (numpy 2.4.6, Python
+3.11.7), so they check the closed forms byte for byte at a size where the
+two paths differ.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from fwpoly.instances import ALL_CERTIFIED
-from fwpoly.polytope import StdFormPolytope
+from fwpoly.objectives import Quadratic, curvature_constant
+from fwpoly.polytope import Box, Simplex, StdFormPolytope
 from fwpoly.solvers import solve
 
 MAX_ITERS = 300
@@ -168,3 +176,105 @@ def test_trace_digest(run_id, factory, variant, step, tmp_path):
     trace.to_csv(path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == PINS[run_id]
+
+
+# -- large-n structured runs ------------------------------------------------------
+#
+# Simplex(60) and Box(60) with a diagonal-plus-low-rank quadratic whose optimum
+# lies in the relative interior of a face of dimension 6, built the way the
+# benchmark's structured workload builds its n = 500 problems.  At this size
+# the closed-form face dimensions and oracles of Simplex and Box must agree
+# byte for byte with the generic SVD and ratio-test path they replace.
+
+LARGE_N = 60
+LARGE_FACE_DIM = 6
+LARGE_RANK = 3
+LARGE_ITERS = 100
+
+
+def _low_rank_quadratic(rng, n, rank, xstar, gstar):
+    U = rng.standard_normal((n, rank)) / np.sqrt(n)
+    Q = np.diag(rng.uniform(1.0, 2.0, n)) + U @ U.T
+    return Quadratic(Q, gstar - Q @ xstar)
+
+
+def _large_problems():
+    """{name: (polytope, objective)} for the simplex and the unit box."""
+    rng = np.random.default_rng(0)
+    n, k = LARGE_N, LARGE_FACE_DIM
+    supp = rng.choice(n, size=k + 1, replace=False)
+    xstar = np.zeros(n)
+    w = rng.uniform(0.5, 1.5, k + 1)
+    xstar[supp] = w / w.sum()
+    gstar = -1.0 + rng.uniform(0.5, 1.5, n)
+    gstar[supp] = -1.0
+    simplex = (Simplex(n), _low_rank_quadratic(rng, n, LARGE_RANK, xstar, gstar))
+
+    free = rng.choice(n, size=k, replace=False)
+    at_hi = rng.random(n) < 0.5
+    xstar = np.where(at_hi, 1.0, 0.0)
+    xstar[free] = rng.uniform(0.2, 0.8, k)
+    gstar = np.where(at_hi, -1.0, 1.0) * rng.uniform(0.5, 1.5, n)
+    gstar[free] = 0.0
+    box = (Box(np.zeros(n), np.ones(n)),
+           _low_rank_quadratic(rng, n, LARGE_RANK, xstar, gstar))
+    return {"simplex60": simplex, "box60": box}
+
+
+LARGE_RUNS = [(name, variant, step) for name in ("simplex60", "box60")
+              for variant in ("FW", "AFW", "BPFW", "IFW") for step in ("ls", "ss")]
+LARGE_IDS = [f"{name}-{variant}-{step}" for name, variant, step in LARGE_RUNS]
+
+LARGE_PINS = {
+    "simplex60-FW-ls":
+        "b60505b1551576ee73adf9fbc74168aee29e800d4d880e34159f9dde95ac5a17",
+    "simplex60-FW-ss":
+        "9e33bbf00611ac46767016ed615e36a14f83289e5f0f1a267ac8b08ce212de35",
+    "simplex60-AFW-ls":
+        "74493fa62ea99d5d733191e5bfb3346909c4aef7668b7856e987dec23fe1fbd9",
+    "simplex60-AFW-ss":
+        "5ea8066dc47b83331c2c9628a85432eae2532ccb3c8bd809dccae0c64aacd399",
+    "simplex60-BPFW-ls":
+        "5c49387d76cf1390b83d8a2aefffecdda6b5e48ce03761932de75b423a0b598c",
+    "simplex60-BPFW-ss":
+        "4840084276b7547b752c588e17e440179a6c5df7af63414562da9d6944ccaa9d",
+    "simplex60-IFW-ls":
+        "089279bb7d8bdee6f082d988fc903f48517cff28cc57737617b6442c03c44d27",
+    "simplex60-IFW-ss":
+        "ba96940e583f0392ad003186241a3292a59b9253989a36db6ffd80347ace4aad",
+    "box60-FW-ls":
+        "2003bade3ef0dcbaf9b6cf43380da531987a7d20163fee63e6ca93a8a549c280",
+    "box60-FW-ss":
+        "e73283505d26e48577b88cd0b011cea462403dd1cbe2962c94394779e0dfc893",
+    "box60-AFW-ls":
+        "c9f082aecca286bd516185cc1f4fd88acbdac4e4a2b22c973c65229e71a6d1be",
+    "box60-AFW-ss":
+        "e0e648f10e32caa2193b2a2ebf98dff0b952adfb77e390f2e3a14058a10e1725",
+    "box60-BPFW-ls":
+        "65fe9bbd2b74afcbba178af1286055ecfb0f4968f09a66ba8d36a5d898b7d702",
+    "box60-BPFW-ss":
+        "26b18fbb84738fc45b7a023ef3aa046942ca638ebe3097e3c969ddd5d6e2d441",
+    "box60-IFW-ls":
+        "d3b848b7aef12a5fe98c127a4d33838491562cc227e5920a9fc5e99b9f026980",
+    "box60-IFW-ss":
+        "9615faad838bd24bf6db3a1f03a2ce6c24ea791ef846811f230d937d22d83fd7",
+}
+
+
+def test_every_large_run_is_pinned():
+    assert set(LARGE_IDS) == set(LARGE_PINS)
+    assert len(LARGE_IDS) == 16
+
+
+@pytest.mark.parametrize("run_id,name,variant,step",
+                         [(i, *run) for i, run in zip(LARGE_IDS, LARGE_RUNS)],
+                         ids=LARGE_IDS)
+def test_large_trace_digest(run_id, name, variant, step, tmp_path):
+    poly, obj = _large_problems()[name]
+    L = None if step == "ls" else curvature_constant(obj, poly)
+    trace = solve(poly, obj, variant, step=step, L=L, max_iters=LARGE_ITERS,
+                  gap_tol=1e-8)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == LARGE_PINS[run_id]
