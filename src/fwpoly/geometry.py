@@ -11,9 +11,12 @@ They always satisfy face <= vertex <= radial <= 1 and vanish only at y = x.
 
 The facial distances of a face F are the inner one (min over subfaces G of
 the distance from G to the hull of the remaining vertices) and the outer one
-(min over disjoint face pairs).  Both admit computable lower bounds from the
-per-row slack profile sigma; those bounds and the resulting error-bound
-certificates live here too.
+(min over disjoint face pairs).  Each is a min over subfaces G of a
+separation that depends on G alone, so a FaceLattice memoises those per G:
+one lattice passed to a sweep over faces computes each subface's separation
+once.  Both distances admit computable lower bounds from the per-row slack
+profile sigma; those bounds and the resulting error-bound certificates live
+here too.
 """
 
 from __future__ import annotations
@@ -218,6 +221,41 @@ def _affine_dim(points):
     return int(np.sum(s > 1e-9 * max(1.0, s[0])))
 
 
+class FaceLattice(list):
+    """The nonempty faces of a polytope, smallest first, as LatticeFaces.
+
+    A list, so indexing, iteration and len work as usual.  It records the
+    vertex array it was built from and memoises, per subface G keyed by
+    vertex set, the separations the facial distances minimise: ``inner[G]``
+    = dist(G, hull of the other vertices) and ``outer[G]`` = min over faces
+    H sharing no vertex with G of dist(G, H).  Each is filled on first use
+    and lives as long as the lattice.
+    """
+
+    def __init__(self, faces, vertices):
+        super().__init__(faces)
+        self.vertices = vertices
+        self.inner = {}
+        self.outer = {}
+
+
+def _lattice_of(poly, lattice):
+    """The lattice given for poly, built when None and checked otherwise.
+
+    A plain list of faces gets a fresh memo; a FaceLattice built from other
+    vertices would index the wrong points and hand back another polytope's
+    separations, so it raises.
+    """
+    if lattice is None:
+        return face_lattice(poly)
+    V = np.asarray(poly.enumerate_vertices())
+    if not isinstance(lattice, FaceLattice):
+        return FaceLattice(lattice, V)
+    if not np.array_equal(lattice.vertices, V):
+        raise PolytopeError("face lattice was built from another polytope's vertices")
+    return lattice
+
+
 def face_lattice(poly, max_faces=FACE_LATTICE_MAX):
     """All nonempty faces of the polytope, from facet-vertex incidence.
 
@@ -243,7 +281,7 @@ def face_lattice(poly, max_faces=FACE_LATTICE_MAX):
                 seen.add(child)
                 queue.append(child)
     ordered = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
-    return [LatticeFace(s, _affine_dim(V[sorted(s)])) for s in ordered]
+    return FaceLattice([LatticeFace(s, _affine_dim(V[sorted(s)])) for s in ordered], V)
 
 
 def face_vertex_set(poly, face):
@@ -286,15 +324,18 @@ def inner_facial_distance(poly, face, lattice=None):
     For F = C this is the pyramidal width of the vertex set; for proper F
     every subface of F competes.
     """
-    V = np.asarray(poly.enumerate_vertices())
-    lattice = lattice if lattice is not None else face_lattice(poly)
+    lattice = _lattice_of(poly, lattice)
+    V = lattice.vertices
     fset = face_vertex_set(poly, face)
     full = frozenset(range(len(V)))
     best = np.inf
     for G in lattice:
         if G.vset <= fset and G.vset != full:
-            rest = sorted(full - G.vset)
-            best = min(best, hull_distance(V[sorted(G.vset)], V[rest]))
+            sep = lattice.inner.get(G.vset)
+            if sep is None:
+                sep = hull_distance(V[sorted(G.vset)], V[sorted(full - G.vset)])
+                lattice.inner[G.vset] = sep
+            best = min(best, sep)
     if not np.isfinite(best):
         raise PolytopeError("inner_facial_distance: no admissible subface")
     return float(best)
@@ -306,15 +347,20 @@ def outer_facial_distance(poly, face, lattice=None):
     Faces are disjoint exactly when they share no vertex, so the pair scan
     runs on vertex sets.
     """
-    lattice = lattice if lattice is not None else face_lattice(poly)
-    V = np.asarray(poly.enumerate_vertices())
+    lattice = _lattice_of(poly, lattice)
+    V = lattice.vertices
     fset = face_vertex_set(poly, face)
-    subs = [G for G in lattice if G.vset <= fset]
     best = np.inf
-    for G in subs:
-        for H in lattice:
-            if not (G.vset & H.vset):
-                best = min(best, hull_distance(V[sorted(G.vset)], V[sorted(H.vset)]))
+    for G in lattice:
+        if G.vset <= fset:
+            sep = lattice.outer.get(G.vset)
+            if sep is None:
+                sep, VG = np.inf, V[sorted(G.vset)]
+                for H in lattice:
+                    if not (G.vset & H.vset):
+                        sep = min(sep, hull_distance(VG, V[sorted(H.vset)]))
+                lattice.outer[G.vset] = sep
+            best = min(best, sep)
     if not np.isfinite(best):
         raise PolytopeError("outer_facial_distance: no disjoint face pair")
     return float(best)
@@ -398,9 +444,9 @@ def phi_lower_bound(poly, face, norm="l2", sigma=None, lattice=None):
     only the distance for F itself, which can exceed the inner distance.
     """
     sigma = sigma_profile(poly) if sigma is None else sigma
-    lattice = lattice if lattice is not None else face_lattice(poly)
+    lattice = _lattice_of(poly, lattice)
     fset = face_vertex_set(poly, face)
-    full = frozenset(range(len(poly.enumerate_vertices())))
+    full = frozenset(range(len(lattice.vertices)))
     best = np.inf
     for G in lattice:
         if G.vset <= fset and G.vset != full:

@@ -136,10 +136,11 @@ class Polytope:
         return self.D @ d
 
     def contains(self, x, tol=1e-8):
+        # written so that a NaN residual or slack fails the test
         x = np.asarray(x, dtype=float)
-        if self.A.size and np.abs(self.A @ x - self.b).max() > tol:
+        if self.A.size and not np.abs(self.A @ x - self.b).max() <= tol:
             return False
-        if self.D.size and self._slack(x).min() < -tol:
+        if self.D.size and not self._slack(x).min() >= -tol:
             return False
         return True
 
@@ -438,6 +439,18 @@ class L1Ball(Polytope):
         if slack < 0.0:
             return self.n
         return max(int(np.count_nonzero(2.0 * a > slack)) - 1, 0)
+
+    def minimal_face(self, x, eps=EPS_BIND):
+        """The facet-row face; above n = 12 only an interior point has one.
+
+        With no facet rows, a boundary face has no binding set to name it, so
+        a boundary point raises instead of reporting the whole ball.
+        """
+        face = super().minimal_face(x, eps)
+        if not self.D.size and np.abs(np.asarray(x, dtype=float)).sum() >= self.radius - eps:
+            raise PolytopeError(
+                f"minimal_face: {self.name} keeps no facet rows to name a boundary face")
+        return face
 
     def lmo(self, g):
         g = np.asarray(g, dtype=float)

@@ -11,12 +11,15 @@ and its cap, and the case label used by the counting arguments:
 * Case 2: the step hit a cap that was at least 1 (full progress available),
 * Case 3: the step hit a cap below 1 (a drop step; no guaranteed decrease).
 
-Stopping is on the Frank-Wolfe gap, an affine-invariant optimality measure.
+Stopping is on the Frank-Wolfe gap, an affine-invariant optimality measure;
+a gap that is not finite (a NaN or infinite gradient) stops the run with
+terminal reason "nonfinite".
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +93,7 @@ class IterRecord:
 class RunTrace:
     variant: str
     records: list
-    terminal_reason: str  # "gap_tol" | "max_iters" | "stationary"
+    terminal_reason: str  # "gap_tol" | "max_iters" | "stationary" | "nonfinite"
     x_final: np.ndarray
     f_final: float
     fw_gap_final: float
@@ -249,6 +252,9 @@ def run(poly, obj, cfg, x0=None):
         g = obj.grad(x)
         v = poly.lmo(g)
         gap = fw_gap_value(g, x, v)
+        if not math.isfinite(gap):  # NaN or inf in the gradient
+            reason = "nonfinite"
+            break
         if gap <= cfg.gap_tol:
             reason = "gap_tol"
             break

@@ -189,6 +189,17 @@ class TestL1BallBeyondFacetRows:
         assert ball.face_dim_at(x) == 2
         assert ball.face_dim_at(0.5 * x) == 13
 
+    def test_minimal_face_only_inside(self):
+        # no facet rows name a boundary face, so a boundary point raises
+        ball = L1Ball(13)
+        x = np.zeros(13)
+        x[[2, 5, 9]] = [0.5, -0.25, 0.25]
+        for y in (ball.lmo(np.ones(13)), x):
+            with pytest.raises(PolytopeError):
+                ball.minimal_face(y)
+        face = ball.minimal_face(0.5 * x)
+        assert face.dim == 13 and face.binding == frozenset()
+
     def test_solvers_start_and_see_faces(self):
         ball = L1Ball(13)
         center = np.zeros(13)

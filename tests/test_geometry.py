@@ -4,9 +4,12 @@ Expected values are hand-derived on small polytopes where every quantity
 has a closed form; each literal is annotated with its derivation.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from fwpoly import geometry
 from fwpoly._hulls import hull_distance
 from fwpoly.geometry import (
     derive_error_bound,
@@ -26,8 +29,8 @@ from fwpoly.geometry import (
     sigma_profile,
     vertex_distance,
 )
-from fwpoly.instances import random_vrep, truncated_simplex
-from fwpoly.polytope import Box, Simplex, StdFormPolytope
+from fwpoly.instances import named_polytope, random_vrep, truncated_simplex
+from fwpoly.polytope import Box, PolytopeError, Simplex, StdFormPolytope, VRepPolytope
 
 S3 = Simplex(3)
 CENTROID = np.array([1.0, 1.0, 1.0]) / 3.0
@@ -218,6 +221,100 @@ class TestSigmaAndLowerBounds:
     def test_phibar_bound_sound_std(self):
         lb = phibar_lower_bound_std(STD3, [0, 1])
         assert lb <= outer_facial_distance(STD3, [0, 1]) + 1e-9
+
+
+# -- one lattice per sweep ---------------------------------------------------------
+
+# nine points of a Fibonacci sphere in R^3, rounded: a simplicial polytope
+# with 9 vertices, 21 edges and 14 facets
+SPHERE9 = [[0.166, -0.427, 0.889], [-0.668, 0.33, 0.667], [0.86, 0.25, 0.444],
+           [-0.506, -0.833, 0.222], [-0.194, 0.981, 0.0], [0.786, -0.577, -0.222],
+           [-0.891, -0.097, -0.444], [0.492, 0.56, -0.667], [0.009, -0.458, -0.889]]
+
+# SHA-256 of the reprs of (inner, outer, phi_lower_bound), one line per
+# proper face in lattice order, generated before the facial distances were
+# memoised on the lattice
+SWEEP_DIGESTS = {
+    "cube3": "c5525a15ea75ba62c0653fe8d82690ca02b1ee572c11c25e11a8dfb78f877275",
+    "truncsimplex": "7790571b5619100d4ca168d67c66419f2536a6da4130e182d244d22cf7db0bbd",
+    "simplex5std": "c12fbf465b96ee851d2685bfbec39eabac9052669cb02f1af0805266fe3d69de",
+    "cube2std": "bd73772bd6786d276107f43b50749287ba0e06015dfaa476e782f9072ffecdd7",
+    "sphere9": "a6a1971376c8afcceb51c30e3e30bcb372df7461017fe1ce6266b7d800d9cc3f",
+}
+
+
+def sweep_polytope(name):
+    if name == "simplex5std":
+        return std5()
+    if name == "sphere9":
+        return VRepPolytope(SPHERE9, name="sphere9")
+    return named_polytope(name)
+
+
+def sweep(poly, lattice):
+    """(face, inner, outer, phi_lower_bound) for every proper face."""
+    full = lattice[-1].vset
+    return [(face,
+             inner_facial_distance(poly, face, lattice=lattice),
+             outer_facial_distance(poly, face, lattice=lattice),
+             phi_lower_bound(poly, face, lattice=lattice))
+            for face in lattice if face.vset != full]
+
+
+class TestSharedLattice:
+    @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+    def test_sweep_digest(self, name):
+        poly = sweep_polytope(name)
+        rows = sweep(poly, face_lattice(poly))
+        text = "".join(" ".join(map(repr, vals)) + "\n" for _, *vals in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[name]
+
+    # sphere9 is left out: its lattice=None sweep alone takes seconds
+    @pytest.mark.parametrize("name", ["cube2std", "cube3", "simplex5std", "truncsimplex"])
+    def test_shared_equals_fresh(self, name):
+        poly = sweep_polytope(name)
+        for face, inner, outer, lower in sweep(poly, face_lattice(poly)):
+            assert inner_facial_distance(poly, face) == inner
+            assert outer_facial_distance(poly, face) == outer
+            assert phi_lower_bound(poly, face) == lower
+
+    def test_cube3_sweep_computes_each_separation_once(self, monkeypatch):
+        calls = []
+
+        def counting(P, Q):
+            calls.append(1)
+            return hull_distance(P, Q)
+
+        monkeypatch.setattr(geometry, "hull_distance", counting)
+        poly = named_polytope("cube3")
+        lattice = face_lattice(poly)
+        full = lattice[-1].vset
+        proper = [G.vset for G in lattice if G.vset != full]
+        pairs = sum(1 for G in proper for H in lattice if not (G & H.vset))
+        assert (pairs, len(proper)) == (386, 26)
+        sweep(poly, lattice)
+        assert len(calls) == pairs + len(proper)
+        sweep(poly, lattice)  # every separation is memoised by now
+        assert len(calls) == pairs + len(proper)
+
+    def test_plain_face_list_accepted(self):
+        faces = list(face_lattice(BOX2))
+        assert inner_facial_distance(BOX2, [0], lattice=faces) == pytest.approx(
+            np.sqrt(2) / 2, abs=1e-12)
+        assert outer_facial_distance(BOX2, [0], lattice=faces) == pytest.approx(
+            1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("fn", [inner_facial_distance, outer_facial_distance,
+                                    phi_lower_bound])
+    def test_foreign_lattice_rejected(self, fn):
+        # same face structure, other vertices: the memo must not be reused
+        lattice = face_lattice(BOX2)
+        inner_facial_distance(BOX2, [0], lattice=lattice)
+        other = Box(np.zeros(2), np.array([2.0, 1.0]))
+        with pytest.raises(PolytopeError):
+            fn(other, [0], lattice=lattice)
+        with pytest.raises(PolytopeError):
+            fn(S3, [0], lattice=lattice)
 
 
 # -- gauge cross-check ---------------------------------------------------------------

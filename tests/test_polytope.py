@@ -194,6 +194,25 @@ class TestMinimalFace:
             Simplex(3).minimal_face([0.5, 0.5, 0.5])
 
 
+class TestContains:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("poly", [
+        Simplex(3),
+        Box([0, 0], [1, 1]),
+        StdFormPolytope(np.ones((1, 3)), [1.0]),
+        VRepPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        L1Ball(3),
+    ], ids=lambda p: type(p).__name__)
+    def test_rejects_nonfinite(self, poly, bad):
+        x = np.mean(poly.enumerate_vertices(), axis=0)
+        assert poly.contains(x)
+        for i in range(poly.n):
+            y = x.copy()
+            y[i] = bad
+            assert not poly.contains(y)
+
+
 class TestVertexEnumeration:
     def test_truncated_simplex_six_vertices(self):
         V = truncated_simplex().enumerate_vertices()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fwpoly.instances import fw_segment, fwipw_mid, interior_quadratic, wolfe_edge
-from fwpoly.objectives import distance_squared
+from fwpoly.objectives import Objective, distance_squared
 from fwpoly.polytope import PolytopeError, Simplex
 from fwpoly.solvers import CSV_COLUMNS, solve
 
@@ -139,6 +139,21 @@ class TestStartAndTermination:
         tr = run_instance(interior_quadratic(), "FW", gap_tol=1e-12, max_iters=3)
         assert tr.terminal_reason == "max_iters"
         assert len(tr.records) == 3
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["FW", "AFW", "BPFW", "IFW"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_gradient_reason(self, variant, bad):
+        class Broken(Objective):
+            def value(self, x):
+                return 0.0
+
+            def grad(self, x):
+                return np.full(x.shape, bad)
+
+        tr = solve(S3, Broken(), variant, step="ls", max_iters=50)
+        assert tr.terminal_reason == "nonfinite"
+        assert tr.records == []
 
     def test_fwipw_eta_powers_nonincreasing(self):
         tr = run_instance(fwipw_mid(), "FWIPW", step="pow2", gap_tol=1e-10,
