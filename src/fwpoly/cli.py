@@ -19,13 +19,11 @@ import sys
 import numpy as np
 
 from .geometry import (
-    face_distance,
+    distance_for,
     inner_facial_distance,
     outer_facial_distance,
     phi_lower_bound,
-    radial_distance,
     sigma_profile,
-    vertex_distance,
 )
 from .harness import bench
 from .instances import named_objective, named_polytope
@@ -52,12 +50,12 @@ def _load_polytope(spec):
 
 def _load_array(val):
     """A numeric value: a file path (whitespace table) or 'a;b;c' inline."""
-    if os.path.exists(val):
-        return np.loadtxt(val)
     try:
+        if os.path.exists(val):
+            return np.loadtxt(val)
         return np.asarray([float(tok) for tok in val.split(";")])
-    except ValueError:
-        raise UsageError(f"cannot parse numbers from {val!r} (not a file either)")
+    except ValueError as exc:
+        raise UsageError(f"cannot parse numbers from {val!r}: {exc}")
 
 
 def _parse_objective(spec, n):
@@ -76,7 +74,10 @@ def _parse_objective(spec, n):
         c = np.atleast_1d(_load_array(opts["c"]))
         return quadratic(Q, c)
     if head == "powdist":
-        p = float(opts.get("p", 2))
+        try:
+            p = float(opts.get("p", 2))
+        except ValueError:
+            raise UsageError(f"powdist exponent p must be a number, got {opts['p']!r}")
         center = (np.atleast_1d(_load_array(opts["center"]))
                   if "center" in opts else np.zeros(n))
         if p == 2:
@@ -88,11 +89,14 @@ def _parse_objective(spec, n):
         raise UsageError(f"unknown objective {spec!r}")
 
 
-def _parse_point(val, what):
+def _parse_point(val, what, n):
     try:
-        return np.asarray([float(tok) for tok in val.split(",")])
+        x = np.asarray([float(tok) for tok in val.split(",")])
     except (AttributeError, ValueError):
         raise UsageError(f"{what} must be comma-separated numbers, got {val!r}")
+    if x.size != n:
+        raise UsageError(f"{what} needs {n} coordinates, got {x.size}")
+    return x
 
 
 def _parse_face(val):
@@ -106,7 +110,9 @@ def _parse_face(val):
 def _cmd_solve(args):
     poly = _load_polytope(args.polytope)
     obj = _parse_objective(args.objective, poly.n)
-    x0 = _parse_point(args.x0, "--x0") if args.x0 else None
+    if obj.n != poly.n:
+        raise UsageError(f"objective has dimension {obj.n}, the polytope {poly.n}")
+    x0 = _parse_point(args.x0, "--x0", poly.n) if args.x0 else None
     trace = solve(poly, obj, args.variant.upper(), step=args.step,
                   max_iters=args.max_iters, gap_tol=args.tol, x0=x0)
     trace.to_csv(args.trace)
@@ -122,11 +128,9 @@ def _cmd_geometry(args):
     if op in ("radial", "vertex", "face"):
         if args.x is None or args.y is None:
             raise UsageError(f"--op {op} needs --x and --y points")
-        x = _parse_point(args.x, "--x")
-        y = _parse_point(args.y, "--y")
-        fn = {"radial": radial_distance, "vertex": vertex_distance,
-              "face": face_distance}[op]
-        print(f"{fn(poly, y, x):.16g}")
+        x = _parse_point(args.x, "--x", poly.n)
+        y = _parse_point(args.y, "--y", poly.n)
+        print(f"{distance_for(op)(poly, y, x):.16g}")
         return 0
     if op == "sigma":
         print(",".join(f"{s:.16g}" for s in sigma_profile(poly)))

@@ -34,6 +34,7 @@ from .polytope import (
     Face,
     PolytopeError,
     StdFormPolytope,
+    _rank,
 )
 
 VERTEX_DIST_VMAX = 16
@@ -202,6 +203,19 @@ def gauge_by_bisection(poly, inner_points, w, width=1e-12, member_tol=1e-10):
     return hi
 
 
+def distance_for(kind):
+    """The set distance of a kind: "radial", "vertex" or "face".
+
+    The map is built from the module globals at each call, so a wrapper
+    installed on a module attribute (as the benchmark tracer does) sees
+    every call made through it.
+    """
+    fns = {"radial": radial_distance, "vertex": vertex_distance, "face": face_distance}
+    if kind not in fns:
+        raise ValueError(f"unknown distance kind {kind!r}")
+    return fns[kind]
+
+
 # -- face lattice --------------------------------------------------------------
 
 
@@ -211,14 +225,6 @@ class LatticeFace:
 
     vset: frozenset
     dim: int
-
-
-def _affine_dim(points):
-    P = np.atleast_2d(points)
-    if P.shape[0] <= 1:
-        return 0
-    s = np.linalg.svd(P - P[0], compute_uv=False)
-    return int(np.sum(s > 1e-9 * max(1.0, s[0])))
 
 
 class FaceLattice(list):
@@ -281,7 +287,8 @@ def face_lattice(poly, max_faces=FACE_LATTICE_MAX):
                 seen.add(child)
                 queue.append(child)
     ordered = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
-    return FaceLattice([LatticeFace(s, _affine_dim(V[sorted(s)])) for s in ordered], V)
+    return FaceLattice([LatticeFace(s, _rank(V[sorted(s)] - V[min(s)])) for s in ordered],
+                       V)
 
 
 def face_vertex_set(poly, face):
@@ -635,8 +642,7 @@ def estimate_theta(trace, poly, xstar_points, kind="radial"):
     optimum to each iterate are measured with the requested set distance.
     """
     pts = np.atleast_2d(np.asarray(xstar_points, dtype=float))
-    dist_fn = {"radial": radial_distance, "vertex": vertex_distance,
-               "face": face_distance}[kind]
+    dist_fn = distance_for(kind)
     gaps, dists = [], []
     for rec in trace.records:
         if rec.x is None or rec.f_gap is None:

@@ -10,6 +10,24 @@ certificate or a solver bug.
 All envelope and audit routines assume the trace recorded every iteration
 (the solvers do this unconditionally) and that the run started at a vertex,
 which is the solvers' default initialization.
+
+Every envelope follows one template.  A productive step cuts the gap by at
+least mu^{2 theta} gap^{1-2 theta} / (c L) and may cost up to k iterations
+(the drop steps it pays for).  The bound halves every k iterations up to
+t0, the first t where that cut is at most half the gap; with a t1 offset it
+then stays at gap(t0) up to t1 = (support or face size at t0) + t0 + offset;
+then the Borwein tail (geometric at theta = 1/2) takes one step per k
+iterations.  The families differ only in their row of ENVELOPES:
+
+    envelope   c   k     t1 offset   certificate
+    fw         2   1     none        radial
+    afw, bpfw  8   2     -1          vertex
+    ifw        8   dim   none        face
+    ifw_std    8   m     0           face
+    fwipw      4   1     none        face
+
+FWIPW alone takes t0 from its curvature targets (the first below one) and
+anchors its geometric tail at t0.
 """
 
 from __future__ import annotations
@@ -21,9 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import face_distance, radial_distance, vertex_distance
-
-THEOREM_IDS = ("fw", "afw", "bpfw", "ifw", "ifw_std", "fwipw")
+from .geometry import distance_for
+from .polytope import StdFormPolytope
 
 # default check slacks; acceptance-pinned
 REL_SLACK = 1e-8
@@ -130,6 +147,33 @@ def fit_rate(trace, window=None, burn_in=10, min_points=20, n_samples=120,
 # -- regime detection ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class EnvelopeFamily:
+    """One row of the rate template (see the module docstring)."""
+
+    c: float  # progress constant of a productive step
+    epoch: object  # iterations per productive step: a count, "dim" or "m"
+    t1_offset: int | None  # None: no constant regime after t0
+    cert_kind: str  # set distance of the certificate the rate consumes
+
+
+ENVELOPES = {
+    "fw": EnvelopeFamily(2, 1, None, "radial"),
+    "afw": EnvelopeFamily(8, 2, -1, "vertex"),
+    "bpfw": EnvelopeFamily(8, 2, -1, "vertex"),
+    "ifw": EnvelopeFamily(8, "dim", None, "face"),
+    "ifw_std": EnvelopeFamily(8, "m", 0, "face"),
+    "fwipw": EnvelopeFamily(4, 1, None, "face"),
+}
+
+
+def envelope_for(variant, poly):
+    """The envelope id of a solver variant on a polytope."""
+    if variant.upper() == "IFW" and isinstance(poly, StdFormPolytope):
+        return "ifw_std"
+    return variant.lower()
+
+
 @dataclass
 class Regimes:
     t0: int
@@ -153,30 +197,21 @@ def _gamma_t0(trace):
 
 def detect_regimes(trace, envelope_id, mu, theta, L):
     """Regime boundaries (t0, t1) per the envelope definitions, from the trace."""
-    if envelope_id not in THEOREM_IDS:
+    if envelope_id not in ENVELOPES:
         raise ValueError(f"unknown envelope id {envelope_id!r}")
     if mu <= 0:
         raise ValueError("regime detection needs a positive certified mu")
-    _, gaps = trace.gap_series()
-    if envelope_id == "fw":
-        return Regimes(_halving_t0(gaps, mu, theta, L, 2.0), None)
     if envelope_id == "fwipw":
         return Regimes(_gamma_t0(trace), None)
-    t0 = _halving_t0(gaps, mu, theta, L, 8.0)
-    if envelope_id in ("afw", "bpfw"):
-        # constant regime ends once the support present at t0 is worked off
-        if t0 < len(trace.records):
-            t1 = trace.records[t0].support_or_face_dim + t0 - 1
-        else:
-            t1 = t0
-        return Regimes(t0, t1)
-    if envelope_id == "ifw_std":
-        if t0 < len(trace.records):
-            t1 = trace.records[t0].support_or_face_dim + t0
-        else:
-            t1 = t0
-        return Regimes(t0, t1)
-    return Regimes(t0, None)  # ifw: no constant regime
+    fam = ENVELOPES[envelope_id]
+    _, gaps = trace.gap_series()
+    t0 = _halving_t0(gaps, mu, theta, L, fam.c)
+    if fam.t1_offset is None:
+        return Regimes(t0, None)
+    # constant regime ends once the support or face present at t0 is worked off
+    if t0 < len(trace.records):
+        return Regimes(t0, trace.records[t0].support_or_face_dim + t0 + fam.t1_offset)
+    return Regimes(t0, t0)
 
 
 # -- certified envelopes ---------------------------------------------------------------
@@ -196,87 +231,37 @@ class EnvelopeReport:
     gaps: np.ndarray = field(repr=False, default=None)
 
 
-def _geometric(g0, rho, exponents):
-    rho = min(max(rho, 0.0), 1.0)
-    return g0 * (1.0 - rho) ** exponents
-
-
 def _envelope_series(trace, envelope_id, mu, theta, L, dim, m):
-    ts, gaps = trace.gap_series()
+    _, gaps = trace.gap_series()
     t = np.arange(len(gaps))
-    g0 = gaps[0]
-    linear_theta = theta >= 0.5 - 1e-12
     reg = detect_regimes(trace, envelope_id, mu, theta, L)
-    b = np.empty(len(gaps))
+    fam = ENVELOPES[envelope_id]
+    k = {"dim": dim, "m": m}.get(fam.epoch, fam.epoch)
+    if k is None or k < 1:
+        raise ValueError(f"the {envelope_id} envelope needs {fam.epoch} >= 1, got {k}")
+    e = np.ceil(t / k)
+    linear_theta = theta >= 0.5 - 1e-12
+    if linear_theta and envelope_id != "fwipw":
+        rho = min(max(mu / (fam.c * L), 0.0), 0.5)
+        return gaps, gaps[0] * (1.0 - rho) ** e, reg
 
     def anchor(i):
         return gaps[i] if i < len(gaps) else 0.0
 
-    if envelope_id == "fw":
-        if linear_theta:
-            b[:] = _geometric(g0, min(mu / (2 * L), 0.5), t)
-        else:
-            t0 = reg.t0
-            b[: t0 + 1] = g0 / 2.0 ** t[: t0 + 1]
-            sig = mu ** (2 * theta) / (2 * L)
-            for i in t[t0 + 1:]:
-                b[i] = _tail_value(anchor(t0), theta, sig * (i - t0))
-    elif envelope_id in ("afw", "bpfw"):
-        e = np.ceil(t / 2.0)
-        if linear_theta:
-            b[:] = _geometric(g0, min(mu / (8 * L), 0.5), e)
-        else:
-            t0, t1 = reg.t0, reg.t1
-            b[: t0 + 1] = g0 / 2.0 ** e[: t0 + 1]
-            sig = mu ** (2 * theta) / (8 * L)
-            for i in t[t0 + 1:]:
-                if i <= t1:
-                    b[i] = anchor(t0)
-                else:
-                    b[i] = _tail_value(anchor(t1), theta,
-                                       sig * math.ceil((i - t1) / 2.0))
-    elif envelope_id == "ifw":
-        if dim is None or dim < 1:
-            raise ValueError("the in-face envelope needs the polytope dimension")
-        e = np.ceil(t / float(dim))
-        if linear_theta:
-            b[:] = _geometric(g0, min(mu / (8 * L), 0.5), e)
-        else:
-            t0 = reg.t0
-            b[: t0 + 1] = g0 / 2.0 ** e[: t0 + 1]
-            sig = mu ** (2 * theta) / (8 * L)
-            for i in t[t0 + 1:]:
-                b[i] = _tail_value(anchor(t0), theta,
-                                   sig * math.ceil((i - t0) / float(dim)))
-    elif envelope_id == "ifw_std":
-        if m is None or m < 1:
-            raise ValueError("the standard-form envelope needs the row count m")
-        e = np.ceil(t / float(m))
-        if linear_theta:
-            b[:] = _geometric(g0, min(mu / (8 * L), 0.5), e)
-        else:
-            t0, t1 = reg.t0, reg.t1
-            b[: t0 + 1] = g0 / 2.0 ** e[: t0 + 1]
-            sig = mu ** (2 * theta) / (8 * L)
-            for i in t[t0 + 1:]:
-                if i <= t1:
-                    b[i] = anchor(t0)
-                else:
-                    b[i] = _tail_value(anchor(t1), theta,
-                                       sig * math.ceil((i - t1) / float(m)))
-    elif envelope_id == "fwipw":
-        t0 = reg.t0
-        b[: t0 + 1] = g0 / 2.0 ** t[: t0 + 1]
-        if linear_theta:
-            rho = min(max(mu / (4 * L), 0.0), 1.0)
-            for i in t[t0 + 1:]:
-                b[i] = anchor(t0) * (1.0 - rho) ** (i - t0)
-        else:
-            sig = mu ** (2 * theta) / (4 * L)
-            for i in t[t0 + 1:]:
-                b[i] = _tail_value(anchor(t0), theta, sig * (i - t0))
-    else:
-        raise ValueError(f"unknown envelope id {envelope_id!r}")
+    t0 = reg.t0
+    b = np.empty(len(gaps))
+    b[: t0 + 1] = gaps[0] / 2.0 ** e[: t0 + 1]
+    if linear_theta:  # FWIPW: geometric tail anchored at t0
+        rho = min(max(mu / (fam.c * L), 0.0), 1.0)
+        for i in t[t0 + 1:]:
+            b[i] = anchor(t0) * (1.0 - rho) ** (i - t0)
+        return gaps, b, reg
+    ta = t0 if reg.t1 is None else reg.t1  # the tail's anchor
+    b[t0 + 1: ta + 1] = anchor(t0)
+    sig = mu ** (2 * theta) / (fam.c * L)
+    epochs = np.ceil((t - ta) / k)
+    for i in range(max(t0, ta) + 1, len(gaps)):
+        b[i] = _tail_value(anchor(ta), theta, sig * epochs[i])
     return gaps, b, reg
 
 
@@ -284,8 +269,10 @@ def envelope_check(trace, envelope_id, mu, theta, L, dim=None, m=None,
                    rel_slack=REL_SLACK, noise_floor=None):
     """Assert gap_t <= certified bound at every recorded t, with relative slack.
 
-    Points whose measured gap sits below the floating-point noise floor of
-    the objective evaluation are skipped rather than compared; by then the
+    ``dim`` is the polytope dimension (needed by ``ifw``) and ``m`` the
+    row count of a standard-form polytope (needed by ``ifw_std``).  Points
+    whose measured gap sits below the floating-point noise floor of the
+    objective evaluation are skipped rather than compared; by then the
     measured gap is dominated by cancellation error.
     """
     if mu <= 0:
@@ -402,13 +389,6 @@ def audit_selection(trace, rel_slack=REL_SLACK):
     return AuditReport("selection", not failures, n, failures)
 
 
-_DISTANCE_FOR_KIND = {
-    "radial": radial_distance,
-    "vertex": vertex_distance,
-    "face": face_distance,
-}
-
-
 def audit_scaling(trace, poly, xstar_points, kind, rel_slack=1e-8, sample_cap=80):
     """Scaling inequalities in multiplied form: gap * distance >= f - f*.
 
@@ -419,7 +399,7 @@ def audit_scaling(trace, poly, xstar_points, kind, rel_slack=1e-8, sample_cap=80
     the distance, which keeps the audited inequality valid.  Needs a trace
     recorded with points.
     """
-    dist_fn = _DISTANCE_FOR_KIND[kind]
+    dist_fn = distance_for(kind)
     xstar_points = np.atleast_2d(np.asarray(xstar_points, dtype=float))
     recs = [r for r in trace.records if r.x is not None and r.f_gap is not None]
     if not recs:
@@ -510,47 +490,43 @@ def audit_fwipw(trace, mu, theta, L, rel_slack=REL_SLACK, noise_floor=None):
 # -- bench suites ---------------------------------------------------------------------
 
 
-THEOREM_FOR_VARIANT = {"FW": "fw", "AFW": "afw", "BPFW": "bpfw",
-                       "IFW": "ifw", "FWIPW": "fwipw"}
-CERT_KIND_FOR_THEOREM = {"fw": "radial", "afw": "vertex", "bpfw": "vertex",
-                         "ifw": "face", "ifw_std": "face", "fwipw": "face"}
+def check_instance_run(inst, variant, step="ss", max_iters=2000, gap_tol=1e-10,
+                       **solve_kw):
+    """Solve a certified instance and check it against its family's envelope.
 
-
-def check_instance_run(inst, variant, step="ss", envelope_id=None, cert_kind=None,
-                       max_iters=2000, gap_tol=1e-10, **solve_kw):
-    """Solve a certified instance and run its envelope check in one call."""
+    The envelope is ``envelope_for(variant, inst.poly)``.  Returns
+    ``(trace, report)``, or ``(trace, None)`` when the instance has no valid
+    certificate of the kind that envelope consumes (the Wolfe setting has
+    no radial one).
+    """
     from .solvers import solve
 
-    variant = variant.upper()
-    envelope_id = envelope_id or THEOREM_FOR_VARIANT[variant]
-    cert_kind = cert_kind or CERT_KIND_FOR_THEOREM[envelope_id]
-    cert = inst.derived[cert_kind]
-    if not cert.valid:
-        raise ValueError(f"instance {inst.name} has no usable {cert_kind} certificate")
     solve_kw.setdefault("x0", inst.x0)
     trace = solve(inst.poly, inst.obj, variant, step=step, L=inst.L,
                   max_iters=max_iters, gap_tol=gap_tol, fstar=inst.fstar,
                   **solve_kw)
-    dim = inst.poly.dim()
+    envelope_id = envelope_for(variant, inst.poly)
+    cert = inst.derived.get(ENVELOPES[envelope_id].cert_kind)
+    if cert is None or not cert.valid:
+        return trace, None
     m = inst.poly.A.shape[0] if inst.poly.A.size else None
-    report = envelope_check(trace, envelope_id, cert.mu, cert.theta, inst.L,
-                            dim=dim, m=m)
-    return trace, report
+    return trace, envelope_check(trace, envelope_id, cert.mu, cert.theta, inst.L,
+                                 dim=inst.poly.dim(), m=m)
 
 
 _SUITES = {
-    "wolfe": (("wolfe_edge", "FW", "ls", "fw", None),
-              ("wolfe_edge", "AFW", "ss", "afw", "vertex"),
-              ("wolfe_edge", "BPFW", "ss", "bpfw", "vertex"),
-              ("wolfe_edge", "IFW", "ss", "ifw", "face")),
-    "interior": (("interior_quadratic", "FW", "ss", "fw", "radial"),
-                 ("interior_quadratic", "AFW", "ss", "afw", "vertex"),
-                 ("interior_quadratic", "BPFW", "ss", "bpfw", "vertex")),
-    "theta-sweep": (("fw_segment", "FW", "ss", "fw", "radial"),
-                    ("fw_power4", "FW", "ss", "fw", "radial")),
-    "fwipw": (("fwipw_mid", "FWIPW", "pow2", "fwipw", "face"),
-              ("fwipw_simplex5", "FWIPW", "pow2", "fwipw", "face"),
-              ("edge_mid_std", "IFW", "ss", "ifw_std", "face")),
+    "wolfe": (("wolfe_edge", "FW", "ls"),
+              ("wolfe_edge", "AFW", "ss"),
+              ("wolfe_edge", "BPFW", "ss"),
+              ("wolfe_edge", "IFW", "ss")),
+    "interior": (("interior_quadratic", "FW", "ss"),
+                 ("interior_quadratic", "AFW", "ss"),
+                 ("interior_quadratic", "BPFW", "ss")),
+    "theta-sweep": (("fw_segment", "FW", "ss"),
+                    ("fw_power4", "FW", "ss")),
+    "fwipw": (("fwipw_mid", "FWIPW", "pow2"),
+              ("fwipw_simplex5", "FWIPW", "pow2"),
+              ("edge_mid_std", "IFW", "ss")),
 }
 
 
@@ -566,22 +542,10 @@ def bench(suite, out_dir, max_iters=20000, gap_tol=1e-10):
         raise ValueError(f"unknown suite {suite!r}; have {sorted(_SUITES)}")
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for inst_name, variant, step, envelope_id, cert_kind in _SUITES[suite]:
+    for inst_name, variant, step in _SUITES[suite]:
         inst = getattr(_inst, inst_name)()
-        kind = cert_kind or CERT_KIND_FOR_THEOREM[envelope_id]
-        cert = inst.derived.get(kind)
-        if cert is not None and not cert.valid:
-            cert = None  # Wolfe setting: no usable radial certificate
-        trace, report = None, None
-        if cert is not None:
-            trace, report = check_instance_run(
-                inst, variant, step=step, envelope_id=envelope_id, cert_kind=kind,
-                max_iters=max_iters, gap_tol=gap_tol)
-        else:
-            from .solvers import solve
-            trace = solve(inst.poly, inst.obj, variant, step=step, L=inst.L,
-                          max_iters=max_iters, gap_tol=gap_tol, fstar=inst.fstar,
-                          x0=inst.x0)
+        trace, report = check_instance_run(inst, variant, step=step,
+                                           max_iters=max_iters, gap_tol=gap_tol)
         name = f"{inst_name}_{variant.lower()}_{step}"
         trace.to_csv(os.path.join(out_dir, name + ".csv"))
         try:

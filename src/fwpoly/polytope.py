@@ -62,6 +62,14 @@ def _rank(M):
     return int(np.sum(s > 1e-9 * max(1.0, s[0])))
 
 
+def _as_point(x, n):
+    """x as a float array, which must have shape (n,)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise PolytopeError(f"expected a point of shape ({n},), got shape {x.shape}")
+    return x
+
+
 def _as_vector(v, k):
     if v is None:
         return np.zeros(0)
@@ -137,7 +145,7 @@ class Polytope:
 
     def contains(self, x, tol=1e-8):
         # written so that a NaN residual or slack fails the test
-        x = np.asarray(x, dtype=float)
+        x = _as_point(x, self.n)
         if self.A.size and not np.abs(self.A @ x - self.b).max() <= tol:
             return False
         if self.D.size and not self._slack(x).min() >= -tol:
@@ -423,7 +431,7 @@ class L1Ball(Polytope):
         self.radius = float(radius)
 
     def contains(self, x, tol=1e-8):
-        return float(np.abs(np.asarray(x, dtype=float)).sum()) <= self.radius + tol
+        return float(np.abs(_as_point(x, self.n)).sum()) <= self.radius + tol
 
     def face_dim_at(self, x):
         """Closed form that agrees with the facet rows where they exist.

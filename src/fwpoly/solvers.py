@@ -13,7 +13,9 @@ and its cap, and the case label used by the counting arguments:
 
 Stopping is on the Frank-Wolfe gap, an affine-invariant optimality measure;
 a gap that is not finite (a NaN or infinite gradient) stops the run with
-terminal reason "nonfinite".
+terminal reason "nonfinite".  FWIPW also stops, as "stationary", when its
+step target is not positive, and as "precision_floor" before a step so
+small that every coordinate is already a multiple of it in doubles.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ class RunConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.gap_tol <= 0:
             raise ValueError("gap_tol must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
         if self.variant == "FWIPW" and self.step.kind != "pow2":
             raise ValueError("FWIPW requires the pow2 step rule")
         if self.variant != "FWIPW" and self.step.kind == "pow2":
@@ -93,7 +97,8 @@ class IterRecord:
 class RunTrace:
     variant: str
     records: list
-    terminal_reason: str  # "gap_tol" | "max_iters" | "stationary" | "nonfinite"
+    # "gap_tol" | "max_iters" | "stationary" | "precision_floor" | "nonfinite"
+    terminal_reason: str
     x_final: np.ndarray
     f_final: float
     fw_gap_final: float
@@ -201,7 +206,9 @@ class _IntegerStepState(_PointState):
     The step is the largest power of two below both the curvature target
     gamma = -<g, d>/L and the previous step, so every iterate is an integer
     multiple of the current step.  That integrality is asserted each
-    iteration; feasibility needs no ratio test.
+    iteration; feasibility needs no ratio test.  A step at most the spacing
+    of doubles at max(1, |x|_inf) would make that check vacuous, so the run
+    stops before it.
     """
 
     def __init__(self, poly, cfg, x0):
@@ -218,11 +225,16 @@ class _IntegerStepState(_PointState):
         return d, float(g @ (d.payload[0] - v))
 
     def step(self, obj, g, d):
-        """The power-of-two step, or None when the target is not positive."""
+        """The power-of-two step, or None with ``stop_reason`` set."""
         self.gamma = -d.inner / self.cfg.step.L
         if self.gamma <= 0.0:
+            self.stop_reason = "stationary"
             return None
-        return target_pow2(self.gamma, self.eta_prev)
+        eta = target_pow2(self.gamma, self.eta_prev)
+        if eta <= np.spacing(max(1.0, np.abs(self.x).max())):
+            self.stop_reason = "precision_floor"
+            return None
+        return eta
 
     def update(self, d, eta, t):
         self.x = self.x + eta * d.vec
@@ -260,8 +272,8 @@ def run(poly, obj, cfg, x0=None):
             break
         d, strong = state.direction(g, v)
         eta = state.step(obj, g, d)
-        if eta is None:
-            reason = "stationary"
+        if eta is None:  # only FWIPW stops here
+            reason = state.stop_reason
             break
         f_val = obj.value(x)
         records.append(IterRecord(

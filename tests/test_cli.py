@@ -165,6 +165,30 @@ class TestExitCodes:
                        "wolfe1", "--variant", "fw", "--step", "pow2",
                        "--trace", str(tmp_path / "t.csv")) == 1
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("solve", "--polytope", "cube3", "--objective",
+                      "powdist:p=3,center=0.2;0.3;0.4", "--variant", "ifw",
+                      "--x0", "0.5"), id="short-x0"),
+        pytest.param(("solve", "--polytope", "simplex2", "--objective", "wolfe1",
+                      "--variant", "fw"), id="objective-dimension"),
+        pytest.param(("solve", "--polytope", "cube3", "--objective",
+                      "powdist:p=3,center=0.2", "--variant", "fw"), id="short-center"),
+        pytest.param(("solve", "--polytope", "simplex3", "--objective",
+                      "powdist:p=abc", "--variant", "fw"), id="non-numeric-p"),
+        pytest.param(("solve", "--polytope", "simplex3", "--objective",
+                      "quad:Q={bad},c=1;2;3", "--variant", "fw"), id="non-numeric-Q"),
+        pytest.param(("geometry", "--polytope", "simplex3", "--op", "radial",
+                      "--x", "0.5,0.5", "--y", "1,0,0"), id="short-x"),
+    ])
+    def test_malformed_input_is_usage(self, tmp_path, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 2 x\n")
+        argv = [a.format(bad=bad) for a in argv]
+        trace = tmp_path / "t.csv"
+        extra = ["--trace", str(trace)] if argv[0] == "solve" else []
+        assert run_cli(*argv, *extra) == 2
+        assert not trace.exists()
+
     def test_missing_required_flag(self):
         assert run_cli("geometry", "--op", "phi") == 2
 

@@ -3,20 +3,29 @@
 import numpy as np
 import pytest
 
+from fwpoly import geometry
 from fwpoly.harness import (
     audit_drop_accounting,
     audit_fwipw,
     audit_ifw_dims,
     audit_progress,
+    audit_scaling,
     audit_selection,
     bench,
     borwein_bound,
     check_instance_run,
     detect_regimes,
     envelope_check,
+    envelope_for,
     fit_rate,
 )
-from fwpoly.instances import fw_segment, fwipw_mid, interior_quadratic, wolfe_edge
+from fwpoly.instances import (
+    edge_mid_std,
+    fw_segment,
+    fwipw_mid,
+    interior_quadratic,
+    wolfe_edge,
+)
 from fwpoly.solvers import IterRecord, RunTrace, solve
 
 
@@ -111,6 +120,18 @@ class TestEnvelopes:
         assert rep.envelope_id == "afw"
         assert tr.terminal_reason == "gap_tol"
 
+    def test_check_instance_run_without_certificate(self):
+        # the Wolfe optimum sits on an edge: no valid radial certificate
+        tr, rep = check_instance_run(wolfe_edge(), "FW", step="ls", max_iters=200)
+        assert rep is None
+        assert len(tr.records) == 200
+
+    def test_envelope_for(self):
+        std, simplex = edge_mid_std().poly, wolfe_edge().poly
+        assert envelope_for("IFW", std) == "ifw_std"
+        assert envelope_for("ifw", simplex) == "ifw"
+        assert envelope_for("BPFW", std) == "bpfw"
+
 
 class TestRegimes:
     def test_fw_linear_theta_starts_immediately(self):
@@ -168,6 +189,23 @@ class TestAudits:
         tr = RunTrace("AFW", [rec], "max_iters", np.zeros(2), 0.9, 0.5)
         assert not audit_drop_accounting(tr).ok
         assert audit_drop_accounting(tr, initial_support=2).ok
+
+    def test_scaling_distance_seen_through_module(self, monkeypatch):
+        # a wrapper on geometry.vertex_distance (as the benchmark tracer
+        # installs) must see every distance the audit evaluates
+        calls = []
+        real = geometry.vertex_distance
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "vertex_distance", counted)
+        inst = wolfe_edge()
+        tr = run(inst, "AFW", max_iters=50, record_points=True)
+        rep = audit_scaling(tr, inst.poly, inst.xstar_points, "vertex")
+        assert rep.ok
+        assert len(calls) == rep.n_checked * len(inst.xstar_points) > 0
 
     def test_ifw_dims_decrease(self):
         inst = wolfe_edge()

@@ -194,16 +194,19 @@ class TestMinimalFace:
             Simplex(3).minimal_face([0.5, 0.5, 0.5])
 
 
+CONTAINS_POLYS = pytest.mark.parametrize("poly", [
+    Simplex(3),
+    Box([0, 0], [1, 1]),
+    StdFormPolytope(np.ones((1, 3)), [1.0]),
+    VRepPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    L1Ball(3),
+], ids=lambda p: type(p).__name__)
+
+
 class TestContains:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("poly", [
-        Simplex(3),
-        Box([0, 0], [1, 1]),
-        StdFormPolytope(np.ones((1, 3)), [1.0]),
-        VRepPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        L1Ball(3),
-    ], ids=lambda p: type(p).__name__)
+    @CONTAINS_POLYS
     def test_rejects_nonfinite(self, poly, bad):
         x = np.mean(poly.enumerate_vertices(), axis=0)
         assert poly.contains(x)
@@ -211,6 +214,16 @@ class TestContains:
             y = x.copy()
             y[i] = bad
             assert not poly.contains(y)
+
+    @pytest.mark.parametrize("shape", ["short", "long", "scalar", "row"])
+    @CONTAINS_POLYS
+    def test_rejects_wrong_shape(self, poly, shape):
+        # a broadcast point used to pass: Box(0, 1).contains([0.5]) was True
+        x = np.mean(poly.enumerate_vertices(), axis=0)
+        bad = {"short": x[:1], "long": np.append(x, 0.0), "scalar": x[0],
+               "row": x[None, :]}[shape]
+        with pytest.raises(PolytopeError):
+            poly.contains(bad)
 
 
 class TestVertexEnumeration:

@@ -6,7 +6,13 @@ import io
 import numpy as np
 import pytest
 
-from fwpoly.instances import fw_segment, fwipw_mid, interior_quadratic, wolfe_edge
+from fwpoly.instances import (
+    fw_segment,
+    fwipw_mid,
+    fwipw_simplex5,
+    interior_quadratic,
+    wolfe_edge,
+)
 from fwpoly.objectives import Objective, distance_squared
 from fwpoly.polytope import PolytopeError, Simplex
 from fwpoly.solvers import CSV_COLUMNS, solve
@@ -164,6 +170,17 @@ class TestStartAndTermination:
             assert np.log2(e) == pytest.approx(round(np.log2(e)), abs=1e-12)
 
 
+    @pytest.mark.parametrize("factory", [fwipw_mid, fwipw_simplex5])
+    def test_fwipw_stops_at_precision_floor(self, factory):
+        # below 2^-52 every coordinate of a 0/1-polytope point is a multiple
+        # of the step, so the integrality check could no longer fail
+        tr = run_instance(factory(), "FWIPW", step="pow2", gap_tol=1e-30,
+                          max_iters=5000)
+        assert tr.terminal_reason == "precision_floor"
+        assert all(r.eta > 2.0 ** -52 for r in tr.records)
+        assert len(tr.records) < 500
+
+
 class TestValidation:
     OBJ = distance_squared(np.array([0.2, 0.3, 0.5]))
 
@@ -174,6 +191,10 @@ class TestValidation:
     def test_fwipw_needs_pow2(self):
         with pytest.raises(ValueError):
             solve(S3, self.OBJ, "FWIPW", step="ls")
+
+    def test_negative_max_iters(self):
+        with pytest.raises(ValueError):
+            solve(S3, self.OBJ, "FW", max_iters=-3)
 
     def test_pow2_only_for_fwipw(self):
         with pytest.raises(ValueError):
