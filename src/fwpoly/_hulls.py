@@ -4,10 +4,10 @@ Everything here works on plain (N, n) arrays of points.  The three jobs are:
 
 * affine hulls (orthonormal tangent basis + normal equations),
 * inequality descriptions of convex hulls, degenerate dimensions included,
-* Euclidean projection of a point onto a convex hull of points, solved by
-  accelerated projected gradient on the simplex of hull coefficients with an
-  active-support polish step so the result is accurate to linear-algebra
-  precision.
+* Euclidean projection of a point onto a convex hull of points, solved
+  exactly by Wolfe's min-norm-point method on the simplex of hull
+  coefficients; a result that fails the global optimality check raises
+  PolytopeError instead of being returned.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 RANK_TOL = 1e-9
+MAX_CYCLES_PER_POINT = 10
 
 
 def affine_hull(points, tol=RANK_TOL):
@@ -97,102 +98,96 @@ def hull_hform(points, tol=RANK_TOL):
     return HullHForm(A, b, D, e, sorted(int(i) for i in hull.vertices))
 
 
-def simplex_projection(v):
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+def _affine_lsq(M, support, w):
+    """Minimizer of ||M[:, support] mu - w|| subject to sum(mu) = 1 (KKT solve)."""
+    Ms = M[:, support]
+    k = support.size
+    K = np.zeros((k + 1, k + 1))
+    K[:k, :k] = Ms.T @ Ms
+    K[:k, k] = 1.0
+    K[k, :k] = 1.0
+    rhs = np.concatenate([Ms.T @ w, [1.0]])
+    sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+    return sol[:k]
 
 
-def project_to_hull(points, target, tol=1e-12, max_iter=20000):
-    """Project ``target`` onto conv(points).
+def _gains(P, w, lam, scale):
+    """Per-point first-order gains <p_i - x, x - w> at x = P^T lam, and the floor.
 
-    Minimizes ||P^T lam - target|| over the simplex of coefficients with
-    accelerated projected gradient from a uniform cold start, polished by an
-    equality-constrained least-squares solve on the active support whenever
-    the support stabilizes.  Returns ``(distance, lam)``.
+    lam is optimal iff no gain is below the floor: moving weight onto any
+    point cannot shorten x - w.
     """
+    resid = P.T @ lam - w
+    Pr = P @ resid
+    return Pr - lam @ Pr, -1e-11 * scale * max(1.0, np.linalg.norm(resid))
+
+
+def _polish(P, w, lam, scale):
+    """Re-solve on the support lam > 0; the optimal coefficients, or None."""
+    support = np.flatnonzero(lam > 0)
+    if support.size == 0:
+        return None
+    mu = _affine_lsq(P.T, support, w)
+    if mu.min() < -1e-11:
+        return None
+    mu = np.maximum(mu, 0.0)
+    mu /= mu.sum()
+    cand = np.zeros(P.shape[0])
+    cand[support] = mu
+    gain, floor = _gains(P, w, cand, scale)
+    return cand if gain.min() >= floor else None
+
+
+def project_to_hull(points, target):
+    """Project ``target`` onto conv(points); returns ``(distance, lam)``.
+
+    Wolfe's min-norm-point method (Math. Programming 11, 1976) on the simplex
+    of coefficients.  Each major cycle adds the point of smallest gain; each
+    minor cycle solves the affine least-squares problem on the support and,
+    where a weight comes out non-positive, steps back along the segment until
+    that weight is zero and drops it.  The final support is re-solved and
+    checked for global optimality: the result is exact to linear-algebra
+    precision, or the call raises PolytopeError.
+    """
+    from .polytope import PolytopeError
+
     P = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(target, dtype=float)
     N = P.shape[0]
-    if N == 1:
-        return float(np.linalg.norm(P[0] - w)), np.ones(1)
-
     M = P.T  # columns are the points
     scale = max(1.0, float(np.abs(P).max()), float(np.abs(w).max()))
-    lipschitz = np.linalg.norm(M, 2) ** 2
-    if lipschitz == 0.0:
-        return float(np.linalg.norm(w)), np.full(N, 1.0 / N)
-
-    lam = np.full(N, 1.0 / N)
-    z = lam.copy()
-    t_acc = 1.0
-    obj_prev = np.inf
-
-    def polish(lam):
-        support = np.flatnonzero(lam > 1e-10)
-        if support.size == 0:
-            return None
-        Ms = M[:, support]
-        k = support.size
-        # KKT system of: min ||Ms mu - w||^2  s.t.  sum(mu) = 1
-        K = np.zeros((k + 1, k + 1))
-        K[:k, :k] = Ms.T @ Ms
-        K[:k, k] = 1.0
-        K[k, :k] = 1.0
-        rhs = np.concatenate([Ms.T @ w, [1.0]])
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-        mu = sol[:k]
-        if mu.min() < -1e-11:
-            return None
-        mu = np.maximum(mu, 0.0)
-        mu /= mu.sum()
-        cand = np.zeros(N)
-        cand[support] = mu
-        resid = M @ cand - w
-        # global optimality: no coefficient direction improves the fit
-        gain = P @ resid - cand @ (P @ resid)
-        if gain.min() >= -1e-11 * scale * max(1.0, np.linalg.norm(resid)):
-            return cand
-        return None
-
-    best = lam
-    best_obj = np.inf
-    for it in range(max_iter):
-        resid = M @ z - w
-        grad = M.T @ resid
-        lam_next = simplex_projection(z - grad / lipschitz)
-        obj = 0.5 * np.sum((M @ lam_next - w) ** 2)
-        if obj < best_obj:
-            best_obj, best = obj, lam_next
-        # FISTA momentum with restart on non-monotonicity
-        if obj > obj_prev:
-            t_acc, z = 1.0, lam_next
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-            z = lam_next + ((t_acc - 1.0) / t_next) * (lam_next - lam)
-            t_acc = t_next
-        move = np.linalg.norm(lam_next - lam)
-        lam = lam_next
-        obj_prev = obj
-        if it % 25 == 24 or move <= tol * scale:
-            cand = polish(best)
-            if cand is not None:
-                return float(np.linalg.norm(M @ cand - w)), cand
-        if move <= 1e-16 * scale:
+    lam = np.zeros(N)
+    lam[np.argmin(np.sum((P - w) ** 2, axis=1))] = 1.0
+    # the method is finite in exact arithmetic and a minor cycle drops a point
+    # that a major cycle added, so the cap on major cycles bounds both and
+    # only catches a loop that rounding keeps alive
+    cap = MAX_CYCLES_PER_POINT * N
+    for _ in range(cap):
+        gain, floor = _gains(P, w, lam, scale)
+        j = int(np.argmin(gain))
+        if gain[j] >= floor or lam[j] > 0:  # optimal, or stalled by rounding
             break
-    cand = polish(best)
-    if cand is not None:
-        return float(np.linalg.norm(M @ cand - w)), cand
-    return float(np.linalg.norm(M @ best - w)), best
+        support = np.union1d(np.flatnonzero(lam > 0), [j])
+        mu = _affine_lsq(M, support, w)
+        while (mu <= 0).any():  # false once rounding has dropped every weight
+            cur = lam[support]
+            out = np.flatnonzero(mu <= 0)
+            ratios = cur[out] / (cur[out] - mu[out])
+            lam[support] = cur + ratios.min() * (mu - cur)
+            lam[support[out[np.argmin(ratios)]]] = 0.0
+            support = np.flatnonzero(lam > 0)
+            mu = _affine_lsq(M, support, w)
+        lam[:] = 0.0
+        lam[support] = mu
+    else:
+        raise PolytopeError(f"project_to_hull: no convergence in {cap} cycles")
+    cand = _polish(P, w, lam, scale)
+    if cand is None:
+        raise PolytopeError("project_to_hull: the final support fails the optimality check")
+    return float(np.linalg.norm(M @ cand - w)), cand
 
 
-def hull_distance(points_a, points_b, tol=1e-12):
+def hull_distance(points_a, points_b):
     """Euclidean distance between conv(points_a) and conv(points_b).
 
     The Minkowski difference of two hulls of finite point sets is the hull
@@ -201,6 +196,6 @@ def hull_distance(points_a, points_b, tol=1e-12):
     Pa = np.atleast_2d(np.asarray(points_a, dtype=float))
     Pb = np.atleast_2d(np.asarray(points_b, dtype=float))
     diffs = (Pa[:, None, :] - Pb[None, :, :]).reshape(-1, Pa.shape[1])
-    dist, _ = project_to_hull(diffs, np.zeros(Pa.shape[1]), tol=tol)
+    dist, _ = project_to_hull(diffs, np.zeros(Pa.shape[1]))
     return dist
 

@@ -464,6 +464,13 @@ def phi_lower_bound(poly, face, norm="l2", sigma=None, lattice=None):
     return float(best)
 
 
+def _inv_sigma_bound(poly, rows, sigma, norm):
+    """1 / ||sigma^-1 on rows||*: the standard-form bound of one row set."""
+    v = np.zeros(poly.n)
+    v[rows] = 1.0 / sigma[rows]
+    return 1.0 / dual_norm(v, norm)
+
+
 def phi_lower_bound_std(poly, face, norm="l2", sigma=None):
     """Standard-form closed form of the face separation bound.
 
@@ -482,9 +489,7 @@ def phi_lower_bound_std(poly, face, norm="l2", sigma=None):
     I_F = sorted(binding_rows_of_vset(poly, fset))
     if not I_F:
         raise PolytopeError("phi_lower_bound_std: face equals the polytope")
-    v = np.zeros(poly.n)
-    v[I_F] = 1.0 / sigma[I_F]
-    return 1.0 / dual_norm(v, norm)
+    return _inv_sigma_bound(poly, I_F, sigma, norm)
 
 
 def phibar_lower_bound_std(poly, face, norm="l2", sigma=None):
@@ -518,17 +523,13 @@ def phibar_lower_bound_std(poly, face, norm="l2", sigma=None):
         I_v = sorted(binding_rows_of_vset(poly, frozenset([j])))
         if not I_v:
             continue
-        v = np.zeros(poly.n)
-        v[I_v] = 1.0 / sigma[I_v]
-        vert_vals.append(1.0 / dual_norm(v, norm))
+        vert_vals.append(_inv_sigma_bound(poly, I_v, sigma, norm))
     if vert_vals:
         vals.append(min(vert_vals))
     I_F = binding_rows_of_vset(poly, fset)
     comp = sorted(set(range(poly.n)) - set(I_F))
     if comp:
-        v = np.zeros(poly.n)
-        v[comp] = 1.0 / sigma[comp]
-        vals.append(1.0 / dual_norm(v, norm))
+        vals.append(_inv_sigma_bound(poly, comp, sigma, norm))
     if not vals:
         raise PolytopeError("phibar_lower_bound_std: degenerate face")
     return max(vals)

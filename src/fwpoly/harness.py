@@ -182,7 +182,7 @@ class Regimes:
 
 def _halving_t0(gaps, mu, theta, L, denom):
     """Smallest t with mu^{2 theta} gap_t^{1-2 theta} / (denom L) <= 1/2."""
-    thresh = mu ** (2 * theta) * gaps ** (1 - 2 * theta) / (denom * L)
+    thresh = mu ** (2 * theta) * np.maximum(gaps, 0.0) ** (1 - 2 * theta) / (denom * L)
     hits = np.nonzero(thresh <= 0.5 + 1e-15)[0]
     return int(hits[0]) if len(hits) else len(gaps) - 1
 
@@ -210,7 +210,8 @@ def detect_regimes(trace, envelope_id, mu, theta, L):
         return Regimes(t0, None)
     # constant regime ends once the support or face present at t0 is worked off
     if t0 < len(trace.records):
-        return Regimes(t0, trace.records[t0].support_or_face_dim + t0 + fam.t1_offset)
+        size = trace.records[t0].support_or_face_dim
+        return Regimes(t0, max(t0, size + t0 + fam.t1_offset))
     return Regimes(t0, t0)
 
 

@@ -202,7 +202,7 @@ def named_polytope(name):
     return builders[name]()
 
 
-def named_objective(name, n=None):
+def named_objective(name):
     """Objectives reachable by name from the command line."""
     if name == "wolfe1":
         return wolfe_edge().obj

@@ -97,7 +97,8 @@ class TestSolveCommand:
                        "--variant", "afw", "--step", "ss", "--tol", "1e-10",
                        "--x0", "0,0,1", "--trace", str(trace))
         assert code == 0
-        rows = list(csv.reader(trace.open()))
+        with trace.open() as f:
+            rows = list(csv.reader(f))
         assert tuple(rows[0]) == CSV_COLUMNS
         assert len(rows) > 10
         out = capsys.readouterr().out  # human summary on stdout

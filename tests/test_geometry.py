@@ -5,6 +5,8 @@ has a closed form; each literal is annotated with its derivation.
 """
 
 import hashlib
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,14 +235,17 @@ SPHERE9 = [[0.166, -0.427, 0.889], [-0.668, 0.33, 0.667], [0.86, 0.25, 0.444],
 
 # SHA-256 of the reprs of (inner, outer, phi_lower_bound), one line per
 # proper face in lattice order, generated before the facial distances were
-# memoised on the lattice
+# memoised on the lattice; simplex5std and sphere9 re-pinned when Wolfe's
+# method replaced the gradient projection (within 3 ulp of PARENT_TABLE)
 SWEEP_DIGESTS = {
     "cube3": "c5525a15ea75ba62c0653fe8d82690ca02b1ee572c11c25e11a8dfb78f877275",
     "truncsimplex": "7790571b5619100d4ca168d67c66419f2536a6da4130e182d244d22cf7db0bbd",
-    "simplex5std": "c12fbf465b96ee851d2685bfbec39eabac9052669cb02f1af0805266fe3d69de",
+    "simplex5std": "95c184cc1ed2d463aedafed851d3936e52ebb73c0f134fae5c07a801d67297e3",
     "cube2std": "bd73772bd6786d276107f43b50749287ba0e06015dfaa476e782f9072ffecdd7",
-    "sphere9": "a6a1971376c8afcceb51c30e3e30bcb372df7461017fe1ce6266b7d800d9cc3f",
+    "sphere9": "f03a3061eed27e8643ebd5c172260fafe83fc9521f5d94589b9abbef95860555",
 }
+
+PARENT_TABLE = Path(__file__).with_name("shared_lattice_parent.txt")
 
 
 def sweep_polytope(name):
@@ -266,6 +271,14 @@ class TestSharedLattice:
     def test_sweep_digest(self, name):
         poly = sweep_polytope(name)
         rows = sweep(poly, face_lattice(poly))
+        # every value within 4 ulp of the gradient projection's
+        parent = [line.split() for line in PARENT_TABLE.read_text().splitlines()
+                  if line.startswith(name + " ")]
+        assert len(rows) == len(parent)
+        for (face, *vals), (_, vset, *old) in zip(rows, parent):
+            assert ",".join(map(str, sorted(face.vset))) == vset
+            for new, ref in zip(vals, map(float, old)):
+                assert abs(new - ref) <= 4 * math.ulp(ref)
         text = "".join(" ".join(map(repr, vals)) + "\n" for _, *vals in rows)
         assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[name]
 

@@ -154,6 +154,17 @@ class TestRegimes:
         reg = detect_regimes(tr, "afw", cert.mu, cert.theta, inst.L)
         assert reg.t1 is not None and reg.t1 >= reg.t0 - 1
 
+    def test_empty_support_at_t0_ends_constant_regime_at_t0(self):
+        # FW keeps no active set, so checked under afw its support at t0 is
+        # empty: the tail is anchored at t0, not at the final gap
+        inst = wolfe_edge()
+        tr = run(inst, "FW", step="ls", max_iters=300)
+        rep = envelope_check(tr, "afw", inst.cert.mu, 0.25, inst.L,
+                             dim=inst.poly.dim())
+        assert (rep.t0, rep.t1) == (0, 0)
+        assert rep.first_violation != 1
+        assert rep.ok
+
     def test_unknown_envelope_rejected(self):
         inst = wolfe_edge()
         tr = run(inst, "AFW")
