@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from ._hulls import hull_distance, hull_hform, project_to_hull
+from ._hulls import hull_distance, hull_hform
 from .polytope import (
     EPS_BIND,
     FACE_LATTICE_MAX,
@@ -171,36 +171,6 @@ def vertex_distance(poly, y, x):
     for S in minimal_supports(poly, x):
         best = max(best, _difference_gauge(poly, V[list(S)])(w))
     return best
-
-
-def gauge_by_bisection(poly, inner_points, w, width=1e-12, member_tol=1e-10):
-    """Reference gauge evaluation: bisection on gamma with hull-membership checks.
-
-    Slow but independent of the facet description; used to cross-check
-    the ratio-test path.
-    """
-    V = np.asarray(poly.enumerate_vertices())
-    U = np.atleast_2d(np.asarray(inner_points, dtype=float))
-    diffs = (V[:, None, :] - U[None, :, :]).reshape(-1, poly.n)
-    w = np.asarray(w, dtype=float)
-    if np.linalg.norm(w) < 1e-14:
-        return 0.0
-    scale = max(1.0, float(np.abs(diffs).max()))
-
-    def feasible(gamma):
-        dist, _ = project_to_hull(diffs, w / gamma)
-        return dist <= member_tol * scale
-
-    lo, hi = 0.0, 1.0
-    if not feasible(1.0):
-        raise PolytopeError("gauge_by_bisection: gamma = 1 must be feasible")
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def distance_for(kind):

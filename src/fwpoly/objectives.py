@@ -75,7 +75,6 @@ class Quadratic(Objective):
 
     def curvature_along(self, d):
         """Exact second derivative along d; enables closed-form line search."""
-        d = np.asarray(d, dtype=float)
         return float(d @ self.Q @ d)
 
     @property
@@ -104,11 +103,14 @@ class PowerDistance(Objective):
         return self.center.size
 
     def value(self, x):
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.center) ** self.p)
+        # np.sqrt(r.dot(r)) is what np.linalg.norm computes for a real
+        # vector, without its dispatch
+        r = np.asarray(x, dtype=float) - self.center
+        return float(np.sqrt(r.dot(r)) ** self.p)
 
     def grad(self, x):
         r = np.asarray(x, dtype=float) - self.center
-        nr = np.linalg.norm(r)
+        nr = np.sqrt(r.dot(r))
         if nr == 0.0:
             return np.zeros_like(r)
         return self.p * nr ** (self.p - 2.0) * r

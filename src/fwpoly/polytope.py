@@ -317,13 +317,18 @@ class Simplex(Polytope):
     def _rate(self, d):
         return d
 
+    def contains(self, x, tol=1e-8):
+        # the generic test with D x - e = x and the single row sum(x) = 1
+        x = _as_point(x, self.n)
+        return bool(abs((self.A @ x)[0] - 1.0) <= tol and x.min() >= -tol)
+
     def face_dim_at(self, x):
         # each zero coordinate is a binding row; sum(x) = 1 pins one more
         return max(int(np.count_nonzero(np.asarray(x, dtype=float) > EPS_BIND)) - 1, 0)
 
     def lmo(self, g):
         v = np.zeros(self.n)
-        v[int(np.argmin(np.asarray(g, dtype=float)))] = 1.0
+        v[int(np.asarray(g, dtype=float).argmin())] = 1.0
         return v
 
     def in_face_lmo(self, x, g):
@@ -368,6 +373,11 @@ class Box(Polytope):
 
     def _rate(self, d):
         return np.concatenate([d, -d])
+
+    def contains(self, x, tol=1e-8):
+        # the generic test on the two halves of _slack, each NaN-safe
+        x = _as_point(x, self.n)
+        return bool((x - self.lo).min() >= -tol and (self.hi - x).min() >= -tol)
 
     def face_dim_at(self, x):
         # a coordinate at either bound is pinned; the free ones span the face
@@ -562,6 +572,11 @@ class StdFormPolytope(Polytope):
             method="highs",
         )
         return res.status == 0 and -res.fun > 1e-9
+
+    def contains(self, x, tol=1e-8):
+        # the generic test with D x - e = x: no dense identity product
+        x = _as_point(x, self.n)
+        return bool(np.abs(self.A @ x - self.b).max() <= tol and x.min() >= -tol)
 
     def face_dim_at(self, x):
         # the binding rows x_i >= 0 pin the zero coordinates; A pins the rest

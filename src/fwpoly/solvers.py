@@ -20,7 +20,6 @@ small that every coordinate is already a multiple of it in doubles.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -28,10 +27,11 @@ import numpy as np
 
 from .active_set import ActiveSet
 from .directions import (
+    KIND_FW,
+    Direction,
     candidates_afw,
     candidates_bpfw,
     candidates_ifw,
-    fw_direction,
     pairwise_direction,
     select,
 )
@@ -47,11 +47,6 @@ VARIANTS = ("FW", "AFW", "BPFW", "IFW", "FWIPW")
 
 CSV_COLUMNS = ("t", "f_val", "f_gap", "fw_gap", "case", "eta", "step_kind",
                "support_or_face_dim")
-
-
-def fw_gap_value(g, x, v):
-    """The Frank-Wolfe gap <g, x - v> with v the LMO vertex at g."""
-    return float(np.asarray(g) @ (np.asarray(x) - np.asarray(v)))
 
 
 @dataclass
@@ -120,14 +115,20 @@ class RunTrace:
                 raise AssertionError(f"objective increased: {a!r} -> {b!r}")
 
     def to_csv(self, path):
-        """Write the trace in the fixed 8-column layout, shortest-roundtrip floats."""
+        """Write the trace in the fixed 8-column layout, one line per record.
+
+        Floats are written as their ``repr`` (the shortest string that reads
+        back to the same double), an unknown ``f_gap`` as an empty field, and
+        every line ends in ``\\n``; no field is quoted, since none holds a
+        comma or a quote.  The lines are streamed, never joined in memory.
+        """
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(CSV_COLUMNS)
-            for r in self.records:
-                f_gap = "" if r.f_gap is None else repr(r.f_gap)
-                w.writerow([r.t, repr(r.f_val), f_gap, repr(r.fw_gap), r.case,
-                            repr(r.eta), r.step_kind, r.support_or_face_dim])
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+            fh.writelines(
+                f"{r.t},{r.f_val!r},{'' if r.f_gap is None else repr(r.f_gap)},"
+                f"{r.fw_gap!r},{r.case},{r.eta!r},{r.step_kind},"
+                f"{r.support_or_face_dim}\n"
+                for r in self.records)
 
 
 def _classify(eta, eta_max):
@@ -142,7 +143,11 @@ def _check_feasible(poly, x, t):
 
 
 class _PointState:
-    """FW and IFW: the iterate is a bare point, moved along the chosen direction."""
+    """FW, and IFW through _InFaceState: the iterate is a bare point.
+
+    The variant's direction rule is fixed by the class, so no iteration
+    tests which variant runs.
+    """
 
     gamma = None  # the integer-step target; only FWIPW records one
 
@@ -151,12 +156,13 @@ class _PointState:
         self.x = np.asarray(x0, dtype=float) if x0 is not None else poly.initial_vertex()
         _check_feasible(poly, self.x, 0)
 
-    def direction(self, g, v):
-        """(chosen direction, strong gap <g, a - v> or None)."""
-        if self.cfg.variant == "FW":
-            return fw_direction(g, self.x, v), None
-        cands = candidates_ifw(self.poly, self.x, g, v)
-        return select(cands), float(g @ (cands[1].payload - v))
+    def direction(self, g, v, gap):
+        """(chosen direction, strong gap <g, a - v> or None); gap is <g, x - v>.
+
+        v - x is exactly -(x - v) in floating point, so <g, v - x> is -gap
+        bit for bit and needs no second product.
+        """
+        return Direction(KIND_FW, v - self.x, 1.0, -gap, payload=v), None
 
     def step(self, obj, g, d):
         return self.cfg.step.step(obj, self.x, g, d)
@@ -167,6 +173,14 @@ class _PointState:
 
     def update(self, d, eta, t):
         self.x = self.x + eta * d.vec
+
+
+class _InFaceState(_PointState):
+    """IFW: the global step competes with the in-face away and pairwise steps."""
+
+    def direction(self, g, v, gap):
+        cands = candidates_ifw(self.poly, self.x, g, v)
+        return select(cands), float(g @ (cands[1].payload - v))
 
 
 class _ActiveSetState(_PointState):
@@ -182,7 +196,7 @@ class _ActiveSetState(_PointState):
         self.aset = ActiveSet.from_vertex(poly, v0)
         self.x = self.aset.point
 
-    def direction(self, g, v):
+    def direction(self, g, v, gap):
         build = candidates_afw if self.cfg.variant == "AFW" else candidates_bpfw
         cands = build(self.aset, g, v)
         a = cands[1].payload if self.cfg.variant == "AFW" else cands[1].payload[0]
@@ -220,7 +234,7 @@ class _IntegerStepState(_PointState):
             raise PolytopeError("FWIPW must start at a vertex")
         self.eta_prev = 1.0
 
-    def direction(self, g, v):
+    def direction(self, g, v, gap):
         d = pairwise_direction(self.poly, self.x, g, v)
         return d, float(g @ (d.payload[0] - v))
 
@@ -245,7 +259,7 @@ class _IntegerStepState(_PointState):
         self.eta_prev = eta
 
 
-_STATES = {"FW": _PointState, "IFW": _PointState, "AFW": _ActiveSetState,
+_STATES = {"FW": _PointState, "IFW": _InFaceState, "AFW": _ActiveSetState,
            "BPFW": _ActiveSetState, "FWIPW": _IntegerStepState}
 
 
@@ -263,14 +277,14 @@ def run(poly, obj, cfg, x0=None):
         x = state.x
         g = obj.grad(x)
         v = poly.lmo(g)
-        gap = fw_gap_value(g, x, v)
+        gap = float(g @ (x - v))
         if not math.isfinite(gap):  # NaN or inf in the gradient
             reason = "nonfinite"
             break
         if gap <= cfg.gap_tol:
             reason = "gap_tol"
             break
-        d, strong = state.direction(g, v)
+        d, strong = state.direction(g, v, gap)
         eta = state.step(obj, g, d)
         if eta is None:  # only FWIPW stops here
             reason = state.stop_reason
@@ -286,7 +300,7 @@ def run(poly, obj, cfg, x0=None):
     x = state.x
     g = obj.grad(x)
     return RunTrace(cfg.variant, records, reason, x, obj.value(x),
-                    fw_gap_value(g, x, poly.lmo(g)), cfg.fstar)
+                    float(g @ (x - poly.lmo(g))), cfg.fstar)
 
 
 def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,

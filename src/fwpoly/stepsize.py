@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 LS_TOL = 1e-10
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -53,8 +51,8 @@ def line_search(objective, x, g, d, eta_max, tol=LS_TOL):
     if curv is not None:
         slope = float(g @ d)
         if curv <= 0.0:
-            return eta_max if slope < 0.0 else 0.0
-        return float(np.clip(-slope / curv, 0.0, eta_max))
+            return float(eta_max) if slope < 0.0 else 0.0
+        return float(min(max(-slope / curv, 0.0), eta_max))
 
     def phi(eta):
         return objective.value(x + eta * d)
@@ -74,7 +72,7 @@ def short_step(g, d, L, eta_max):
     """Curvature-matched step min(-<g,d>/L, eta_max), clamped to be nonnegative."""
     if L <= 0.0:
         raise ValueError("short_step needs L > 0")
-    return float(np.clip(-float(np.asarray(g) @ np.asarray(d)) / L, 0.0, eta_max))
+    return float(min(max(-float(g @ d) / L, 0.0), eta_max))
 
 
 def target_pow2(gamma, eta_prev):

@@ -211,3 +211,90 @@ class TestL1BallBeyondFacetRows:
         dims = [r.support_or_face_dim for r in
                 solve(ball, obj, "IFW", step="ls", max_iters=50).records]
         assert dims[0] == 0 and max(dims) < 13
+
+
+class TestContains:
+    """The Simplex, StdFormPolytope and Box ``contains`` against the rows.
+
+    Their overrides skip the dense D x product (D is the identity, or
+    [I; -I] on a box), so they must give the generic answer everywhere:
+    on points whose residual on one row lies within 1e-8 of the tolerance
+    on either side, on NaN and infinite coordinates, which fail, and on
+    points of the wrong shape, which raise.
+    """
+
+    POLYS = [Simplex(1), Simplex(3), Simplex(7), *STDFORMS,
+             Box([0.0, -1.0, 2.0], [1.0, 0.5, 2.25]), Box([-3.0], [1e-3])]
+    # offsets of a row's residual from the tolerance, inward when positive
+    EDGE = (0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9, -1e-9, 1e-8, -1e-8)
+    SPECIAL = (np.nan, np.inf, -np.inf, 1e300, -1e300)
+
+    @staticmethod
+    def _row_edges(poly, x, tol, off):
+        """Copies of x, each with one row's residual moved to +-(tol - off)."""
+        A, b, D, e = poly.hform()
+        for k in range(A.shape[0]):
+            # along A_k, which only moves the residual of equality row k
+            # (and any row parallel to it)
+            for side in (1.0, -1.0):
+                r = A[k] @ x - b[k]
+                yield x + (side * (tol - off) - r) * A[k] / (A[k] @ A[k])
+        # along the part of D_i orthogonal to the equality rows, so A x = b holds
+        P = np.eye(poly.n) - (np.linalg.pinv(A) @ A if A.size else 0.0)
+        for i in range(D.shape[0]):
+            u = P @ D[i]
+            if u @ D[i] > 1e-9:
+                yield x + ((-tol + off) - (D[i] @ x - e[i])) * u / (u @ D[i])
+
+    def _same(self, poly, x, tol):
+        got = poly.contains(x, tol)
+        assert type(got) is bool
+        assert got == generic(poly).contains(x, tol)
+        return got
+
+    @pytest.mark.parametrize("which", range(len(POLYS)))
+    def test_row_edges(self, which):
+        poly = self.POLYS[which]
+        center = np.mean(poly.enumerate_vertices(), axis=0)
+        seen = set()
+        for tol in (1e-8, 0.0, 1e-6):
+            for off in self.EDGE:
+                for x in self._row_edges(poly, center, tol, off):
+                    seen.add(self._same(poly, x, tol))
+        # the edges lie on both sides of the test
+        assert seen == {True, False}
+
+    # inf * 0 and inf - inf in the row products warn, on either path
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(range(len(POLYS))), st.integers(0, 2**32 - 1),
+           st.sampled_from((1e-8, 0.0, 1e-6)), st.integers(0, 2))
+    def test_random_points(self, which, seed, tol, kind):
+        poly = self.POLYS[which]
+        rng = np.random.default_rng(seed)
+        x = poly.sample_point(rng)
+        if kind == 1:
+            # a random row moved to within 1e-8 of the tolerance
+            off = float(rng.uniform(-1e-8, 1e-8))
+            edges = list(self._row_edges(poly, x, tol, off))
+            x = edges[rng.integers(len(edges))]
+        elif kind == 2:
+            # NaN, an infinity or a huge value in some coordinates
+            hit = rng.random(poly.n) < 0.5
+            hit[rng.integers(poly.n)] = True
+            x[hit] = np.asarray(self.SPECIAL)[rng.integers(len(self.SPECIAL),
+                                                           size=hit.sum())]
+        got = self._same(poly, x, tol)
+        assert self._same(poly, list(x), tol) == got
+        if np.isnan(x).any():
+            assert not got
+
+    @pytest.mark.parametrize("which", range(len(POLYS)))
+    def test_wrong_shape_raises(self, which):
+        poly = self.POLYS[which]
+        n = poly.n
+        for x in (np.zeros(n + 1), np.zeros((n, 1)), np.zeros((1, n)), np.float64(0.5),
+                  np.zeros(0), [0.5] * (n + 2)):
+            for p in (poly, generic(poly)):
+                with pytest.raises(PolytopeError):
+                    p.contains(x)

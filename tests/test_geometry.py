@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fwpoly import geometry
-from fwpoly._hulls import hull_distance
+from fwpoly._hulls import hull_distance, project_to_hull
 from fwpoly.geometry import (
     derive_error_bound,
     estimate_theta,
@@ -20,7 +20,6 @@ from fwpoly.geometry import (
     face_lattice,
     facial_lower_bound,
     fit_holder_exponent,
-    gauge_by_bisection,
     inner_facial_distance,
     outer_facial_distance,
     phi_lower_bound,
@@ -331,6 +330,36 @@ class TestSharedLattice:
 
 
 # -- gauge cross-check ---------------------------------------------------------------
+
+
+def gauge_by_bisection(poly, inner_points, w, width=1e-12, member_tol=1e-10):
+    """Reference gauge evaluation: bisection on gamma with hull-membership checks.
+
+    Slow but independent of the facet description; the oracle that
+    cross-checks the ratio-test path below.
+    """
+    V = np.asarray(poly.enumerate_vertices())
+    U = np.atleast_2d(np.asarray(inner_points, dtype=float))
+    diffs = (V[:, None, :] - U[None, :, :]).reshape(-1, poly.n)
+    w = np.asarray(w, dtype=float)
+    if np.linalg.norm(w) < 1e-14:
+        return 0.0
+    scale = max(1.0, float(np.abs(diffs).max()))
+
+    def feasible(gamma):
+        dist, _ = project_to_hull(diffs, w / gamma)
+        return dist <= member_tol * scale
+
+    lo, hi = 0.0, 1.0
+    if not feasible(1.0):
+        raise PolytopeError("gauge_by_bisection: gamma = 1 must be feasible")
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestGaugeBisection:

@@ -6,7 +6,16 @@ import io
 import numpy as np
 import pytest
 
+from fwpoly.directions import (
+    KIND_AWAY,
+    KIND_BPFW,
+    KIND_FW,
+    KIND_IN_AWAY,
+    KIND_IN_BPFW,
+    KIND_PW,
+)
 from fwpoly.instances import (
+    fw_power4,
     fw_segment,
     fwipw_mid,
     fwipw_simplex5,
@@ -15,7 +24,7 @@ from fwpoly.instances import (
 )
 from fwpoly.objectives import Objective, distance_squared
 from fwpoly.polytope import PolytopeError, Simplex
-from fwpoly.solvers import CSV_COLUMNS, solve
+from fwpoly.solvers import CSV_COLUMNS, IterRecord, RunTrace, solve
 
 S3 = Simplex(3)
 
@@ -85,6 +94,18 @@ class TestMonotonicityAndCases:
         assert any(r.case == 3 for r in tr.records)
 
 
+def csv_writer_bytes(trace):
+    """The trace CSV as the csv module writes the same fields."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_COLUMNS)
+    for r in trace.records:
+        f_gap = "" if r.f_gap is None else repr(r.f_gap)
+        w.writerow([r.t, repr(r.f_val), f_gap, repr(r.fw_gap), r.case,
+                    repr(r.eta), r.step_kind, r.support_or_face_dim])
+    return buf.getvalue().encode()
+
+
 class TestTraceAndCsv:
     def test_csv_layout(self, tmp_path):
         tr = run_instance(interior_quadratic(), "FW", gap_tol=1e-6, max_iters=50)
@@ -111,6 +132,34 @@ class TestTraceAndCsv:
         for p in (a, b):
             run_instance(wolfe_edge(), "BPFW", gap_tol=1e-10).to_csv(p)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        # every float edge repr, every step kind, an empty f_gap and a t
+        # past 10**6, against the csv module writing the same fields
+        specials = (-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300,
+                    -1e300, 0.1, 1 / 3, 2.0 ** -52)
+        kinds = (KIND_FW, KIND_AWAY, KIND_BPFW, KIND_IN_AWAY, KIND_IN_BPFW, KIND_PW)
+        records = []
+        for i, f_val in enumerate(specials):
+            f_gap = None if i % 3 == 0 else specials[(i + 4) % len(specials)]
+            records.append(IterRecord(
+                t=i if i < 6 else 10**6 + 10**i, f_val=f_val, f_gap=f_gap,
+                fw_gap=specials[(i + 1) % len(specials)], case=1 + i % 3,
+                step_kind=kinds[i % len(kinds)], eta=specials[(i + 2) % len(specials)],
+                eta_max=1.0, inner=-1.0, support_or_face_dim=i * 1000))
+        tr = RunTrace("FW", records, "max_iters", np.zeros(3), 0.0, 0.0)
+        p = tmp_path / "trace.csv"
+        tr.to_csv(p)
+        assert p.read_bytes() == csv_writer_bytes(tr)
+
+    def test_real_trace_bytes_match_csv_writer(self, tmp_path):
+        for fstar in (wolfe_edge().fstar, None):
+            tr = run_instance(wolfe_edge(), "AFW", step="ss", gap_tol=1e-10,
+                              max_iters=2000, fstar=fstar)
+            assert len(tr.records) > 5
+            p = tmp_path / "trace.csv"
+            tr.to_csv(p)
+            assert p.read_bytes() == csv_writer_bytes(tr)
 
     def test_gap_series_shape(self):
         tr = run_instance(fw_segment(), "FW", step="ss", gap_tol=1e-10,
@@ -213,3 +262,52 @@ class TestValidation:
     def test_infeasible_x0_rejected(self):
         with pytest.raises(PolytopeError):
             solve(S3, self.OBJ, "FW", x0=np.array([2.0, 0.0, 0.0]))
+
+
+class TestOracleCounts:
+    """The zigzag runs make one call of each oracle per iteration.
+
+    Around the loop there is a fixed overhead: the start point's
+    feasibility check (and the LMO that picks the default start vertex),
+    then the final gradient, LMO and value of the returned trace.
+    """
+
+    ITERS = 300
+
+    def _count(self, monkeypatch, counts, owner, names):
+        for name in names:
+            counts[name] = 0
+            orig = getattr(owner, name)
+
+            def counted(*args, _name=name, _orig=orig, **kwargs):
+                counts[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+    def _run(self, monkeypatch, inst, step):
+        counts = {}
+        self._count(monkeypatch, counts, inst.obj, ("grad", "value"))
+        self._count(monkeypatch, counts, inst.poly, ("lmo", "contains"))
+        if hasattr(inst.obj, "curvature_along"):
+            self._count(monkeypatch, counts, inst.obj, ("curvature_along",))
+        tr = run_instance(inst, "FW", step=step, gap_tol=1e-12, max_iters=self.ITERS)
+        assert tr.terminal_reason == "max_iters"
+        assert len(tr.records) == self.ITERS
+        return counts
+
+    def test_wolfe_edge_fw_line_search(self, monkeypatch):
+        counts = self._run(monkeypatch, wolfe_edge(), "ls")
+        T = self.ITERS
+        # x0 is pinned: one start check, then grad, lmo, value at the end
+        assert counts == {"grad": T + 1, "value": T + 1, "lmo": T + 1,
+                          "contains": T + 1, "curvature_along": T}
+
+    def test_fw_power4_fw_short_step(self, monkeypatch):
+        inst = fw_power4()
+        assert inst.x0 is None and not hasattr(inst.obj, "curvature_along")
+        counts = self._run(monkeypatch, inst, "ss")
+        T = self.ITERS
+        # the default start vertex costs one more LMO call
+        assert counts == {"grad": T + 1, "value": T + 1, "lmo": T + 2,
+                          "contains": T + 1}

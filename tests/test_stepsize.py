@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fwpoly.objectives import distance_squared, quadratic
 from fwpoly.stepsize import StepRule, golden_section, line_search, short_step, target_pow2
@@ -66,6 +68,62 @@ class TestShortStep:
     def test_requires_positive_curvature(self):
         with pytest.raises(ValueError):
             short_step(np.array([1.0]), np.array([-1.0]), L=0.0, eta_max=1.0)
+
+
+class _Curved:
+    """A model objective whose curvature along any direction is ``curv``."""
+
+    def __init__(self, curv):
+        self.curv = curv
+
+    def curvature_along(self, d):
+        return self.curv
+
+
+SLOPES = st.floats(-1e6, 1e6, allow_nan=False)
+CURVS = st.one_of(st.floats(-10.0, 0.0), st.floats(1e-12, 1e6))
+CAPS = st.floats(0.0, 4.0)
+
+
+class TestStepsAreBuiltinFloats:
+    """Steps are Python floats equal to the old np.clip expressions.
+
+    The trace CSV writes ``repr(eta)``, and the repr of a numpy scalar is
+    not the repr of a float, so the type matters as much as the value.
+    """
+
+    @given(SLOPES, CURVS, CAPS, st.booleans())
+    @example(-3.0, 1.0, 0.25, True)  # target 3 above the cap
+    @example(-3.0, -1.0, 0.5, True)  # concave along d: full cap
+    @example(2.0, 0.0, 0.5, True)  # flat and ascending: no step
+    @example(0.0, 1.0, 1.0, False)  # -0.0 target
+    def test_line_search(self, slope, curv, cap, as_numpy):
+        eta_max = np.float64(cap) if as_numpy else cap
+        eta = line_search(_Curved(curv), np.zeros(1), np.array([slope]),
+                          np.array([1.0]), eta_max)
+        assert type(eta) is float
+        if eta_max <= 0.0:
+            old = 0.0
+        elif curv <= 0.0:
+            old = eta_max if slope < 0.0 else 0.0
+        else:
+            old = float(np.clip(-slope / curv, 0.0, eta_max))
+        assert eta == old
+        assert math.copysign(1.0, eta) == math.copysign(1.0, old)
+
+    @given(st.lists(SLOPES, min_size=1, max_size=4), st.floats(1e-6, 1e6), CAPS,
+           st.booleans())
+    @example([-3.0], 1.0, 0.25, True)  # target 3 above the cap
+    @example([2.0, -1.0], 1.0, 1.0, True)  # ascent: no step
+    def test_short_step(self, gs, L, cap, as_numpy):
+        eta_max = np.float64(cap) if as_numpy else cap
+        g = np.array(gs)
+        d = np.linspace(-1.0, 1.0, len(gs)) + 0.5
+        eta = short_step(g, d, L, eta_max)
+        assert type(eta) is float
+        old = float(np.clip(-float(np.asarray(g) @ np.asarray(d)) / L, 0.0, eta_max))
+        assert eta == old
+        assert math.copysign(1.0, eta) == math.copysign(1.0, old)
 
 
 class TestTargetPow2:
