@@ -20,7 +20,7 @@ RANK_TOL = 1e-9
 MAX_CYCLES_PER_POINT = 10
 
 
-def affine_hull(points, tol=RANK_TOL):
+def affine_hull(points):
     """Orthonormal frame of the affine hull of ``points``.
 
     Returns ``(x0, B, N)`` where ``x0`` is a base point, the columns of
@@ -32,7 +32,7 @@ def affine_hull(points, tol=RANK_TOL):
     R = P - x0
     scale = max(1.0, float(np.abs(R).max()))
     _, s, Vt = np.linalg.svd(R, full_matrices=True)
-    d = int(np.sum(s > tol * scale))
+    d = int(np.sum(s > RANK_TOL * scale))
     B = Vt[:d].T
     N = Vt[d:]
     return x0, B, N
@@ -57,7 +57,7 @@ class HullHForm:
         return self.D.shape[1] - self.A.shape[0] if self.A.size else self.D.shape[1]
 
 
-def hull_hform(points, tol=RANK_TOL):
+def hull_hform(points):
     """Facet description of conv(points), handling flat (low-dim) hulls.
 
     Points are projected onto their affine hull first, so Qhull only ever
@@ -68,7 +68,7 @@ def hull_hform(points, tol=RANK_TOL):
 
     P = np.atleast_2d(np.asarray(points, dtype=float))
     n = P.shape[1]
-    x0, B, N = affine_hull(P, tol)
+    x0, B, N = affine_hull(P)
     d = B.shape[1]
     A = N
     b = N @ x0 if N.size else np.zeros(0)
@@ -93,7 +93,7 @@ def hull_hform(points, tol=RANK_TOL):
     D = -(normals @ B.T)
     e = offsets + D @ x0
     norms = np.linalg.norm(D, axis=1)
-    keep = norms > tol
+    keep = norms > RANK_TOL
     D, e = D[keep] / norms[keep, None], e[keep] / norms[keep]
     return HullHForm(A, b, D, e, sorted(int(i) for i in hull.vertices))
 

@@ -3,13 +3,23 @@
 The solvers that move weight between vertices (away-step and blended
 pairwise) track the iterate as x = sum_v lam_v * v over a support of
 vertices with strictly positive weights.  The support is held in arrays:
-one row per vertex, its key (the coordinates rounded to 12 decimals, which
-is how a vertex is identified), its weight, and the sequence number at
-which it joined the support.  Rows stay sorted by key, so every reduction
-over the support runs in a fixed order: the point and the away / local-FW
-selection go in key order, the renormalising total in joining order.
-Weights below EPS_WEIGHT are pruned after every update, and the cached
-point is recomputed from scratch each step so no drift accumulates.
+one row per vertex, its key, its weight, and the sequence number at which
+it joined the support.
+
+A vertex is identified by its exact coordinates: the key is the tuple of
+its floats, so two rows merge only when they are equal (-0.0 equals 0.0).
+No rounding is needed because every vertex comes from the polytope's own
+oracles, which return the same bits for the same vertex: ``lmo`` and
+``in_face_lmo`` build e_i, lo/hi or +-r e_i in closed form or copy a cached
+``enumerate_vertices()`` row, the away and local-FW vertices are copies of
+support rows, and ``from_vertex`` replaces a caller's start point by the
+polytope's own coordinates for that vertex.
+
+Rows stay sorted by key, which is exact lexicographic order, so every
+reduction over the support runs in a fixed order: the point and the away /
+local-FW selection go in key order, the renormalising total in joining
+order.  Weights below EPS_WEIGHT are pruned after every update, and the
+cached point is recomputed from scratch each step so no drift accumulates.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ import numpy as np
 from .polytope import ETA_CAP
 
 EPS_WEIGHT = 1e-12
-KEY_DECIMALS = 12
 
 FW_STEP = "fw"
 AWAY_STEP = "away"
@@ -33,7 +42,7 @@ class ActiveSetError(ValueError):
 
 
 def _key(v):
-    return tuple((np.round(np.asarray(v, dtype=float), KEY_DECIMALS) + 0.0).tolist())
+    return tuple(np.asarray(v, dtype=float).tolist())
 
 
 class ActiveSet:
@@ -60,8 +69,6 @@ class ActiveSet:
             if i is None:
                 self._insert(k, v, float(w))
             else:
-                # a repeated vertex keeps the latest coordinates
-                self._rows[i] = v
                 self._weights[i] += float(w)
         if not self._keys:
             raise ActiveSetError("empty support")
@@ -73,10 +80,14 @@ class ActiveSet:
 
     @classmethod
     def from_vertex(cls, poly, v):
-        """Singleton active set at a vertex of the polytope."""
+        """Singleton active set at a vertex of the polytope.
+
+        The row holds the polytope's own coordinates for the vertex, as its
+        oracles return them, not the caller's (which may be typed decimals).
+        """
         if not poly.is_vertex(v):
             raise ActiveSetError("from_vertex: the point is not a vertex")
-        return cls([v], [1.0])
+        return cls([poly.in_face_lmo(v, np.zeros(poly.n))], [1.0])
 
     # -- support arrays -----------------------------------------------------
 
@@ -141,7 +152,11 @@ class ActiveSet:
         """Largest step the weight update allows for the given move kind."""
         if kind == FW_STEP:
             return 1.0
-        lam = self.weight_of(away)
+        return self._cap(kind, self.weight_of(away))
+
+    @staticmethod
+    def _cap(kind, lam):
+        """Step cap of an away step or a swap off a vertex of weight lam."""
         if lam <= 0.0:
             raise ActiveSetError("away vertex is not in the support")
         if kind == AWAY_STEP:
@@ -171,8 +186,14 @@ class ActiveSet:
         """
         if eta < 0:
             raise ActiveSetError(f"negative step {eta}")
-        cap = self.max_step_for(kind, payload if kind == AWAY_STEP
-                                else payload[0] if kind == PAIRWISE_SWAP else None)
+        if kind == FW_STEP:
+            cap = 1.0
+        elif kind not in (AWAY_STEP, PAIRWISE_SWAP):
+            raise ActiveSetError(f"unknown step kind {kind!r}")
+        else:
+            # the one lookup of the away vertex: its row gives cap and update
+            i = self._find(_key(payload if kind == AWAY_STEP else payload[0]))
+            cap = self._cap(kind, 0.0 if i is None else float(self._weights[i]))
         if eta > cap * (1.0 + 1e-9) + 1e-15:
             raise ActiveSetError(f"step {eta} exceeds cap {cap} for {kind}")
 
@@ -185,13 +206,10 @@ class ActiveSet:
             self._add(payload, eta)
         elif kind == AWAY_STEP:
             self._weights *= 1.0 + eta
-            self._weights[self._find(_key(payload))] -= eta
-        elif kind == PAIRWISE_SWAP:
-            a, z = payload
-            self._weights[self._find(_key(a))] -= eta
-            self._add(z, eta)
+            self._weights[i] -= eta
         else:
-            raise ActiveSetError(f"unknown step kind {kind!r}")
+            self._weights[i] -= eta
+            self._add(payload[1], eta)
 
         self._prune_and_renormalize()
         self._refresh_point()

@@ -127,7 +127,7 @@ def face_distance(poly, y, x):
     return _difference_gauge(poly, U)(y - x)
 
 
-def minimal_supports(poly, x, margin=SUPPORT_MARGIN):
+def minimal_supports(poly, x):
     """Inclusion-minimal vertex supports that represent x with positive weights.
 
     Minimal supports are affinely independent, so they have at most dim+1
@@ -149,7 +149,7 @@ def minimal_supports(poly, x, margin=SUPPORT_MARGIN):
                 continue
             if np.linalg.norm(M @ lam - rhs) > 1e-9 * scale:
                 continue
-            if lam.min() >= margin:
+            if lam.min() >= SUPPORT_MARGIN:
                 found.append(S)
     if not found:
         raise PolytopeError("minimal_supports: the point has no vertex support")
@@ -232,7 +232,7 @@ def _lattice_of(poly, lattice):
     return lattice
 
 
-def face_lattice(poly, max_faces=FACE_LATTICE_MAX):
+def face_lattice(poly):
     """All nonempty faces of the polytope, from facet-vertex incidence.
 
     Every face is an intersection of facets, so closing the full vertex set
@@ -252,8 +252,8 @@ def face_lattice(poly, max_faces=FACE_LATTICE_MAX):
         for inc in incidence:
             child = fset & inc
             if child and child not in seen:
-                if len(seen) >= max_faces:
-                    raise PolytopeError(f"face lattice exceeds {max_faces} faces")
+                if len(seen) >= FACE_LATTICE_MAX:
+                    raise PolytopeError(f"face lattice exceeds {FACE_LATTICE_MAX} faces")
                 seen.add(child)
                 queue.append(child)
     ordered = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
@@ -361,14 +361,14 @@ def sigma_profile(poly):
     return sigma
 
 
-def independent_binding_sets(poly, binding, cap=20000):
+def independent_binding_sets(poly, binding):
     """Maximal linearly independent subsets of the binding rows."""
     idx = sorted(binding)
     if not idx:
         raise PolytopeError("independent_binding_sets: empty binding set")
     Dsub = poly.D[idx]
     r = np.linalg.matrix_rank(Dsub)
-    if comb(len(idx), r) > cap:
+    if comb(len(idx), r) > 20000:
         raise PolytopeError("independent_binding_sets: too many subsets")
     out = []
     for S in itertools.combinations(idx, r):

@@ -103,15 +103,15 @@ def _r2(y, yhat):
     return max(0.0, 1.0 - ss_res / ss_tot)
 
 
-def fit_rate(trace, window=None, burn_in=10, min_points=20, n_samples=120,
-             r2_margin=0.02):
+def fit_rate(trace, window=None, burn_in=10, min_points=20):
     """Fit log gap against log t (sublinear) and against t (linear).
 
     ``trace`` is a RunTrace with known optimal value, or a (ts, gaps) pair.
     The first ``burn_in`` iterations are discarded as transient and the fit
-    uses log-spaced sample indices, so long traces weigh late iterations
-    sensibly under both hypotheses.  Model selection is by r-squared with a
-    tie margin: within ``r2_margin`` the regime is reported "inconclusive".
+    uses at most 120 log-spaced sample indices, so long traces weigh late
+    iterations sensibly under both hypotheses.  Model selection is by
+    r-squared with a tie margin: within 0.02 the regime is reported
+    "inconclusive".
     """
     if hasattr(trace, "gap_series"):
         ts, gaps = trace.gap_series()
@@ -126,7 +126,7 @@ def fit_rate(trace, window=None, burn_in=10, min_points=20, n_samples=120,
     if len(ts) < min_points:
         raise ValueError(f"window too short for a rate fit: {len(ts)} < {min_points}")
     # log-spaced subsample over the surviving index range, deduplicated
-    idx = np.unique(np.geomspace(1, len(ts), num=min(n_samples, len(ts))).astype(int) - 1)
+    idx = np.unique(np.geomspace(1, len(ts), num=min(120, len(ts))).astype(int) - 1)
     st, sg = ts[idx], np.log(gaps[idx])
 
     sub_coef = np.polyfit(np.log(st), sg, 1)
@@ -134,7 +134,7 @@ def fit_rate(trace, window=None, burn_in=10, min_points=20, n_samples=120,
     lin_coef = np.polyfit(st, sg, 1)
     r2_lin = _r2(sg, np.polyval(lin_coef, st))
 
-    if abs(r2_lin - r2_sub) <= r2_margin:
+    if abs(r2_lin - r2_sub) <= 0.02:
         regime = "inconclusive"
     elif r2_lin > r2_sub:
         regime = "linear"
@@ -267,7 +267,7 @@ def _envelope_series(trace, envelope_id, mu, theta, L, dim, m):
 
 
 def envelope_check(trace, envelope_id, mu, theta, L, dim=None, m=None,
-                   rel_slack=REL_SLACK, noise_floor=None):
+                   rel_slack=REL_SLACK):
     """Assert gap_t <= certified bound at every recorded t, with relative slack.
 
     ``dim`` is the polytope dimension (needed by ``ifw``) and ``m`` the
@@ -279,9 +279,7 @@ def envelope_check(trace, envelope_id, mu, theta, L, dim=None, m=None,
     if mu <= 0:
         raise ValueError("envelope check needs a positive certified mu")
     gaps, bounds, reg = _envelope_series(trace, envelope_id, mu, theta, L, dim, m)
-    if noise_floor is None:
-        scale = max(1.0, abs(trace.fstar), float(gaps[0]))
-        noise_floor = 1e-13 * scale
+    noise_floor = 1e-13 * max(1.0, abs(trace.fstar), float(gaps[0]))
     first = None
     worst = 0.0
     checked = skipped = 0
@@ -390,7 +388,7 @@ def audit_selection(trace, rel_slack=REL_SLACK):
     return AuditReport("selection", not failures, n, failures)
 
 
-def audit_scaling(trace, poly, xstar_points, kind, rel_slack=1e-8, sample_cap=80):
+def audit_scaling(trace, poly, xstar_points, kind, rel_slack=1e-8):
     """Scaling inequalities in multiplied form: gap * distance >= f - f*.
 
     ``kind`` selects the distance and the matching gap: the plain gap for
@@ -398,14 +396,15 @@ def audit_scaling(trace, poly, xstar_points, kind, rel_slack=1e-8, sample_cap=80
     to the optimal set is evaluated as the minimum over the supplied optimal
     points; for a subset of the optimal set that minimum only overestimates
     the distance, which keeps the audited inequality valid.  Needs a trace
-    recorded with points.
+    recorded with points.  At most about 80 evenly strided records are
+    audited.
     """
     dist_fn = distance_for(kind)
     xstar_points = np.atleast_2d(np.asarray(xstar_points, dtype=float))
     recs = [r for r in trace.records if r.x is not None and r.f_gap is not None]
     if not recs:
         raise ValueError("scaling audit needs a trace recorded with points and f*")
-    stride = max(1, len(recs) // sample_cap)
+    stride = max(1, len(recs) // 80)
     failures = []
     n = 0
     for r in recs[::stride]:
@@ -453,7 +452,7 @@ def audit_ifw_dims(trace):
     return AuditReport("ifw-dims", not failures, n, failures)
 
 
-def audit_fwipw(trace, mu, theta, L, rel_slack=REL_SLACK, noise_floor=None):
+def audit_fwipw(trace, mu, theta, L, rel_slack=REL_SLACK):
     """Structural checks specific to the integer-step loop.
 
     The step sequence must be nonincreasing exact powers of two bounded by
@@ -465,10 +464,8 @@ def audit_fwipw(trace, mu, theta, L, rel_slack=REL_SLACK, noise_floor=None):
     """
     failures = []
     t0 = _gamma_t0(trace)
-    if noise_floor is None:
-        _, gaps = trace.gap_series()
-        scale = max(1.0, abs(trace.fstar), float(gaps[0]))
-        noise_floor = 1e-13 * scale
+    _, gaps = trace.gap_series()
+    noise_floor = 1e-13 * max(1.0, abs(trace.fstar), float(gaps[0]))
     prev_eta = 1.0
     for r, f_next in _steps(trace):
         frac, _ = math.frexp(r.eta)

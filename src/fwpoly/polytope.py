@@ -152,18 +152,18 @@ class Polytope:
             return False
         return True
 
-    def binding_rows(self, x, eps=EPS_BIND):
+    def binding_rows(self, x):
         """Boolean mask of inequality rows binding at x."""
         if not self.D.size:
             return np.zeros(0, dtype=bool)
-        return self._slack(np.asarray(x, dtype=float)) <= eps
+        return self._slack(np.asarray(x, dtype=float)) <= EPS_BIND
 
-    def minimal_face(self, x, eps=EPS_BIND):
+    def minimal_face(self, x):
         """Smallest face of the polytope containing x."""
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
             raise PolytopeError("minimal_face: point is not in the polytope")
-        binding = frozenset(int(i) for i in np.flatnonzero(self.binding_rows(x, eps)))
+        binding = frozenset(int(i) for i in np.flatnonzero(self.binding_rows(x)))
         return Face(binding, self.face_dim(binding))
 
     def face_dim(self, binding):
@@ -188,19 +188,19 @@ class Polytope:
         binding = frozenset(np.flatnonzero(self.binding_rows(x)).tolist())
         return self.face_dim(binding)
 
-    def face_vertex_index(self, binding, eps=EPS_BIND):
+    def face_vertex_index(self, binding):
         """Indices of the polytope vertices lying on the given face."""
         V = np.asarray(self.enumerate_vertices())
         idx = sorted(binding)
         if not idx:
             return list(range(len(V)))
-        ok = np.all(V @ self.D[idx].T - self.e[idx] <= eps, axis=1)
+        ok = np.all(V @ self.D[idx].T - self.e[idx] <= EPS_BIND, axis=1)
         return [int(i) for i in np.flatnonzero(ok)]
 
-    def face_vertices(self, face, eps=EPS_BIND):
+    def face_vertices(self, face):
         binding = face.binding if isinstance(face, Face) else frozenset(face)
         V = self.enumerate_vertices()
-        return [V[i] for i in self.face_vertex_index(binding, eps)]
+        return [V[i] for i in self.face_vertex_index(binding)]
 
     def is_vertex(self, x):
         return self.contains(x) and self.face_dim_at(x) == 0
@@ -458,14 +458,14 @@ class L1Ball(Polytope):
             return self.n
         return max(int(np.count_nonzero(2.0 * a > slack)) - 1, 0)
 
-    def minimal_face(self, x, eps=EPS_BIND):
+    def minimal_face(self, x):
         """The facet-row face; above n = 12 only an interior point has one.
 
         With no facet rows, a boundary face has no binding set to name it, so
         a boundary point raises instead of reporting the whole ball.
         """
-        face = super().minimal_face(x, eps)
-        if not self.D.size and np.abs(np.asarray(x, dtype=float)).sum() >= self.radius - eps:
+        face = super().minimal_face(x)
+        if not self.D.size and np.abs(np.asarray(x, dtype=float)).sum() >= self.radius - EPS_BIND:
             raise PolytopeError(
                 f"minimal_face: {self.name} keeps no facet rows to name a boundary face")
         return face
@@ -551,14 +551,14 @@ class VRepPolytope(Polytope):
 class StdFormPolytope(Polytope):
     """Standard-form polytope {x : A x = b, x >= 0}."""
 
-    def __init__(self, A, b, name="stdform", check_bounded=True):
+    def __init__(self, A, b, name="stdform"):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         m, n = A.shape
         if np.linalg.matrix_rank(A) < m:
             raise PolytopeError("stdform: A must have full row rank")
         super().__init__(A=A, b=b, D=np.eye(n), e=np.zeros(n), n=n, name=name)
         self.m = m
-        if check_bounded and self._has_recession_direction():
+        if self._has_recession_direction():
             raise PolytopeError("stdform: feasible region is unbounded")
 
     def _has_recession_direction(self):
@@ -624,24 +624,23 @@ class StdFormPolytope(Polytope):
             raise PolytopeError(f"{self.name}: empty feasible region")
         return verts
 
-    def is_simplex_like(self, tol=1e-9):
-        """True when every vertex has 0/1 coordinates."""
+    def is_simplex_like(self):
+        """True when every vertex has 0/1 coordinates (to within 1e-9)."""
         V = np.asarray(self.enumerate_vertices())
-        return bool(np.all(np.minimum(np.abs(V), np.abs(V - 1.0)) <= tol))
+        return bool(np.all(np.minimum(np.abs(V), np.abs(V - 1.0)) <= 1e-9))
 
 
 class HFormPolytope(Polytope):
     """General bounded polytope {x : A x = b, D x >= e}."""
 
-    def __init__(self, A=None, b=None, D=None, e=None, name="hform", validate=True):
+    def __init__(self, A=None, b=None, D=None, e=None, name="hform"):
         super().__init__(A=A, b=b, D=D, e=e, name=name)
         if not self.D.size:
             raise PolytopeError("hform needs at least one inequality row")
         rows = np.vstack([self.A, self.D]) if self.A.size else self.D
         if np.linalg.matrix_rank(rows) < self.n:
             raise PolytopeError("hform: lineality space is nontrivial (unbounded)")
-        if validate:
-            self._validate_rows()
+        self._validate_rows()
 
     def _validate_rows(self):
         V = np.asarray(self.enumerate_vertices())

@@ -50,28 +50,6 @@ CSV_COLUMNS = ("t", "f_val", "f_gap", "fw_gap", "case", "eta", "step_kind",
 
 
 @dataclass
-class RunConfig:
-    variant: str
-    step: StepRule
-    max_iters: int = 1000
-    gap_tol: float = 1e-8
-    record_points: bool = False
-    fstar: float | None = None
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.gap_tol <= 0:
-            raise ValueError("gap_tol must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if self.variant == "FWIPW" and self.step.kind != "pow2":
-            raise ValueError("FWIPW requires the pow2 step rule")
-        if self.variant != "FWIPW" and self.step.kind == "pow2":
-            raise ValueError("the pow2 step rule is specific to FWIPW")
-
-
-@dataclass
 class IterRecord:
     t: int
     f_val: float
@@ -108,10 +86,10 @@ class RunTrace:
         gaps.append(self.f_final - self.fstar)
         return np.asarray(ts, dtype=float), np.asarray(gaps, dtype=float)
 
-    def assert_monotone(self, start=0, tol=1e-10):
-        vals = [r.f_val for r in self.records[start:]] + [self.f_final]
+    def assert_monotone(self):
+        vals = [r.f_val for r in self.records] + [self.f_final]
         for a, b in zip(vals, vals[1:]):
-            if b > a + tol:
+            if b > a + 1e-10:
                 raise AssertionError(f"objective increased: {a!r} -> {b!r}")
 
     def to_csv(self, path):
@@ -151,8 +129,8 @@ class _PointState:
 
     gamma = None  # the integer-step target; only FWIPW records one
 
-    def __init__(self, poly, cfg, x0):
-        self.poly, self.cfg = poly, cfg
+    def __init__(self, poly, variant, rule, x0):
+        self.poly, self.rule = poly, rule
         self.x = np.asarray(x0, dtype=float) if x0 is not None else poly.initial_vertex()
         _check_feasible(poly, self.x, 0)
 
@@ -165,7 +143,7 @@ class _PointState:
         return Direction(KIND_FW, v - self.x, 1.0, -gap, payload=v), None
 
     def step(self, obj, g, d):
-        return self.cfg.step.step(obj, self.x, g, d)
+        return self.rule.step(obj, self.x, g, d)
 
     def count(self):
         # x has passed the feasibility check, so no second membership test
@@ -187,19 +165,22 @@ class _ActiveSetState(_PointState):
     """AFW and BPFW: the iterate is a convex combination of support vertices.
 
     The global step competes with the away step (AFW) or with the
-    support-local pairwise swap (BPFW).
+    support-local pairwise swap (BPFW).  Each update checks the support's
+    point against x + eta d, to a tolerance scaled by the polytope's
+    diameter so that a drift on a tiny polytope cannot hide under 1e-10.
     """
 
-    def __init__(self, poly, cfg, x0):
-        self.poly, self.cfg = poly, cfg
+    def __init__(self, poly, variant, rule, x0):
+        self.poly, self.variant, self.rule = poly, variant, rule
         v0 = poly.initial_vertex() if x0 is None else np.asarray(x0, dtype=float)
         self.aset = ActiveSet.from_vertex(poly, v0)
         self.x = self.aset.point
+        self.diam = poly.diameter()
 
     def direction(self, g, v, gap):
-        build = candidates_afw if self.cfg.variant == "AFW" else candidates_bpfw
+        build = candidates_afw if self.variant == "AFW" else candidates_bpfw
         cands = build(self.aset, g, v)
-        a = cands[1].payload if self.cfg.variant == "AFW" else cands[1].payload[0]
+        a = cands[1].payload if self.variant == "AFW" else cands[1].payload[0]
         return select(cands), float(g @ (a - v))
 
     def count(self):
@@ -209,7 +190,7 @@ class _ActiveSetState(_PointState):
         self.aset.apply_step(d.set_step_kind, d.payload, eta)
         x = self.aset.point
         drift = np.linalg.norm(x - (self.x + eta * d.vec))
-        if drift > POINT_TOL * max(1.0, np.linalg.norm(self.x)):
+        if drift > POINT_TOL * min(max(1.0, np.linalg.norm(self.x)), self.diam):
             raise PolytopeError(f"active-set point drifted by {drift:g} at t={t}")
         self.x = x
 
@@ -225,10 +206,10 @@ class _IntegerStepState(_PointState):
     stops before it.
     """
 
-    def __init__(self, poly, cfg, x0):
+    def __init__(self, poly, variant, rule, x0):
         if not (isinstance(poly, StdFormPolytope) and poly.is_simplex_like()):
             raise PolytopeError("FWIPW needs a standard-form polytope with 0/1 vertices")
-        self.poly, self.cfg = poly, cfg
+        self.poly, self.L = poly, rule.L
         self.x = np.asarray(x0, dtype=float) if x0 is not None else poly.initial_vertex()
         if not poly.is_vertex(self.x):
             raise PolytopeError("FWIPW must start at a vertex")
@@ -240,7 +221,7 @@ class _IntegerStepState(_PointState):
 
     def step(self, obj, g, d):
         """The power-of-two step, or None with ``stop_reason`` set."""
-        self.gamma = -d.inner / self.cfg.step.L
+        self.gamma = -d.inner / self.L
         if self.gamma <= 0.0:
             self.stop_reason = "stationary"
             return None
@@ -263,17 +244,36 @@ _STATES = {"FW": _PointState, "IFW": _InFaceState, "AFW": _ActiveSetState,
            "BPFW": _ActiveSetState, "FWIPW": _IntegerStepState}
 
 
-def run(poly, obj, cfg, x0=None):
-    """The solver loop shared by every variant.
+def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
+          x0=None, fstar=None, record_points=False):
+    """Run one variant from x0 (by default the polytope's initial vertex).
 
-    Each iteration takes the gradient and the LMO vertex, stops on the FW
-    gap, lets the variant's state choose a direction and a step, records
-    the iteration, applies the step, and checks the iterate is feasible.
+    ``step`` is "ls", "ss", or "pow2"; the curvature constant L defaults to
+    smoothness times squared diameter when a rule needs it.  One loop serves
+    every variant: each iteration takes the gradient and the LMO vertex,
+    stops on the FW gap, lets the variant's state choose a direction and a
+    step, records the iteration, applies the step, and checks the iterate
+    is feasible.
     """
-    state = _STATES[cfg.variant](poly, cfg, x0)
+    variant = variant.upper()
+    if step in ("ss", "pow2") and L is None:
+        L = curvature_constant(obj, poly)
+    rule = StepRule(step, L)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if gap_tol <= 0:
+        raise ValueError("gap_tol must be positive")
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
+    if variant == "FWIPW" and step != "pow2":
+        raise ValueError("FWIPW requires the pow2 step rule")
+    if variant != "FWIPW" and step == "pow2":
+        raise ValueError("the pow2 step rule is specific to FWIPW")
+
+    state = _STATES[variant](poly, variant, rule, x0)
     records = []
     reason = "max_iters"
-    for t in range(cfg.max_iters):
+    for t in range(max_iters):
         x = state.x
         g = obj.grad(x)
         v = poly.lmo(g)
@@ -281,7 +281,7 @@ def run(poly, obj, cfg, x0=None):
         if not math.isfinite(gap):  # NaN or inf in the gradient
             reason = "nonfinite"
             break
-        if gap <= cfg.gap_tol:
+        if gap <= gap_tol:
             reason = "gap_tol"
             break
         d, strong = state.direction(g, v, gap)
@@ -291,28 +291,13 @@ def run(poly, obj, cfg, x0=None):
             break
         f_val = obj.value(x)
         records.append(IterRecord(
-            t, f_val, None if cfg.fstar is None else f_val - cfg.fstar,
+            t, f_val, None if fstar is None else f_val - fstar,
             gap, _classify(eta, d.eta_max), d.kind, eta, d.eta_max, d.inner,
             state.count(), strong_gap=strong, gamma=state.gamma,
-            x=x.copy() if cfg.record_points else None))
+            x=x.copy() if record_points else None))
         state.update(d, eta, t)
         _check_feasible(poly, state.x, t + 1)
     x = state.x
     g = obj.grad(x)
-    return RunTrace(cfg.variant, records, reason, x, obj.value(x),
-                    float(g @ (x - poly.lmo(g))), cfg.fstar)
-
-
-def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
-          x0=None, fstar=None, record_points=False):
-    """One-call front end: build the step rule and the config, then run.
-
-    ``step`` is "ls", "ss", or "pow2"; the curvature constant L defaults to
-    smoothness times squared diameter when a rule needs it.
-    """
-    variant = variant.upper()
-    if step in ("ss", "pow2") and L is None:
-        L = curvature_constant(obj, poly)
-    cfg = RunConfig(variant, StepRule(step, L), max_iters=max_iters, gap_tol=gap_tol,
-                    record_points=record_points, fstar=fstar)
-    return run(poly, obj, cfg, x0=x0)
+    return RunTrace(variant, records, reason, x, obj.value(x),
+                    float(g @ (x - poly.lmo(g))), fstar)

@@ -16,15 +16,15 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def golden_section(phi, lo, hi, tol=LS_TOL):
-    """Minimize a unimodal function on [lo, hi] to interval width tol."""
+def golden_section(phi, lo, hi):
+    """Minimize a unimodal function on [lo, hi] to interval width LS_TOL."""
     a, b = float(lo), float(hi)
     h = b - a
-    if h <= tol:
+    if h <= LS_TOL:
         return 0.5 * (a + b)
     c, d = a + INV_PHI2 * h, a + INV_PHI * h
     yc, yd = phi(c), phi(d)
-    while h > tol:
+    while h > LS_TOL:
         if yc < yd:
             b, d, yd = d, c, yc
             h = b - a
@@ -38,7 +38,7 @@ def golden_section(phi, lo, hi, tol=LS_TOL):
     return 0.5 * (a + b)
 
 
-def line_search(objective, x, g, d, eta_max, tol=LS_TOL):
+def line_search(objective, x, g, d, eta_max):
     """Exact step along d within [0, eta_max]; g is the gradient at x.
 
     Quadratic objectives expose their curvature along d, which gives the
@@ -57,7 +57,7 @@ def line_search(objective, x, g, d, eta_max, tol=LS_TOL):
     def phi(eta):
         return objective.value(x + eta * d)
 
-    eta = golden_section(phi, 0.0, eta_max, tol)
+    eta = golden_section(phi, 0.0, eta_max)
     best, val = eta, phi(eta)
     # snap to an endpoint when it is at least as good (ties prefer the cap,
     # so step-capped iterations classify correctly)

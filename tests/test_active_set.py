@@ -1,6 +1,7 @@
 """Tests for active-set weight bookkeeping."""
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fwpoly.active_set import (
     ActiveSet,
     ActiveSetError,
 )
-from fwpoly.polytope import Box, Simplex
+from fwpoly.polytope import Box, Simplex, StdFormPolytope
 
 
 def simplex_set(weights):
@@ -33,9 +34,28 @@ class TestConstruction:
         with pytest.raises(ActiveSetError):
             ActiveSet.from_vertex(Box([0, 0], [1, 1]), np.array([0.5, 0.5]))
 
-    def test_interning_merges_near_duplicates(self):
+    def test_identity_is_exact(self):
+        """Equal coordinates merge with summed weight; nearby ones stay apart."""
         v = np.array([1.0, 0.0])
+        aset = ActiveSet([v, v.copy()], [0.25, 0.75])
+        assert aset.support_size() == 1 and aset.weight_of(v) == 1.0
+        aset = ActiveSet([np.array([-0.0, 1.0]), np.array([0.0, 1.0])], [0.5, 0.5])
+        assert aset.support_size() == 1 and aset.weight_of([0.0, 1.0]) == 1.0
         aset = ActiveSet([v, v + 1e-14], [0.5, 0.5])
+        assert aset.support_size() == 2
+        assert aset.weight_of(v) == 0.5 and aset.weight_of(v + 1e-14) == 0.5
+
+    def test_tiny_box_corners_stay_distinct(self):
+        box = Box([0.0, 0.0], [1e-13, 1e-13])
+        aset = ActiveSet(box.enumerate_vertices(), [0.25] * 4)
+        assert aset.support_size() == 4
+        assert np.array_equal(aset.point, [5e-14, 5e-14])
+
+    def test_from_vertex_stores_the_polytope_coordinates(self):
+        poly = Simplex(3)
+        aset = ActiveSet.from_vertex(poly, np.array([1e-12, 1e-12, 1.0 - 2e-12]))
+        assert np.array_equal(aset.point, [0.0, 0.0, 1.0])
+        aset.apply_step(FW_STEP, poly.lmo(np.array([1.0, 1.0, 0.0])), 0.5)
         assert aset.support_size() == 1
 
     def test_weights_must_sum_to_one(self):
@@ -129,25 +149,48 @@ class TestUpdates:
             aset.apply_step(PAIRWISE_SWAP,
                             (np.array([1.0, 0.0]), np.array([0.0, 1.0])), 0.5)
 
+    def test_unknown_step_kind_rejected(self):
+        aset = simplex_set([0.25, 0.75])
+        with pytest.raises(ActiveSetError, match="unknown step kind 'swap'"):
+            aset.apply_step("swap", np.array([1.0, 0.0]), 0.1)
+
     def test_snapshot_stable(self):
         aset = simplex_set([0.25, 0.75])
         assert aset.snapshot() == simplex_set([0.25, 0.75]).snapshot()
         assert ":" in aset.snapshot()
 
 
-@settings(max_examples=60, deadline=None)
+@lru_cache(maxsize=None)
+def _walk_polytope(name, scale):
+    if name == "box":
+        return Box(np.zeros(3), scale * np.array([1.0, 2.0, 3.0]))
+    if name == "scaled_simplex":
+        # the simplex scaled by s: {x >= 0, sum(x) = s}
+        return StdFormPolytope(np.ones((1, 4)), [scale])
+    return Simplex(4)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["fw", "away", "bpfw"]),
                           st.floats(0.0, 1.0)), min_size=1, max_size=40),
-       st.integers(0, 2**32 - 1))
-def test_random_walks_keep_invariants(steps, seed):
-    """Weights stay a convex combination and the cache matches x + eta*d."""
+       st.integers(0, 2**32 - 1),
+       st.sampled_from([("simplex", 1.0), ("box", 1e-13), ("box", 1.0),
+                        ("box", 1e7), ("scaled_simplex", 1e-13),
+                        ("scaled_simplex", 1.0), ("scaled_simplex", 1e7)]))
+def test_random_walks_keep_invariants(steps, seed, case):
+    """Weights stay a convex combination and the cache matches x + eta*d.
+
+    The rows stay distinct and in strictly increasing lexicographic order at
+    every scale, down to a box whose corners differ by 1e-13.
+    """
     rng = np.random.default_rng(seed)
-    poly = Simplex(4)
-    V = np.asarray(poly.enumerate_vertices())
-    aset = ActiveSet.from_vertex(poly, V[0])
+    name, scale = case
+    poly = _walk_polytope(name, scale)
+    n = poly.n
+    aset = ActiveSet([poly.lmo(rng.normal(size=n))], [1.0])
     for kind, frac in steps:
         x = aset.point
-        g = rng.normal(size=4)
+        g = rng.normal(size=n)
         a, z = aset.away_and_local_fw(g)
         if kind == "fw":
             v = poly.lmo(g)
@@ -164,11 +207,13 @@ def test_random_walks_keep_invariants(steps, seed):
             {"fw": FW_STEP, "away": AWAY_STEP, "bpfw": PAIRWISE_SWAP}[kind],
             payload, eta)
         # convex combination over current support reproduces x + eta d
-        assert np.allclose(new_point, x + eta * d, atol=1e-10)
+        assert np.allclose(new_point, x + eta * d, rtol=0.0, atol=1e-10 * scale)
+        rows = [tuple(v.tolist()) for v, _ in aset.items()]
+        assert all(r < s for r, s in zip(rows, rows[1:]))
         weights = [w for _, w in aset.items()]
         assert min(weights) > 0
         assert abs(sum(weights) - 1.0) < 1e-9
-        assert poly.contains(new_point, tol=1e-8)
+        assert poly.contains(new_point, tol=1e-8 * scale)
 
 
 # A fixed walk on the corners of the unit cube.  The gradient (1, 1, 0) ties

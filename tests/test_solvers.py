@@ -22,8 +22,9 @@ from fwpoly.instances import (
     interior_quadratic,
     wolfe_edge,
 )
+from fwpoly.active_set import ActiveSet
 from fwpoly.objectives import Objective, distance_squared
-from fwpoly.polytope import PolytopeError, Simplex
+from fwpoly.polytope import Box, PolytopeError, Simplex
 from fwpoly.solvers import CSV_COLUMNS, IterRecord, RunTrace, solve
 
 S3 = Simplex(3)
@@ -234,19 +235,24 @@ class TestValidation:
     OBJ = distance_squared(np.array([0.2, 0.3, 0.5]))
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown variant 'PGD'"):
             solve(S3, self.OBJ, "PGD")
 
     def test_fwipw_needs_pow2(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="FWIPW requires the pow2 step rule"):
             solve(S3, self.OBJ, "FWIPW", step="ls")
 
     def test_negative_max_iters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
             solve(S3, self.OBJ, "FW", max_iters=-3)
 
+    @pytest.mark.parametrize("gap_tol", [0.0, -1e-8])
+    def test_nonpositive_gap_tol(self, gap_tol):
+        with pytest.raises(ValueError, match="gap_tol must be positive"):
+            solve(S3, self.OBJ, "FW", gap_tol=gap_tol)
+
     def test_pow2_only_for_fwipw(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the pow2 step rule is specific to FWIPW"):
             solve(S3, self.OBJ, "FW", step="pow2")
 
     def test_fwipw_rejects_plain_simplex(self):
@@ -262,6 +268,49 @@ class TestValidation:
     def test_infeasible_x0_rejected(self):
         with pytest.raises(PolytopeError):
             solve(S3, self.OBJ, "FW", x0=np.array([2.0, 0.0, 0.0]))
+
+
+class TestExactVertexIdentity:
+    """A vertex is its exact coordinates, at any scale and from any start.
+
+    The corners of TINY_BOX differ by 1e-13, below any fixed number of
+    decimal places a vertex key could be rounded to.
+    """
+
+    TINY_BOX = Box([0.0, 0.0], [1e-13, 1e-13])
+    TARGET = np.array([3e-14, 6e-14])
+
+    @pytest.mark.parametrize("variant", ["AFW", "BPFW"])
+    def test_tiny_box_reaches_the_target(self, variant):
+        tr = solve(self.TINY_BOX, distance_squared(self.TARGET), variant,
+                   max_iters=200, gap_tol=1e-40)
+        assert tr.terminal_reason == "gap_tol"
+        err = np.linalg.norm(tr.x_final - self.TARGET)
+        assert err <= 1e-9 * self.TINY_BOX.diameter()
+
+    def test_drift_on_a_tiny_box_raises(self, monkeypatch):
+        # a support point 1e-16 off is 1000 box widths away: the drift check
+        # must see it although it is far below an absolute 1e-10
+        exact = ActiveSet.point
+        monkeypatch.setattr(ActiveSet, "point",
+                            property(lambda aset: exact.fget(aset) + 1e-16))
+        with pytest.raises(PolytopeError, match="drifted by .* at t=0"):
+            solve(self.TINY_BOX, distance_squared(self.TARGET), "AFW",
+                  max_iters=200, gap_tol=1e-40)
+
+    @pytest.mark.parametrize("step", ["ls", "ss"])
+    @pytest.mark.parametrize("variant", ["AFW", "BPFW"])
+    def test_start_typed_as_decimals_writes_the_same_trace(self, variant, step,
+                                                           tmp_path):
+        inst = wolfe_edge()
+        out = []
+        for i, x0 in enumerate([inst.x0, np.array([1e-12, 1e-12, 1.0 - 2e-12])]):
+            tr = run_instance(inst, variant, step=step, x0=x0, gap_tol=1e-10,
+                              max_iters=300)
+            path = tmp_path / f"trace{i}.csv"
+            tr.to_csv(path)
+            out.append(path.read_bytes())
+        assert out[0] == out[1]
 
 
 class TestOracleCounts:
