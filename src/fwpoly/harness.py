@@ -396,8 +396,8 @@ def audit_scaling(trace, poly, xstar_points, kind, rel_slack=1e-8):
     to the optimal set is evaluated as the minimum over the supplied optimal
     points; for a subset of the optimal set that minimum only overestimates
     the distance, which keeps the audited inequality valid.  Needs a trace
-    recorded with points.  At most about 80 evenly strided records are
-    audited.
+    recorded with points.  Every (len // 80)-th record is audited, so a long
+    trace costs 80 to 160 checks.
     """
     dist_fn = distance_for(kind)
     xstar_points = np.atleast_2d(np.asarray(xstar_points, dtype=float))
