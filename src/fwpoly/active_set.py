@@ -6,14 +6,19 @@ vertices with strictly positive weights.  The support is held in arrays:
 one row per vertex, its key, its weight, and the sequence number at which
 it joined the support.
 
+A move is named by its direction kind, KIND_FW, KIND_AWAY or KIND_BPFW.
+Away steps and pairwise swaps move weight between support vertices, so they
+name them by row: ``away_and_local_fw`` returns the rows (i, j), and ``cap``
+and ``apply_step`` take them back.  Only an FW step names its vertex by
+coordinates, since the LMO vertex may not be in the support yet.
+
 A vertex is identified by its exact coordinates: the key is the tuple of
 its floats, so two rows merge only when they are equal (-0.0 equals 0.0).
 No rounding is needed because every vertex comes from the polytope's own
 oracles, which return the same bits for the same vertex: ``lmo`` and
 ``in_face_lmo`` build e_i, lo/hi or +-r e_i in closed form or copy a cached
-``enumerate_vertices()`` row, the away and local-FW vertices are copies of
-support rows, and ``from_vertex`` replaces a caller's start point by the
-polytope's own coordinates for that vertex.
+``enumerate_vertices()`` row, and ``from_vertex`` replaces a caller's start
+point by the polytope's own coordinates for that vertex.
 
 Rows stay sorted by key, which is exact lexicographic order, so every
 reduction over the support runs in a fixed order: the point and the away /
@@ -32,9 +37,9 @@ from .polytope import ETA_CAP
 
 EPS_WEIGHT = 1e-12
 
-FW_STEP = "fw"
-AWAY_STEP = "away"
-PAIRWISE_SWAP = "bpfw"
+KIND_FW = "FW"
+KIND_AWAY = "Away"
+KIND_BPFW = "BPFW"
 
 
 class ActiveSetError(ValueError):
@@ -62,14 +67,8 @@ class ActiveSet:
         for v, w in zip(vertices, weights):
             if w < -EPS_WEIGHT:
                 raise ActiveSetError(f"negative weight {w}")
-            if w <= EPS_WEIGHT:
-                continue
-            k = _key(v)
-            i = self._find(k)
-            if i is None:
-                self._insert(k, v, float(w))
-            else:
-                self._weights[i] += float(w)
+            if w > EPS_WEIGHT:
+                self._add(v, float(w))
         if not self._keys:
             raise ActiveSetError("empty support")
         total = self._total()
@@ -91,14 +90,18 @@ class ActiveSet:
 
     # -- support arrays -----------------------------------------------------
 
-    def _find(self, k):
-        """Row of the vertex with key k, or None."""
+    def _locate(self, k):
+        """(row, present): where the vertex with key k is, or would go, in key order."""
         i = bisect_left(self._keys, k)
-        return i if i < len(self._keys) and self._keys[i] == k else None
+        return i, i < len(self._keys) and self._keys[i] == k
 
-    def _insert(self, k, v, w):
-        """Add a vertex with key k and weight w at its place in key order."""
-        i = bisect_left(self._keys, k)
+    def _add(self, v, w):
+        """Add w to the weight of v, which joins the support if absent."""
+        k = _key(v)
+        i, present = self._locate(k)
+        if present:
+            self._weights[i] += w
+            return
         self._keys.insert(i, k)
         self._rows = np.insert(self._rows, i, np.asarray(v, dtype=float), axis=0)
         self._weights = np.insert(self._weights, i, w)
@@ -126,8 +129,8 @@ class ActiveSet:
         return zip(self._rows, self._weights.tolist())
 
     def weight_of(self, v):
-        i = self._find(_key(v))
-        return 0.0 if i is None else float(self._weights[i])
+        i, present = self._locate(_key(v))
+        return float(self._weights[i]) if present else 0.0
 
     def snapshot(self):
         """Text snapshot of the support, stable across runs."""
@@ -140,76 +143,64 @@ class ActiveSet:
     # -- oracles on the support --------------------------------------------
 
     def away_and_local_fw(self, g):
-        """(away vertex, local FW vertex): argmax / argmin of <g, v> over the support.
+        """Rows (i, j) of the away and local FW vertices: argmax / argmin of <g, v>.
 
         Ties break deterministically to the smallest vertex key.
         """
         vals = self._rows @ np.asarray(g, dtype=float)
-        return (self._rows[int(np.argmax(vals))].copy(),
-                self._rows[int(np.argmin(vals))].copy())
+        return int(np.argmax(vals)), int(np.argmin(vals))
 
-    def max_step_for(self, kind, away=None):
-        """Largest step the weight update allows for the given move kind."""
-        if kind == FW_STEP:
-            return 1.0
-        return self._cap(kind, self.weight_of(away))
+    def vertex(self, i):
+        """A copy of support row i."""
+        return self._rows[self._row(i)].copy()
 
-    @staticmethod
-    def _cap(kind, lam):
-        """Step cap of an away step or a swap off a vertex of weight lam."""
-        if lam <= 0.0:
-            raise ActiveSetError("away vertex is not in the support")
-        if kind == AWAY_STEP:
-            if lam >= 1.0 - 1e-15:
-                return ETA_CAP
-            return min(lam / (1.0 - lam), ETA_CAP)
-        if kind == PAIRWISE_SWAP:
+    def _row(self, i):
+        if not 0 <= i < len(self._keys):
+            raise ActiveSetError(f"row {i} is outside the support of {len(self._keys)}")
+        return i
+
+    def cap(self, kind, i):
+        """Largest step of an away step or a swap off support row i."""
+        if kind not in (KIND_AWAY, KIND_BPFW):
+            raise ActiveSetError(f"unknown step kind {kind!r}")
+        lam = float(self._weights[self._row(i)])
+        if kind == KIND_BPFW:
             return lam
-        raise ActiveSetError(f"unknown step kind {kind!r}")
+        if lam >= 1.0 - 1e-15:
+            return ETA_CAP
+        return min(lam / (1.0 - lam), ETA_CAP)
 
     # -- update -------------------------------------------------------------
-
-    def _add(self, v, eta):
-        """Add eta to the weight of v, which joins the support if absent."""
-        k = _key(v)
-        i = self._find(k)
-        if i is None:
-            self._insert(k, v, eta)
-        else:
-            self._weights[i] += eta
 
     def apply_step(self, kind, payload, eta):
         """Apply one weight update; returns the new cached point.
 
-        payload: FW -> target vertex v; away -> away vertex a;
-        pairwise swap -> (away vertex a, local vertex z).
+        payload: KIND_FW -> the LMO vertex v; KIND_AWAY and KIND_BPFW -> the
+        rows (i, j) of the away and local FW vertices.
         """
         if eta < 0:
             raise ActiveSetError(f"negative step {eta}")
-        if kind == FW_STEP:
+        if kind == KIND_FW:
             cap = 1.0
-        elif kind not in (AWAY_STEP, PAIRWISE_SWAP):
-            raise ActiveSetError(f"unknown step kind {kind!r}")
         else:
-            # the one lookup of the away vertex: its row gives cap and update
-            i = self._find(_key(payload if kind == AWAY_STEP else payload[0]))
-            cap = self._cap(kind, 0.0 if i is None else float(self._weights[i]))
+            cap = self.cap(kind, payload[0])
+            i, j = payload[0], self._row(payload[1])
         if eta > cap * (1.0 + 1e-9) + 1e-15:
             raise ActiveSetError(f"step {eta} exceeds cap {cap} for {kind}")
 
-        if kind == FW_STEP:
+        if kind == KIND_FW:
             if eta >= 1.0:
                 # full step: the support collapses to the target vertex
                 self.__init__([payload], [1.0])
                 return self.point
             self._weights *= 1.0 - eta
-            self._add(payload, eta)
-        elif kind == AWAY_STEP:
+            self._add(payload, eta)  # keyed: the LMO vertex may be new to the support
+        elif kind == KIND_AWAY:
             self._weights *= 1.0 + eta
             self._weights[i] -= eta
         else:
             self._weights[i] -= eta
-            self._add(payload[1], eta)
+            self._weights[j] += eta
 
         self._prune_and_renormalize()
         self._refresh_point()

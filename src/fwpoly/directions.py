@@ -6,6 +6,11 @@ Each solver builds a small set of candidate directions per iteration:
 * the away step off the worst support/face vertex,
 * the pairwise swap from the worst vertex to the best one.
 
+A direction's kind is the only step vocabulary: the active set applies an
+"FW", "Away" or "BPFW" direction by its kind and payload.  The active-set
+candidates carry the support rows (i, j) of their away and local FW
+vertices; the in-face and pairwise candidates carry vertices.
+
 ``select`` picks the candidate with the most negative inner product against
 the gradient; exact ties prefer the global step, then the away step.
 """
@@ -16,18 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .active_set import AWAY_STEP, FW_STEP, PAIRWISE_SWAP
+from .active_set import KIND_AWAY, KIND_BPFW, KIND_FW
 
-KIND_FW = "FW"
-KIND_AWAY = "Away"
-KIND_BPFW = "BPFW"
 KIND_IN_AWAY = "InAway"
 KIND_IN_BPFW = "InBPFW"
 KIND_PW = "PW"
 
 _TIE_ORDER = {KIND_FW: 0, KIND_AWAY: 1, KIND_IN_AWAY: 1, KIND_BPFW: 2,
               KIND_IN_BPFW: 2, KIND_PW: 3}
-_SET_STEP = {KIND_FW: FW_STEP, KIND_AWAY: AWAY_STEP, KIND_BPFW: PAIRWISE_SWAP}
 
 
 @dataclass
@@ -40,38 +41,37 @@ class Direction:
     inner: float  # <grad, vec>
     payload: object = field(default=None, repr=False)
 
-    @property
-    def set_step_kind(self):
-        return _SET_STEP[self.kind]
+
+def fw_direction(x, v, gap):
+    """The global step toward the LMO vertex v, where gap = <g, x - v>.
+
+    v - x is exactly -(x - v) in floating point, so <g, v - x> is -gap
+    bit for bit and needs no second product.
+    """
+    return Direction(KIND_FW, v - x, 1.0, -gap, payload=v)
 
 
-def fw_direction(g, x, v):
-    """The global step toward the LMO vertex v."""
-    vec = v - x
-    return Direction(KIND_FW, vec, 1.0, float(g @ vec), payload=v)
+def _support_candidates(aset, g, v, gap, kind):
+    """The global step and an away step or pairwise swap off the support."""
+    x = aset.point
+    i, j = aset.away_and_local_fw(g)
+    a = aset.vertex(i)
+    vec = x - a if kind == KIND_AWAY else aset.vertex(j) - a
+    return [fw_direction(x, v, gap),
+            Direction(kind, vec, aset.cap(kind, i), float(g @ vec), payload=(i, j))]
 
 
-def candidates_afw(aset, g, v):
+def candidates_afw(aset, g, v, gap):
     """Global step and away step for the away-step solver."""
-    x = aset.point
-    a, _ = aset.away_and_local_fw(g)
-    vec = x - a
-    away = Direction(KIND_AWAY, vec, aset.max_step_for(AWAY_STEP, a),
-                     float(g @ vec), payload=a)
-    return [fw_direction(g, x, v), away]
+    return _support_candidates(aset, g, v, gap, KIND_AWAY)
 
 
-def candidates_bpfw(aset, g, v):
+def candidates_bpfw(aset, g, v, gap):
     """Global step and the support-local pairwise swap."""
-    x = aset.point
-    a, z = aset.away_and_local_fw(g)
-    vec = z - a
-    swap = Direction(KIND_BPFW, vec, aset.max_step_for(PAIRWISE_SWAP, a),
-                     float(g @ vec), payload=(a, z))
-    return [fw_direction(g, x, v), swap]
+    return _support_candidates(aset, g, v, gap, KIND_BPFW)
 
 
-def candidates_ifw(poly, x, g, v=None):
+def candidates_ifw(poly, x, g, v, gap):
     """Global, in-face away, and in-face pairwise candidates.
 
     The in-face candidates take their maximum steps from the polytope's
@@ -79,9 +79,7 @@ def candidates_ifw(poly, x, g, v=None):
     gets the conventional cap of 1.
     """
     g = np.asarray(g, dtype=float)
-    if v is None:
-        v = poly.lmo(g)
-    fw = fw_direction(g, x, v)
+    fw = fw_direction(x, v, gap)
     # moving toward a vertex never exits before eta = 1, so snap roundoff
     oracle = poly.max_step(x, fw.vec)
     if np.isfinite(oracle) and abs(oracle - 1.0) <= 1e-9:

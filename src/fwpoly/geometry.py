@@ -41,26 +41,6 @@ VERTEX_DIST_VMAX = 16
 SUPPORT_MARGIN = 1e-10
 
 
-# -- norms -------------------------------------------------------------------
-
-
-def _norm(v, name):
-    if name == "l2":
-        return float(np.linalg.norm(v))
-    if name == "l1":
-        return float(np.abs(v).sum())
-    if name == "linf":
-        return float(np.abs(v).max()) if np.size(v) else 0.0
-    raise ValueError(f"unknown norm {name!r}")
-
-
-_DUAL = {"l1": "linf", "l2": "l2", "linf": "l1"}
-
-
-def dual_norm(v, name):
-    return _norm(v, _DUAL[name])
-
-
 # -- point distances ----------------------------------------------------------
 
 
@@ -377,42 +357,42 @@ def independent_binding_sets(poly, binding):
     return out
 
 
-def facial_lower_bound(poly, face, other=None, norm="l2", sigma=None):
+def facial_lower_bound(poly, face, other=None):
     """Slack-profile lower bound on facial distances.
 
     With ``other`` omitted: a lower bound on the distance from the face to
     the hull of the vertices outside it.  With ``other`` given: a lower
     bound on the distance between the two (disjoint) faces.
     """
-    sigma = sigma_profile(poly) if sigma is None else sigma
+    sigma = sigma_profile(poly)
     fset = face_vertex_set(poly, face)
     I_F = binding_rows_of_vset(poly, fset)
     if other is None:
-        return _one_sided_bound(poly, I_F, frozenset(), sigma, norm)
+        return _one_sided_bound(poly, I_F, frozenset(), sigma)
     gset = face_vertex_set(poly, other)
     if fset & gset:
         raise PolytopeError("facial_lower_bound: faces must be disjoint")
     I_G = binding_rows_of_vset(poly, gset)
     return max(
-        _one_sided_bound(poly, I_F, I_G, sigma, norm),
-        _one_sided_bound(poly, I_G, I_F, sigma, norm),
+        _one_sided_bound(poly, I_F, I_G, sigma),
+        _one_sided_bound(poly, I_G, I_F, sigma),
     )
 
 
-def _one_sided_bound(poly, binding, exclude, sigma, norm):
+def _one_sided_bound(poly, binding, exclude, sigma):
     best = 0.0
     for I in independent_binding_sets(poly, binding):
         rows = [i for i in I if i not in exclude]
         if not rows:
             continue
         combo = (poly.D[rows] / sigma[rows, None]).sum(axis=0)
-        denom = dual_norm(combo, norm)
+        denom = float(np.linalg.norm(combo))
         if denom > 0:
             best = max(best, 1.0 / denom)
     return best
 
 
-def phi_lower_bound(poly, face, norm="l2", sigma=None, lattice=None):
+def phi_lower_bound(poly, face, lattice=None):
     """Corollary-level lower bound on the inner facial distance.
 
     The inner facial distance minimizes over subfaces of F, so its bound
@@ -420,7 +400,7 @@ def phi_lower_bound(poly, face, norm="l2", sigma=None, lattice=None):
     dist(G, hull of the other vertices).  facial_lower_bound alone bounds
     only the distance for F itself, which can exceed the inner distance.
     """
-    sigma = sigma_profile(poly) if sigma is None else sigma
+    sigma = sigma_profile(poly)
     lattice = _lattice_of(poly, lattice)
     fset = face_vertex_set(poly, face)
     full = frozenset(range(len(lattice.vertices)))
@@ -428,20 +408,20 @@ def phi_lower_bound(poly, face, norm="l2", sigma=None, lattice=None):
     for G in lattice:
         if G.vset <= fset and G.vset != full:
             I_G = binding_rows_of_vset(poly, G.vset)
-            best = min(best, _one_sided_bound(poly, I_G, frozenset(), sigma, norm))
+            best = min(best, _one_sided_bound(poly, I_G, frozenset(), sigma))
     if not np.isfinite(best):
         raise PolytopeError("phi_lower_bound: no admissible subface")
     return float(best)
 
 
-def _inv_sigma_bound(poly, rows, sigma, norm):
-    """1 / ||sigma^-1 on rows||*: the standard-form bound of one row set."""
+def _inv_sigma_bound(poly, rows, sigma):
+    """1 / ||sigma^-1 on rows||: the standard-form bound of one row set."""
     v = np.zeros(poly.n)
     v[rows] = 1.0 / sigma[rows]
-    return 1.0 / dual_norm(v, norm)
+    return 1.0 / float(np.linalg.norm(v))
 
 
-def phi_lower_bound_std(poly, face, norm="l2", sigma=None):
+def phi_lower_bound_std(poly, face):
     """Standard-form closed form of the face separation bound.
 
     Equals facial_lower_bound(poly, face): in standard form the binding
@@ -454,38 +434,38 @@ def phi_lower_bound_std(poly, face, norm="l2", sigma=None):
     """
     if not isinstance(poly, StdFormPolytope):
         raise PolytopeError("phi_lower_bound_std needs a standard-form polytope")
-    sigma = sigma_profile(poly) if sigma is None else sigma
+    sigma = sigma_profile(poly)
     fset = face_vertex_set(poly, face)
     I_F = sorted(binding_rows_of_vset(poly, fset))
     if not I_F:
         raise PolytopeError("phi_lower_bound_std: face equals the polytope")
-    return _inv_sigma_bound(poly, I_F, sigma, norm)
+    return _inv_sigma_bound(poly, I_F, sigma)
 
 
-def phibar_lower_bound_std(poly, face, norm="l2", sigma=None):
+def phibar_lower_bound_std(poly, face):
     """Standard-form lower bound on the outer facial distance.
 
     The outer distance minimizes over pairs (G, H) with G a subface of F
     and H a face disjoint from G, so only terms uniform over those pairs
     are admissible.  Two survive the pairwise bound:
 
-    - vertex term: any subface G binds at least the rows of one vertex of
-      F, and shrinking a row set never shrinks the dual norm, so the worst
-      single-vertex value min_{v in F} 1/||sigma^-1 on I_v||* undercuts
-      every G-side bound;
+    - vertex term: the rows a subface G binds are a subset of the rows
+      I_v of each of its vertices, and removing rows never grows the norm,
+      so the worst single-vertex value min_{v in F} 1/||sigma^-1 on I_v||
+      undercuts every G-side bound;
     - complement term: H's binding rows outside I_G always include rows
       outside I_F (if they did not, G would satisfy all of H's bindings
       and sit inside H, contradicting disjointness), giving the uniform
-      value 1/||sigma^-1 on the complement of I_F||*.
+      value 1/||sigma^-1 on the complement of I_F||.
 
     For a vertex face both reduce to the familiar pair of closed forms.
-    Taking 1/||sigma^-1 on I_F||* directly is NOT sound here for faces of
+    Taking 1/||sigma^-1 on I_F|| directly is NOT sound here for faces of
     dimension >= 1: on the five-vertex simplex facet {e0..e3} the split
     G={e0,e1,e2}, H={e3,e4} realizes distance sqrt(5/6) < 1.
     """
     if not isinstance(poly, StdFormPolytope):
         raise PolytopeError("phibar_lower_bound_std needs a standard-form polytope")
-    sigma = sigma_profile(poly) if sigma is None else sigma
+    sigma = sigma_profile(poly)
     fset = face_vertex_set(poly, face)
     vals = []
     vert_vals = []
@@ -493,13 +473,13 @@ def phibar_lower_bound_std(poly, face, norm="l2", sigma=None):
         I_v = sorted(binding_rows_of_vset(poly, frozenset([j])))
         if not I_v:
             continue
-        vert_vals.append(_inv_sigma_bound(poly, I_v, sigma, norm))
+        vert_vals.append(_inv_sigma_bound(poly, I_v, sigma))
     if vert_vals:
         vals.append(min(vert_vals))
     I_F = binding_rows_of_vset(poly, fset)
     comp = sorted(set(range(poly.n)) - set(I_F))
     if comp:
-        vals.append(_inv_sigma_bound(poly, comp, sigma, norm))
+        vals.append(_inv_sigma_bound(poly, comp, sigma))
     if not vals:
         raise PolytopeError("phibar_lower_bound_std: degenerate face")
     return max(vals)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._hulls import project_to_hull
-from .geometry import face_lattice, binding_rows_of_vset, minimal_face_of_set
-from .polytope import Face, PolytopeError
+from .geometry import face_lattice, binding_rows_of_vset
+from .polytope import PolytopeError
 
 _PD_TOL = 1e-10
 
@@ -155,14 +155,14 @@ def curvature_constant(obj, poly):
     return obj.smoothness_on(poly) * poly.diameter() ** 2
 
 
-def audit_curvature(obj, poly, rng=None, samples=200):
+def audit_curvature(obj, poly):
     """Compare sampled secant curvature against the certified constant.
 
     Includes every vertex-to-vertex chord at full step, which already
     saturates the bound for isotropic quadratics, so an understated
     constant cannot pass.  Returns (worst_observed, bound, ok).
     """
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     bound = curvature_constant(obj, poly)
     V = np.asarray(poly.enumerate_vertices())
     worst = 0.0
@@ -176,7 +176,7 @@ def audit_curvature(obj, poly, rng=None, samples=200):
         for j in range(len(V)):
             if i != j:
                 worst = max(worst, secant(V[i], V[j] - V[i], 1.0))
-    for _ in range(samples):
+    for _ in range(200):
         x = poly.sample_point(rng)
         v = V[rng.integers(len(V))]
         d = v - x
@@ -194,7 +194,6 @@ def audit_curvature(obj, poly, rng=None, samples=200):
 class MinimizeResult:
     fstar: float
     points: list  # extreme points of the optimal set
-    face: Face  # minimal face containing the optimal set
 
 
 def _quadratic_face_min(obj, poly, binding):
@@ -248,8 +247,7 @@ def minimize_quadratic(obj, poly):
             if key not in seen:
                 seen.add(key)
                 pts.append(x)
-    face = minimal_face_of_set(poly, pts)
-    return MinimizeResult(fstar, pts, face)
+    return MinimizeResult(fstar, pts)
 
 
 def minimize_power_distance(obj, poly):
@@ -260,8 +258,7 @@ def minimize_power_distance(obj, poly):
     scale = max(1.0, float(np.abs(V).max()))
     if dist <= 1e-10 * scale:
         x = obj.center.copy()
-    res = MinimizeResult(obj.value(x), [x], minimal_face_of_set(poly, [x]))
-    return res
+    return MinimizeResult(obj.value(x), [x])
 
 
 def minimize(obj, poly):
@@ -283,7 +280,6 @@ class HolderCertificate:
     theta: float
     fstar: float
     points: list
-    face: Face
     source: str = "analytic"
 
     def residual(self, obj, x):
@@ -292,10 +288,11 @@ class HolderCertificate:
         return obj.value(x) - self.fstar - self.mu * d ** (1.0 / self.theta)
 
 
-def _sampled_modulus(obj, poly, res, power, rng, samples):
+def _sampled_modulus(obj, poly, res, power):
+    rng = np.random.default_rng(0)
     pts = np.asarray(res.points)
     best = np.inf
-    for _ in range(samples):
+    for _ in range(400):
         x = poly.sample_point(rng)
         d, _ = project_to_hull(pts, x)
         if d < 1e-6:
@@ -306,36 +303,31 @@ def _sampled_modulus(obj, poly, res, power, rng, samples):
     return 0.9 * float(best)
 
 
-def holder_certificate(obj, poly, rng=None, samples=400):
+def holder_certificate(obj, poly):
     """Certified (mu, theta) for the objective over the polytope.
 
     Positive-definite quadratics get the analytic pair (lambda_min / 2, 1/2);
     everything else falls back to a sampled modulus shrunk by 10 percent.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     res = minimize(obj, poly)
     if isinstance(obj, Quadratic) and obj.strong_convexity > _PD_TOL:
         return HolderCertificate(0.5 * obj.strong_convexity, 0.5, res.fstar,
-                                 res.points, res.face, "analytic")
-    if isinstance(obj, PowerDistance):
-        theta = 1.0 / obj.p
-        mu = _sampled_modulus(obj, poly, res, obj.p, rng, samples)
-        return HolderCertificate(mu, theta, res.fstar, res.points, res.face,
-                                 "sampled")
-    theta = 0.5
-    mu = _sampled_modulus(obj, poly, res, 2.0, rng, samples)
-    return HolderCertificate(mu, theta, res.fstar, res.points, res.face, "sampled")
+                                 res.points, "analytic")
+    # theta = 1/p for a power distance, 1/2 for a singular quadratic
+    power = obj.p if isinstance(obj, PowerDistance) else 2.0
+    return HolderCertificate(_sampled_modulus(obj, poly, res, power), 1.0 / power,
+                             res.fstar, res.points, "sampled")
 
 
-def audit_error_bound(obj, poly, cert, rng=None, samples=400):
+def audit_error_bound(obj, poly, cert):
     """Check the certificate inequality on random feasible points.
 
     Returns (min_residual, ok); the residual is relative to the local value
     scale so tiny negative roundoff does not fail the audit.
     """
-    rng = np.random.default_rng(1) if rng is None else rng
+    rng = np.random.default_rng(1)
     worst = np.inf
-    for _ in range(samples):
+    for _ in range(400):
         x = poly.sample_point(rng)
         r = cert.residual(obj, x)
         scale = max(1.0, abs(obj.value(x) - cert.fstar))

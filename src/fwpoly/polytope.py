@@ -344,6 +344,11 @@ class Simplex(Polytope):
     def _enumerate_vertices_impl(self, cap):
         return [np.eye(self.n)[i] for i in range(self.n)]
 
+    def sample_point(self, rng):
+        # the base method's Dirichlet mix of the identity rows, bit for bit,
+        # without enumerating more than the vertex cap
+        return rng.dirichlet(np.ones(self.n))
+
     def diameter(self):
         return float(np.sqrt(2.0)) if self.n > 1 else 0.0
 

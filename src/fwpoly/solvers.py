@@ -27,11 +27,10 @@ import numpy as np
 
 from .active_set import ActiveSet
 from .directions import (
-    KIND_FW,
-    Direction,
     candidates_afw,
     candidates_bpfw,
     candidates_ifw,
+    fw_direction,
     pairwise_direction,
     select,
 )
@@ -135,12 +134,8 @@ class _PointState:
         _check_feasible(poly, self.x, 0)
 
     def direction(self, g, v, gap):
-        """(chosen direction, strong gap <g, a - v> or None); gap is <g, x - v>.
-
-        v - x is exactly -(x - v) in floating point, so <g, v - x> is -gap
-        bit for bit and needs no second product.
-        """
-        return Direction(KIND_FW, v - self.x, 1.0, -gap, payload=v), None
+        """(chosen direction, strong gap <g, a - v> or None); gap is <g, x - v>."""
+        return fw_direction(self.x, v, gap), None
 
     def step(self, obj, g, d):
         return self.rule.step(obj, self.x, g, d)
@@ -157,7 +152,7 @@ class _InFaceState(_PointState):
     """IFW: the global step competes with the in-face away and pairwise steps."""
 
     def direction(self, g, v, gap):
-        cands = candidates_ifw(self.poly, self.x, g, v)
+        cands = candidates_ifw(self.poly, self.x, g, v, gap)
         return select(cands), float(g @ (cands[1].payload - v))
 
 
@@ -168,26 +163,27 @@ class _ActiveSetState(_PointState):
     support-local pairwise swap (BPFW).  Each update checks the support's
     point against x + eta d, to a tolerance scaled by the polytope's
     diameter so that a drift on a tiny polytope cannot hide under 1e-10.
+    The candidate builder is picked once, when ``solve`` builds the state.
     """
 
     def __init__(self, poly, variant, rule, x0):
-        self.poly, self.variant, self.rule = poly, variant, rule
+        self.poly, self.rule = poly, rule
+        self.build = candidates_afw if variant == "AFW" else candidates_bpfw
         v0 = poly.initial_vertex() if x0 is None else np.asarray(x0, dtype=float)
         self.aset = ActiveSet.from_vertex(poly, v0)
         self.x = self.aset.point
         self.diam = poly.diameter()
 
     def direction(self, g, v, gap):
-        build = candidates_afw if self.variant == "AFW" else candidates_bpfw
-        cands = build(self.aset, g, v)
-        a = cands[1].payload if self.variant == "AFW" else cands[1].payload[0]
+        cands = self.build(self.aset, g, v, gap)
+        a = self.aset.vertex(cands[1].payload[0])  # the away row
         return select(cands), float(g @ (a - v))
 
     def count(self):
         return self.aset.support_size()
 
     def update(self, d, eta, t):
-        self.aset.apply_step(d.set_step_kind, d.payload, eta)
+        self.aset.apply_step(d.kind, d.payload, eta)
         x = self.aset.point
         drift = np.linalg.norm(x - (self.x + eta * d.vec))
         if drift > POINT_TOL * min(max(1.0, np.linalg.norm(self.x)), self.diam):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwpoly.active_set import (
-    AWAY_STEP,
-    FW_STEP,
-    PAIRWISE_SWAP,
+    KIND_AWAY,
+    KIND_BPFW,
+    KIND_FW,
     ActiveSet,
     ActiveSetError,
 )
@@ -22,6 +22,11 @@ def simplex_set(weights):
     n = len(weights)
     V = np.eye(n)
     return ActiveSet([V[i] for i in range(n)], weights)
+
+
+def _row_of(aset, v):
+    """The support row that holds vertex v."""
+    return [row.tolist() for row, _ in aset.items()].index(list(v))
 
 
 class TestConstruction:
@@ -55,7 +60,7 @@ class TestConstruction:
         poly = Simplex(3)
         aset = ActiveSet.from_vertex(poly, np.array([1e-12, 1e-12, 1.0 - 2e-12]))
         assert np.array_equal(aset.point, [0.0, 0.0, 1.0])
-        aset.apply_step(FW_STEP, poly.lmo(np.array([1.0, 1.0, 0.0])), 0.5)
+        aset.apply_step(KIND_FW, poly.lmo(np.array([1.0, 1.0, 0.0])), 0.5)
         assert aset.support_size() == 1
 
     def test_weights_must_sum_to_one(self):
@@ -71,33 +76,41 @@ class TestConstruction:
 class TestSelectors:
     def test_away_and_local_fw(self):
         aset = simplex_set([0.2, 0.3, 0.5])
-        a, z = aset.away_and_local_fw(np.array([1.0, 3.0, 2.0]))
-        assert np.allclose(a, [0, 1, 0])
-        assert np.allclose(z, [1, 0, 0])
+        i, j = aset.away_and_local_fw(np.array([1.0, 3.0, 2.0]))
+        assert np.allclose(aset.vertex(i), [0, 1, 0])
+        assert np.allclose(aset.vertex(j), [1, 0, 0])
 
     def test_tie_breaks_deterministic(self):
         aset = simplex_set([0.5, 0.5])
         a, z = aset.away_and_local_fw(np.array([1.0, 1.0]))
         a2, z2 = aset.away_and_local_fw(np.array([1.0, 1.0]))
-        assert np.allclose(a, a2) and np.allclose(z, z2)
+        assert np.allclose(aset.vertex(a), aset.vertex(a2))
+        assert np.allclose(aset.vertex(z), aset.vertex(z2))
 
-    def test_max_step_for(self):
+    def test_vertex_is_a_copy(self):
         aset = simplex_set([0.25, 0.75])
-        a = np.array([1.0, 0.0])
-        assert aset.max_step_for(FW_STEP) == 1.0
-        assert aset.max_step_for(AWAY_STEP, a) == pytest.approx(1.0 / 3.0)
-        assert aset.max_step_for(PAIRWISE_SWAP, a) == pytest.approx(0.25)
+        before = aset.snapshot()
+        aset.vertex(0)[:] = 7.0
+        assert aset.snapshot() == before
+
+    def test_cap(self):
+        aset = simplex_set([0.25, 0.75])
+        a = _row_of(aset, [1.0, 0.0])
+        with pytest.raises(ActiveSetError, match="exceeds cap 1.0"):
+            aset.apply_step(KIND_FW, np.array([0.0, 1.0]), 1.5)
+        assert aset.cap(KIND_AWAY, a) == pytest.approx(1.0 / 3.0)
+        assert aset.cap(KIND_BPFW, a) == pytest.approx(0.25)
 
     def test_away_cap_for_singleton(self):
         aset = simplex_set([1.0])
-        assert aset.max_step_for(AWAY_STEP, np.array([1.0])) == 1e6
+        assert aset.cap(KIND_AWAY, 0) == 1e6
 
 
 class TestUpdates:
     def test_fw_step_weights(self):
         aset = simplex_set([0.5, 0.5, 0.0])
         v = np.array([0.0, 0.0, 1.0])
-        aset.apply_step(FW_STEP, v, 0.2)
+        aset.apply_step(KIND_FW, v, 0.2)
         assert aset.weight_of(v) == pytest.approx(0.2)
         assert aset.weight_of([1, 0, 0]) == pytest.approx(0.4)
         assert np.allclose(aset.point, [0.4, 0.4, 0.2])
@@ -105,14 +118,14 @@ class TestUpdates:
     def test_fw_full_step_resets_support(self):
         aset = simplex_set([0.5, 0.5])
         v = np.array([0.0, 1.0])
-        aset.apply_step(FW_STEP, v, 1.0)
+        aset.apply_step(KIND_FW, v, 1.0)
         assert aset.support_size() == 1
         assert np.allclose(aset.point, v)
 
     def test_away_step_weights(self):
         aset = simplex_set([0.25, 0.75])
         a = np.array([1.0, 0.0])
-        aset.apply_step(AWAY_STEP, a, 0.2)
+        aset.apply_step(KIND_AWAY, (_row_of(aset, a), 0), 0.2)
         # lam_a: 1.2 * 0.25 - 0.2 = 0.1; other: 1.2 * 0.75 = 0.9
         assert aset.weight_of(a) == pytest.approx(0.1)
         assert aset.weight_of([0, 1]) == pytest.approx(0.9)
@@ -120,8 +133,9 @@ class TestUpdates:
     def test_away_drop_removes_vertex(self):
         aset = simplex_set([0.25, 0.75])
         a = np.array([1.0, 0.0])
-        eta = aset.max_step_for(AWAY_STEP, a)
-        aset.apply_step(AWAY_STEP, a, eta)
+        i = _row_of(aset, a)
+        eta = aset.cap(KIND_AWAY, i)
+        aset.apply_step(KIND_AWAY, (i, i), eta)
         assert aset.support_size() == 1
         assert aset.weight_of(a) == 0.0
         assert np.allclose(aset.point, [0, 1])
@@ -130,7 +144,7 @@ class TestUpdates:
         aset = simplex_set([0.25, 0.5, 0.25])
         a = np.array([0.0, 1.0, 0.0])
         z = np.array([0.0, 0.0, 1.0])
-        aset.apply_step(PAIRWISE_SWAP, (a, z), 0.1)
+        aset.apply_step(KIND_BPFW, (_row_of(aset, a), _row_of(aset, z)), 0.1)
         assert aset.weight_of(a) == pytest.approx(0.4)
         assert aset.weight_of(z) == pytest.approx(0.35)
         assert aset.weight_of([1, 0, 0]) == pytest.approx(0.25)
@@ -139,20 +153,37 @@ class TestUpdates:
         aset = simplex_set([0.25, 0.75])
         a = np.array([0.0, 1.0])
         z = np.array([1.0, 0.0])
-        aset.apply_step(PAIRWISE_SWAP, (a, z), 0.75)
+        aset.apply_step(KIND_BPFW, (_row_of(aset, a), _row_of(aset, z)), 0.75)
         assert aset.support_size() == 1
         assert np.allclose(aset.point, [1, 0])
 
     def test_step_beyond_cap_rejected(self):
         aset = simplex_set([0.25, 0.75])
         with pytest.raises(ActiveSetError):
-            aset.apply_step(PAIRWISE_SWAP,
-                            (np.array([1.0, 0.0]), np.array([0.0, 1.0])), 0.5)
+            aset.apply_step(KIND_BPFW, (_row_of(aset, [1.0, 0.0]),
+                                        _row_of(aset, [0.0, 1.0])), 0.5)
 
     def test_unknown_step_kind_rejected(self):
         aset = simplex_set([0.25, 0.75])
         with pytest.raises(ActiveSetError, match="unknown step kind 'swap'"):
-            aset.apply_step("swap", np.array([1.0, 0.0]), 0.1)
+            aset.apply_step("swap", (0, 1), 0.1)
+        with pytest.raises(ActiveSetError, match="unknown step kind 'swap'"):
+            aset.cap("swap", 0)
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_rows_outside_the_support_rejected(self, bad):
+        """Negative rows too: numpy would wrap them to the last row."""
+        aset = simplex_set([0.25, 0.75])
+        before = aset.snapshot()
+        for kind in (KIND_AWAY, KIND_BPFW):
+            for rows in ((bad, 0), (0, bad)):
+                with pytest.raises(ActiveSetError, match="outside the support of 2"):
+                    aset.apply_step(kind, rows, 0.1)
+            with pytest.raises(ActiveSetError, match="outside the support of 2"):
+                aset.cap(kind, bad)
+        with pytest.raises(ActiveSetError, match="outside the support of 2"):
+            aset.vertex(bad)
+        assert aset.snapshot() == before
 
     def test_snapshot_stable(self):
         aset = simplex_set([0.25, 0.75])
@@ -191,21 +222,19 @@ def test_random_walks_keep_invariants(steps, seed, case):
     for kind, frac in steps:
         x = aset.point
         g = rng.normal(size=n)
-        a, z = aset.away_and_local_fw(g)
+        i, j = aset.away_and_local_fw(g)
+        a, z = aset.vertex(i), aset.vertex(j)
         if kind == "fw":
             v = poly.lmo(g)
             payload, d = v, v - x
         elif kind == "away":
-            payload, d = a, x - a
+            payload, d = (i, j), x - a
         else:
-            payload, d = (a, z), z - a
-        cap = aset.max_step_for(
-            {"fw": FW_STEP, "away": AWAY_STEP, "bpfw": PAIRWISE_SWAP}[kind],
-            a if kind != "fw" else None)
+            payload, d = (i, j), z - a
+        step_kind = {"fw": KIND_FW, "away": KIND_AWAY, "bpfw": KIND_BPFW}[kind]
+        cap = 1.0 if kind == "fw" else aset.cap(step_kind, i)
         eta = frac * min(cap, 1e3)
-        new_point = aset.apply_step(
-            {"fw": FW_STEP, "away": AWAY_STEP, "bpfw": PAIRWISE_SWAP}[kind],
-            payload, eta)
+        new_point = aset.apply_step(step_kind, payload, eta)
         # convex combination over current support reproduces x + eta d
         assert np.allclose(new_point, x + eta * d, rtol=0.0, atol=1e-10 * scale)
         rows = [tuple(v.tolist()) for v, _ in aset.items()]
@@ -220,12 +249,12 @@ def test_random_walks_keep_invariants(steps, seed, case):
 # <g, v> among four corners at either end, so every selection below is a
 # tie broken by vertex key; the weights are not dyadic, so the snapshots
 # also pin the order in which the renormalising total is accumulated.
-PINNED_WALK = [(FW_STEP, 0, 0.5), (FW_STEP, 6, 0.3), (FW_STEP, 3, 0.2),
-               (FW_STEP, 4, 0.1), (AWAY_STEP, None, 0.25),
-               (PAIRWISE_SWAP, None, 0.5), (FW_STEP, 1, 1.0 / 3.0),
-               (AWAY_STEP, None, 1.0), (PAIRWISE_SWAP, None, 1.0),
-               (FW_STEP, 5, 0.7), (AWAY_STEP, None, 0.6), (FW_STEP, 7, 0.4),
-               (PAIRWISE_SWAP, None, 0.9)]
+PINNED_WALK = [("fw", 0, 0.5), ("fw", 6, 0.3), ("fw", 3, 0.2),
+               ("fw", 4, 0.1), ("away", None, 0.25),
+               ("bpfw", None, 0.5), ("fw", 1, 1.0 / 3.0),
+               ("away", None, 1.0), ("bpfw", None, 1.0),
+               ("fw", 5, 0.7), ("away", None, 0.6), ("fw", 7, 0.4),
+               ("bpfw", None, 0.9)]
 PINNED_SELECTIONS = [
     ((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)),
     ((1, 1, 0), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)),
@@ -249,17 +278,19 @@ def test_pinned_walk_with_ties():
     V = box.enumerate_vertices()
     g = np.array([1.0, 1.0, 0.0])
     aset = ActiveSet.from_vertex(box, V[7])
+    # the transcript keeps the walk's own lowercase labels
+    step_kind = {"fw": KIND_FW, "away": KIND_AWAY, "bpfw": KIND_BPFW}
     selections, lines = [], []
     for kind, target, frac in PINNED_WALK:
-        a, z = aset.away_and_local_fw(g)
+        i, j = aset.away_and_local_fw(g)
+        a, z = aset.vertex(i), aset.vertex(j)
         selections.append((tuple(a.astype(int)), tuple(z.astype(int))))
         lines.append(f"away {a.tolist()} local {z.tolist()}")
-        if kind == FW_STEP:
+        if kind == "fw":
             payload, eta = V[target], frac
         else:
-            payload = a if kind == AWAY_STEP else (a, z)
-            eta = frac * aset.max_step_for(kind, a)
-        aset.apply_step(kind, payload, eta)
+            payload, eta = (i, j), frac * aset.cap(step_kind[kind], i)
+        aset.apply_step(step_kind[kind], payload, eta)
         lines += [f"{kind} {eta!r}", aset.snapshot()]
     assert selections == PINNED_SELECTIONS
     assert aset.snapshot() == PINNED_FINAL_SNAPSHOT

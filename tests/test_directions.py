@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fwpoly.active_set import AWAY_STEP, PAIRWISE_SWAP, ActiveSet
+from fwpoly.active_set import KIND_AWAY, KIND_BPFW, ActiveSet
 from fwpoly.directions import (
     Direction,
     candidates_afw,
@@ -28,7 +28,7 @@ class TestAwayCandidates:
         aset = two_vertex_set()
         g = np.array([1.0, 0.0, -1.0])  # lmo -> e2, away -> e0
         v = S3.lmo(g)
-        fw, away = candidates_afw(aset, g, v)
+        fw, away = candidates_afw(aset, g, v, float(g @ (aset.point - v)))
         assert fw.kind == "FW" and away.kind == "Away"
         x = aset.point
         assert np.allclose(fw.vec, E[2] - x)
@@ -37,11 +37,13 @@ class TestAwayCandidates:
         # away cap = lam/(1-lam)
         assert away.eta_max == pytest.approx(0.3 / 0.7)
         assert away.inner == pytest.approx(g @ away.vec)
+        assert np.array_equal(aset.vertex(away.payload[0]), E[0])
 
     def test_away_max_step_matches_weight(self):
         aset = two_vertex_set(0.5)
-        assert aset.max_step_for(AWAY_STEP, E[0]) == pytest.approx(1.0)
-        assert aset.max_step_for(PAIRWISE_SWAP, E[0]) == pytest.approx(0.5)
+        i = [row.tolist() for row, _ in aset.items()].index(E[0].tolist())
+        assert aset.cap(KIND_AWAY, i) == pytest.approx(1.0)
+        assert aset.cap(KIND_BPFW, i) == pytest.approx(0.5)
 
 
 class TestSwapCandidates:
@@ -49,19 +51,20 @@ class TestSwapCandidates:
         aset = two_vertex_set(0.3)
         g = np.array([1.0, -1.0, 5.0])  # on support: away=e0, local fw=e1
         v = S3.lmo(g)
-        fw, swap = candidates_bpfw(aset, g, v)
+        fw, swap = candidates_bpfw(aset, g, v, float(g @ (aset.point - v)))
         assert swap.kind == "BPFW"
         assert np.allclose(swap.vec, E[1] - E[0])
         assert swap.eta_max == pytest.approx(0.3)  # weight transferred off e0
-        a, z = swap.payload
-        assert np.allclose(a, E[0]) and np.allclose(z, E[1])
+        i, j = swap.payload
+        assert np.allclose(aset.vertex(i), E[0]) and np.allclose(aset.vertex(j), E[1])
 
 
 class TestInFaceCandidates:
     def test_three_candidates_on_edge(self):
         x = np.array([0.3, 0.7, 0.0])  # relative interior of edge {e0,e1}
         g = np.array([1.0, -1.0, 5.0])
-        cands = candidates_ifw(S3, x, g)
+        v = S3.lmo(g)
+        cands = candidates_ifw(S3, x, g, v, float(g @ (x - v)))
         kinds = [c.kind for c in cands]
         assert kinds == ["FW", "InAway", "InBPFW"]
         fw, inaway, inswap = cands
@@ -75,14 +78,16 @@ class TestInFaceCandidates:
     def test_fw_cap_snaps_to_one(self):
         x = np.array([0.3, 0.7, 0.0])
         g = np.array([5.0, 5.0, -1.0])
-        cands = candidates_ifw(S3, x, g)
+        v = S3.lmo(g)
+        cands = candidates_ifw(S3, x, g, v, float(g @ (x - v)))
         assert cands[0].eta_max == 1.0
 
     def test_vertex_degenerate_directions(self):
         # at a vertex the in-face candidates are zero vectors with cap 1
         x = E[0].copy()
         g = np.array([0.0, 1.0, 2.0])
-        cands = candidates_ifw(S3, x, g)
+        v = S3.lmo(g)
+        cands = candidates_ifw(S3, x, g, v, float(g @ (x - v)))
         assert np.allclose(cands[1].vec, 0.0)
         assert cands[1].eta_max == 1.0
         assert cands[1].inner == 0.0

@@ -15,6 +15,7 @@ from fwpoly.polytope import (
     Face,
     HFormPolytope,
     L1Ball,
+    Polytope,
     PolytopeError,
     Simplex,
     StdFormPolytope,
@@ -293,6 +294,19 @@ class TestGeometryHelpers:
     def test_initial_vertex_deterministic(self):
         poly = truncated_simplex()
         assert np.allclose(poly.initial_vertex(), poly.initial_vertex())
+
+    def test_simplex_sample_matches_the_vertex_mix(self):
+        poly = Simplex(5)
+        for seed in range(20):
+            base = Polytope.sample_point(poly, np.random.default_rng(seed))
+            own = poly.sample_point(np.random.default_rng(seed))
+            assert np.array_equal(own, base)
+
+    def test_simplex_sample_beyond_the_vertex_cap(self):
+        poly = Simplex(500)
+        x = poly.sample_point(np.random.default_rng(0))
+        assert x.shape == (500,) and x.min() > 0.0
+        assert poly.contains(x)
 
 
 class TestFileFormat:

@@ -22,6 +22,7 @@ from fwpoly.instances import (
     interior_quadratic,
     wolfe_edge,
 )
+from fwpoly import active_set
 from fwpoly.active_set import ActiveSet
 from fwpoly.objectives import Objective, distance_squared
 from fwpoly.polytope import Box, PolytopeError, Simplex
@@ -360,3 +361,20 @@ class TestOracleCounts:
         # the default start vertex costs one more LMO call
         assert counts == {"grad": T + 1, "value": T + 1, "lmo": T + 2,
                           "contains": T + 1}
+
+    @pytest.mark.parametrize("step", ["ls", "ss"])
+    @pytest.mark.parametrize("variant", ["AFW", "BPFW"])
+    def test_only_fw_steps_build_a_vertex_key(self, monkeypatch, variant, step):
+        """Away steps and swaps name support rows, so no coordinates are keyed.
+
+        The start vertex and the LMO vertex of each FW step are the only
+        vertices looked up by their coordinates.
+        """
+        calls = []
+        key = active_set._key
+        monkeypatch.setattr(active_set, "_key", lambda v: calls.append(1) or key(v))
+        tr = run_instance(wolfe_edge(), variant, step=step, gap_tol=1e-12,
+                          max_iters=2000)
+        fw_steps = sum(r.step_kind == KIND_FW for r in tr.records)
+        assert 0 < fw_steps < len(tr.records)
+        assert len(calls) == fw_steps + 1

@@ -97,6 +97,7 @@ class TestStepsAreBuiltinFloats:
     @example(-3.0, -1.0, 0.5, True)  # concave along d: full cap
     @example(2.0, 0.0, 0.5, True)  # flat and ascending: no step
     @example(0.0, 1.0, 1.0, False)  # -0.0 target
+    @example(-0.0, 1.0, 1.0, False)  # g @ d reads the -0.0 slope as 0.0
     def test_line_search(self, slope, curv, cap, as_numpy):
         eta_max = np.float64(cap) if as_numpy else cap
         eta = line_search(_Curved(curv), np.zeros(1), np.array([slope]),
@@ -107,7 +108,9 @@ class TestStepsAreBuiltinFloats:
         elif curv <= 0.0:
             old = eta_max if slope < 0.0 else 0.0
         else:
-            old = float(np.clip(-slope / curv, 0.0, eta_max))
+            # the old expression took its slope as g @ d, as line_search does
+            old = float(np.clip(-float(np.array([slope]) @ np.array([1.0])) / curv,
+                                0.0, eta_max))
         assert eta == old
         assert math.copysign(1.0, eta) == math.copysign(1.0, old)
 
