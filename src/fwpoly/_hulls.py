@@ -148,6 +148,13 @@ def project_to_hull(points, target):
     that weight is zero and drops it.  The final support is re-solved and
     checked for global optimality: the result is exact to linear-algebra
     precision, or the call raises PolytopeError.
+
+    The check is exact only near unit scale: its floor grows linearly with
+    the coordinate scale while the gains it bounds grow quadratically, and
+    the bordered KKT matrix of ``_affine_lsq`` loses the sum constraint
+    under lstsq's default rcond.  On random hulls with coordinates near 1e3
+    some calls raise PolytopeError, and near 1e6 over half do, so the
+    facial distances of a polytope far from unit scale can raise.
     """
     from .polytope import PolytopeError
 

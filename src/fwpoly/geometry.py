@@ -8,6 +8,8 @@ Three point-to-optimum distances drive the convergence analysis:
 * face: the same with u restricted to the minimal face of x.
 
 They always satisfy face <= vertex <= radial <= 1 and vanish only at y = x.
+What they compute from the polytope alone (its vertex supports and gauge
+facets) is kept in tables on the polytope, filled on first use.
 
 The facial distances of a face F are the inner one (min over subfaces G of
 the distance from G to the hull of the remaining vertices) and the outer one
@@ -15,8 +17,8 @@ the distance from G to the hull of the remaining vertices) and the outer one
 separation that depends on G alone, so a FaceLattice memoises those per G:
 one lattice passed to a sweep over faces computes each subface's separation
 once.  Both distances admit computable lower bounds from the per-row slack
-profile sigma; those bounds and the resulting error-bound certificates live
-here too.
+profile sigma, which the lattice memoises per G the same way; those bounds
+and the resulting error-bound certificates live here too.
 """
 
 from __future__ import annotations
@@ -67,35 +69,42 @@ def radial_distance(poly, y, x):
     return min(1.0, 1.0 / max(t, 1.0))
 
 
-def _difference_gauge(poly, inner_points):
-    """Gauge function of K = C - conv(inner_points), as a callable on w.
+def _difference_hform(poly, idx):
+    """Facet description of K = C - conv(V[idx]), for a sorted vertex-index tuple.
+
+    K is the hull of the pairwise differences of vertices.  The polytope's
+    gauge table keeps it per idx for as long as the polytope lives.  A miss
+    calls hull_hform through this module, so a wrapper installed on
+    ``geometry.hull_hform`` sees every build.
+    """
+    hf = poly._gauges.get(idx)
+    if hf is None:
+        V = np.asarray(poly.enumerate_vertices())
+        diffs = (V[:, None, :] - V[list(idx)][None, :, :]).reshape(-1, poly.n)
+        hf = poly._gauges[idx] = hull_hform(diffs)
+    return hf
+
+
+def _gauge(hf, w):
+    """Gauge of w with respect to K, the set hf describes.
 
     K contains the origin, so gauge(w) = 1 / max{t : t*w in K}, computed by
-    one exact ratio test against the facet description of K (the hull of the
-    pairwise differences of vertices).
+    one exact ratio test against the facet description of K.
     """
-    V = np.asarray(poly.enumerate_vertices())
-    U = np.atleast_2d(np.asarray(inner_points, dtype=float))
-    diffs = (V[:, None, :] - U[None, :, :]).reshape(-1, poly.n)
-    hf = hull_hform(diffs)
-
-    def gauge(w):
-        w = np.asarray(w, dtype=float)
-        nw = np.linalg.norm(w)
-        if nw < 1e-14:
-            return 0.0
-        if not hf.D.size:
-            return 0.0  # K is a point: only reachable with w = 0
-        rate = hf.D @ w
-        slack = -hf.e  # slack of the origin
-        shrink = rate < -1e-12 * nw
-        if not shrink.any():
-            return 0.0
-        t = float((np.maximum(slack[shrink], 0.0) / (-rate[shrink])).min())
-        # callers guarantee w = y - x with y in C, so t >= 1 up to roundoff
-        return min(1.0, 1.0 / max(t, 1.0))
-
-    return gauge
+    w = np.asarray(w, dtype=float)
+    nw = np.linalg.norm(w)
+    if nw < 1e-14:
+        return 0.0
+    if not hf.D.size:
+        return 0.0  # K is a point: only reachable with w = 0
+    rate = hf.D @ w
+    slack = -hf.e  # slack of the origin
+    shrink = rate < -1e-12 * nw
+    if not shrink.any():
+        return 0.0
+    t = float((np.maximum(slack[shrink], 0.0) / (-rate[shrink])).min())
+    # callers guarantee w = y - x with y in C, so t >= 1 up to roundoff
+    return min(1.0, 1.0 / max(t, 1.0))
 
 
 def face_distance(poly, y, x):
@@ -103,8 +112,27 @@ def face_distance(poly, y, x):
     y, x = _check_pair(poly, y, x)
     if np.linalg.norm(y - x) < 1e-14:
         return 0.0
-    U = poly.face_vertices(poly.minimal_face(x))
-    return _difference_gauge(poly, U)(y - x)
+    idx = tuple(poly.face_vertex_index(poly.minimal_face(x).binding))
+    return _gauge(_difference_hform(poly, idx), y - x)
+
+
+def _support_table(poly):
+    """The vertices and the support table, built on first use.
+
+    The table lists the affinely independent vertex subsets S of size at
+    most dim+1, in itertools.combinations order, each with its bordered
+    matrix [V_S^T; 1].
+    """
+    V = np.asarray(poly.enumerate_vertices(cap=VERTEX_DIST_VMAX))
+    if poly._supports is None:
+        table = []
+        for size in range(1, poly.dim() + 2):
+            for S in itertools.combinations(range(len(V)), size):
+                M = np.vstack([V[list(S)].T, np.ones(size)])
+                if np.linalg.matrix_rank(M) == size:
+                    table.append((S, M))
+        poly._supports = table
+    return V, poly._supports
 
 
 def minimal_supports(poly, x):
@@ -112,25 +140,23 @@ def minimal_supports(poly, x):
 
     Minimal supports are affinely independent, so they have at most dim+1
     vertices and their barycentric coordinates are unique: one least-squares
-    solve per candidate subset decides membership.
+    solve per candidate subset decides membership.  The candidates come
+    from the support table, built on the first call and kept on the
+    polytope for as long as it lives.
     """
-    V = np.asarray(poly.enumerate_vertices(cap=VERTEX_DIST_VMAX))
+    V, table = _support_table(poly)
     x = np.asarray(x, dtype=float)
     scale = max(1.0, float(np.abs(V).max()))
+    rhs = np.concatenate([x, [1.0]])
     found = []
-    for size in range(1, poly.dim() + 2):
-        for S in itertools.combinations(range(len(V)), size):
-            if any(set(m) <= set(S) for m in found):
-                continue
-            M = np.vstack([V[list(S)].T, np.ones(size)])
-            rhs = np.concatenate([x, [1.0]])
-            lam, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-            if np.linalg.matrix_rank(M) < size:
-                continue
-            if np.linalg.norm(M @ lam - rhs) > 1e-9 * scale:
-                continue
-            if lam.min() >= SUPPORT_MARGIN:
-                found.append(S)
+    for S, M in table:
+        if any(set(m) <= set(S) for m in found):
+            continue
+        lam, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        if np.linalg.norm(M @ lam - rhs) > 1e-9 * scale:
+            continue
+        if lam.min() >= SUPPORT_MARGIN:
+            found.append(S)
     if not found:
         raise PolytopeError("minimal_supports: the point has no vertex support")
     return found
@@ -141,15 +167,15 @@ def vertex_distance(poly, y, x):
 
     The maximum over all supports equals the maximum over inclusion-minimal
     ones, because enlarging the support can only shrink the inner gauge.
+    Each support's gauge facets are built once per polytope and kept on it.
     """
     y, x = _check_pair(poly, y, x)
     w = y - x
     if np.linalg.norm(w) < 1e-14:
         return 0.0
-    V = np.asarray(poly.enumerate_vertices(cap=VERTEX_DIST_VMAX))
     best = 0.0
     for S in minimal_supports(poly, x):
-        best = max(best, _difference_gauge(poly, V[list(S)])(w))
+        best = max(best, _gauge(_difference_hform(poly, S), w))
     return best
 
 
@@ -181,34 +207,39 @@ class FaceLattice(list):
     """The nonempty faces of a polytope, smallest first, as LatticeFaces.
 
     A list, so indexing, iteration and len work as usual.  It records the
-    vertex array it was built from and memoises, per subface G keyed by
-    vertex set, the separations the facial distances minimise: ``inner[G]``
-    = dist(G, hull of the other vertices) and ``outer[G]`` = min over faces
-    H sharing no vertex with G of dist(G, H).  Each is filled on first use
-    and lives as long as the lattice.
+    vertex array and the inequality rows (D, e) of the polytope it was built
+    from, and memoises per subface G, keyed by vertex set, what the facial
+    distances and their bound minimise: ``inner[G]`` = dist(G, hull of the
+    other vertices), ``outer[G]`` = min over faces H sharing no vertex with
+    G of dist(G, H), and ``lower[G]`` = the slack-profile bound on
+    ``inner[G]``, which also depends on the rows.  Each is filled on first
+    use and lives as long as the lattice.
     """
 
-    def __init__(self, faces, vertices):
+    def __init__(self, faces, poly):
         super().__init__(faces)
-        self.vertices = vertices
+        self.vertices = np.asarray(poly.enumerate_vertices())
+        self.rows = (poly.D, poly.e)
         self.inner = {}
         self.outer = {}
+        self.lower = {}
 
 
 def _lattice_of(poly, lattice):
     """The lattice given for poly, built when None and checked otherwise.
 
-    A plain list of faces gets a fresh memo; a FaceLattice built from other
-    vertices would index the wrong points and hand back another polytope's
-    separations, so it raises.
+    A plain list of faces gets a fresh memo.  A FaceLattice built from other
+    vertices would index the wrong points, and one built from other rows
+    would hand back their slack bounds, so either raises.
     """
     if lattice is None:
         return face_lattice(poly)
-    V = np.asarray(poly.enumerate_vertices())
     if not isinstance(lattice, FaceLattice):
-        return FaceLattice(lattice, V)
-    if not np.array_equal(lattice.vertices, V):
-        raise PolytopeError("face lattice was built from another polytope's vertices")
+        return FaceLattice(lattice, poly)
+    D, e = lattice.rows
+    if not (np.array_equal(lattice.vertices, np.asarray(poly.enumerate_vertices()))
+            and np.array_equal(D, poly.D) and np.array_equal(e, poly.e)):
+        raise PolytopeError("face lattice was built from another polytope")
     return lattice
 
 
@@ -238,7 +269,7 @@ def face_lattice(poly):
                 queue.append(child)
     ordered = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
     return FaceLattice([LatticeFace(s, _rank(V[sorted(s)] - V[min(s)])) for s in ordered],
-                       V)
+                       poly)
 
 
 def face_vertex_set(poly, face):
@@ -399,16 +430,23 @@ def phi_lower_bound(poly, face, lattice=None):
     does too: min over proper subfaces G of F of the slack-profile bound on
     dist(G, hull of the other vertices).  facial_lower_bound alone bounds
     only the distance for F itself, which can exceed the inner distance.
+    Each subface's bound is memoised in the lattice's ``lower``; the slack
+    profile is computed only when a subface misses.
     """
-    sigma = sigma_profile(poly)
     lattice = _lattice_of(poly, lattice)
     fset = face_vertex_set(poly, face)
     full = frozenset(range(len(lattice.vertices)))
+    sigma = None
     best = np.inf
     for G in lattice:
         if G.vset <= fset and G.vset != full:
-            I_G = binding_rows_of_vset(poly, G.vset)
-            best = min(best, _one_sided_bound(poly, I_G, frozenset(), sigma))
+            low = lattice.lower.get(G.vset)
+            if low is None:
+                if sigma is None:
+                    sigma = sigma_profile(poly)
+                I_G = binding_rows_of_vset(poly, G.vset)
+                low = lattice.lower[G.vset] = _one_sided_bound(poly, I_G, frozenset(), sigma)
+            best = min(best, low)
     if not np.isfinite(best):
         raise PolytopeError("phi_lower_bound: no admissible subface")
     return float(best)

@@ -315,13 +315,10 @@ class AuditReport:
 
 
 def _steps(trace):
-    """(record, f_next) pairs: the objective value reached by each step."""
+    """Yield (record, f_next) pairs: the objective value reached by each step."""
     recs = trace.records
-    out = []
     for k, r in enumerate(recs):
-        f_next = recs[k + 1].f_val if k + 1 < len(recs) else trace.f_final
-        out.append((r, f_next))
-    return out
+        yield r, recs[k + 1].f_val if k + 1 < len(recs) else trace.f_final
 
 
 def audit_progress(trace, L, rel_slack=REL_SLACK):

@@ -79,6 +79,13 @@ def _as_vector(v, k):
     return v
 
 
+def _read_only(rows):
+    """The vertex rows, each made read-only, as the cached vertex list."""
+    for v in rows:
+        v.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True)
 class Face:
     """A face of a polytope, identified by its binding inequality rows."""
@@ -95,7 +102,10 @@ class Polytope:
 
     The base class implements every oracle generically from the inequality
     description and a cached vertex list; structured subclasses override the
-    hot paths with closed forms.
+    hot paths with closed forms.  The cached rows are read-only, since every
+    oracle and the memo tables below read them.  ``_supports`` and
+    ``_gauges`` are the support and gauge tables that ``geometry`` fills on
+    first use and that live as long as the polytope.
     """
 
     def __init__(self, A=None, b=None, D=None, e=None, n=None, name="polytope"):
@@ -114,6 +124,8 @@ class Polytope:
         self.name = name
         self._vertices = None
         self._dim = None
+        self._supports = None
+        self._gauges = {}
 
     # -- description ---------------------------------------------------
 
@@ -249,7 +261,7 @@ class Polytope:
     def enumerate_vertices(self, cap=V_MAX):
         """All vertices, in a fixed deterministic order (cached)."""
         if self._vertices is None:
-            self._vertices = self._enumerate_vertices_impl(cap)
+            self._vertices = _read_only(self._enumerate_vertices_impl(cap))
         if len(self._vertices) > cap:
             raise VertexCapExceeded(
                 f"{self.name}: {len(self._vertices)} vertices exceed cap {cap}"
@@ -550,7 +562,7 @@ class VRepPolytope(Polytope):
                 f"vrep: points at indices {inner} are convex combinations of the others"
             )
         super().__init__(A=hf.A, b=hf.b, D=hf.D, e=hf.e, n=V.shape[1], name=name)
-        self._vertices = [V[i].copy() for i in range(V.shape[0])]
+        self._vertices = _read_only([V[i].copy() for i in range(V.shape[0])])
 
 
 class StdFormPolytope(Polytope):

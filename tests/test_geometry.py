@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwpoly import geometry
-from fwpoly._hulls import hull_distance, project_to_hull
+from fwpoly._hulls import hull_distance, hull_hform, project_to_hull
 from fwpoly.geometry import (
     derive_error_bound,
     estimate_theta,
@@ -21,6 +23,7 @@ from fwpoly.geometry import (
     facial_lower_bound,
     fit_holder_exponent,
     inner_facial_distance,
+    minimal_supports,
     outer_facial_distance,
     phi_lower_bound,
     phi_lower_bound_std,
@@ -316,6 +319,29 @@ class TestSharedLattice:
         assert outer_facial_distance(BOX2, [0], lattice=faces) == pytest.approx(
             1.0, abs=1e-12)
 
+    def test_cube3_sweep_bounds_each_subface_once(self, monkeypatch):
+        bounds, sigmas = [], []
+
+        def counting_bound(*args):
+            bounds.append(1)
+            return one_sided(*args)
+
+        def counting_sigma(poly):
+            sigmas.append(1)
+            return sigma_profile(poly)
+
+        one_sided = geometry._one_sided_bound
+        monkeypatch.setattr(geometry, "_one_sided_bound", counting_bound)
+        monkeypatch.setattr(geometry, "sigma_profile", counting_sigma)
+        poly = named_polytope("cube3")
+        lattice = face_lattice(poly)
+        proper = [G for G in lattice if G.vset != lattice[-1].vset]
+        sweep(poly, lattice)
+        # smallest faces first, so each call misses only on its own face
+        assert len(bounds) == len(sigmas) == len(proper) == len(lattice.lower) == 26
+        sweep(poly, lattice)  # every bound is memoised by now
+        assert len(bounds) == len(sigmas) == 26
+
     @pytest.mark.parametrize("fn", [inner_facial_distance, outer_facial_distance,
                                     phi_lower_bound])
     def test_foreign_lattice_rejected(self, fn):
@@ -327,6 +353,64 @@ class TestSharedLattice:
             fn(other, [0], lattice=lattice)
         with pytest.raises(PolytopeError):
             fn(S3, [0], lattice=lattice)
+        # the same vertices in the same order, other inequality rows: the
+        # slack bounds differ, so the lattice must not be shared either
+        lattice = face_lattice(S3)
+        phi_lower_bound(S3, [0], lattice=lattice)
+        other = VRepPolytope(np.eye(3))
+        assert np.array_equal(lattice.vertices, np.asarray(other.enumerate_vertices()))
+        with pytest.raises(PolytopeError):
+            fn(other, [0], lattice=lattice)
+
+
+# -- per-polytope support and gauge tables --------------------------------------------
+
+TABLE_POLYTOPES = {
+    "cube2std": lambda: sweep_polytope("cube2std"),
+    "cube3": lambda: sweep_polytope("cube3"),
+    "simplex4": lambda: Simplex(4),
+    "simplex5std": std5,
+    "sphere9": lambda: sweep_polytope("sphere9"),
+    "truncsimplex": lambda: sweep_polytope("truncsimplex"),
+}
+# one object per polytope, shared by every example, so its tables fill up
+REUSED = {name: make() for name, make in TABLE_POLYTOPES.items()}
+REUSED_LATTICES = {name: face_lattice(poly) for name, poly in REUSED.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(TABLE_POLYTOPES)), st.integers(0, 2**32 - 1))
+def test_reused_polytope_equals_fresh(name, seed):
+    poly, lattice, fresh = REUSED[name], REUSED_LATTICES[name], TABLE_POLYTOPES[name]
+    rng = np.random.default_rng(seed)
+    V = np.asarray(poly.enumerate_vertices())
+    face = lattice[int(rng.integers(len(lattice)))]
+    x = rng.dirichlet(np.ones(len(face.vset))) @ V[sorted(face.vset)]
+    y = V[int(rng.integers(len(V)))] if rng.random() < 0.3 else poly.sample_point(rng)
+    assert minimal_supports(poly, x) == minimal_supports(fresh(), x)
+    assert vertex_distance(poly, y, x) == vertex_distance(fresh(), y, x)
+    assert face_distance(poly, y, x) == face_distance(fresh(), y, x)
+    assert phi_lower_bound(poly, face, lattice=lattice) == phi_lower_bound(fresh(), face)
+
+
+def test_vertex_distance_builds_each_support_gauge_once(monkeypatch):
+    builds = []
+
+    def counting(points):
+        builds.append(1)
+        return hull_hform(points)
+
+    poly = VRepPolytope(SPHERE9, name="sphere9")
+    monkeypatch.setattr(geometry, "hull_hform", counting)
+    rng = np.random.default_rng(0)
+    xs = [poly.sample_point(rng) for _ in range(6)]
+    supports, evaluated = set(), 0
+    for x in xs + xs:  # the second pass finds every gauge built
+        found = minimal_supports(poly, x)
+        supports.update(found)
+        evaluated += len(found)
+        vertex_distance(poly, poly.sample_point(rng), x)
+    assert len(builds) == len(supports) < evaluated
 
 
 # -- gauge cross-check ---------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fwpoly import geometry
+from fwpoly import geometry, harness
 from fwpoly.harness import (
     audit_drop_accounting,
     audit_fwipw,
@@ -242,6 +242,33 @@ class TestAudits:
         tr = run(inst, "FWIPW", step="pow2", max_iters=1000)
         tr.records[2].eta = 0.3
         assert not audit_fwipw(tr, 1.0, 0.5, inst.L).ok
+
+    def test_steps_are_lazy(self):
+        inst = wolfe_edge()
+        tr = run(inst, "AFW")
+        steps = harness._steps(tr)
+        assert iter(steps) is steps  # an iterator, not a built list
+        assert next(steps) == (tr.records[0], tr.records[1].f_val)
+        *_, last = steps
+        assert last == (tr.records[-1], tr.f_final)
+
+    def test_lazy_steps_keep_reports(self, monkeypatch):
+        # the same verdicts, failure tuples and messages as a built list
+        def listed(trace):
+            recs = trace.records
+            return [(r, recs[k + 1].f_val if k + 1 < len(recs) else trace.f_final)
+                    for k, r in enumerate(recs)]
+
+        inst = wolfe_edge()
+        tr = run(inst, "AFW")
+        tr.records[6].f_val += 1.0
+        mid = fwipw_mid()
+        tr_ipw = run(mid, "FWIPW", step="pow2", max_iters=1000)
+        tr_ipw.records[2].eta = 0.3
+        lazy = [audit_progress(tr, inst.L), audit_fwipw(tr_ipw, 1.0, 0.5, mid.L)]
+        assert [rep.ok for rep in lazy] == [False, False]
+        monkeypatch.setattr(harness, "_steps", listed)
+        assert [audit_progress(tr, inst.L), audit_fwipw(tr_ipw, 1.0, 0.5, mid.L)] == lazy
 
 
 class TestBench:

@@ -271,6 +271,25 @@ class TestVertexEnumeration:
                 e=[0.0, 0.0, -1.0, -1.0, -10.0],
             )
 
+    @pytest.mark.parametrize("make", [
+        lambda: Simplex(3), lambda: Box([0, 0], [1, 2]), lambda: L1Ball(3),
+        lambda: VRepPolytope([(0, 0), (1, 0), (0, 1)]), truncated_simplex,
+        lambda: StdFormPolytope(np.ones((1, 4)), [1.0]),
+    ])
+    def test_cached_rows_are_read_only(self, make):
+        # every oracle and geometry's memo tables read the cached list, so a
+        # write into a row must raise instead of changing them silently
+        poly = make()
+        V = poly.enumerate_vertices()
+        before = np.asarray(V).copy()
+        with pytest.raises(ValueError, match="read-only"):
+            V[0][0] = 5.0
+        assert np.array_equal(np.asarray(poly.enumerate_vertices()), before)
+        g = np.arange(poly.n, dtype=float)
+        for v in (poly.lmo(g), poly.in_face_lmo(poly.lmo(g), g), poly.initial_vertex()):
+            v[0] = 7.0  # the oracles hand out writable copies
+        assert np.array_equal(np.asarray(poly.enumerate_vertices()), before)
+
 
 class TestGeometryHelpers:
     def test_is_vertex(self):
