@@ -52,10 +52,6 @@ class HullHForm:
     e: np.ndarray
     vertex_index: list
 
-    @property
-    def dim(self):
-        return self.D.shape[1] - self.A.shape[0] if self.A.size else self.D.shape[1]
-
 
 def hull_hform(points):
     """Facet description of conv(points), handling flat (low-dim) hulls.

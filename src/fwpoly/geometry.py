@@ -252,9 +252,7 @@ def face_lattice(poly):
     V = np.asarray(poly.enumerate_vertices())
     if not poly.D.size:
         raise PolytopeError("face_lattice needs an inequality description")
-    slack = V @ poly.D.T - poly.e
-    incidence = [frozenset(np.flatnonzero(slack[:, i] <= EPS_BIND).tolist())
-                 for i in range(poly.D.shape[0])]
+    incidence = [frozenset(np.flatnonzero(rows).tolist()) for rows in poly.vertex_slacks()[1].T]
     full = frozenset(range(len(V)))
     seen = {full}
     queue = [full]
@@ -285,25 +283,52 @@ def face_vertex_set(poly, face):
     return frozenset(int(i) for i in face)
 
 
-def binding_rows_of_vset(poly, vset):
-    """Rows binding on every vertex of the face (its canonical binding set)."""
-    V = np.asarray(poly.enumerate_vertices())
-    idx = sorted(vset)
-    slack = V[idx] @ poly.D.T - poly.e
-    return frozenset(np.flatnonzero(np.all(slack <= EPS_BIND, axis=0)).tolist())
-
-
 def minimal_face_of_set(poly, points):
     """Smallest face of the polytope containing all the given points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    binding = None
-    for p in points:
-        rows = frozenset(np.flatnonzero(poly.binding_rows(p)).tolist())
-        binding = rows if binding is None else (binding & rows)
+    rows = np.all([poly.binding_rows(p) for p in points], axis=0)
+    binding = frozenset(np.flatnonzero(rows).tolist())
     return Face(binding, poly.face_dim(binding))
 
 
 # -- facial distances ----------------------------------------------------------
+
+
+def _subface_min(poly, face, lattice, memo, separation, what):
+    """Min over the proper subfaces G of F of separation(poly, lattice, G).
+
+    Each G's separation depends on G alone, so it is memoised in the
+    lattice table named by ``memo`` ("inner", "outer" or "lower") and
+    computed only on a miss.  The whole polytope is no candidate: no vertex
+    lies outside it and no face is disjoint from it.  With no admissible G
+    this raises ``what``.
+    """
+    lattice = _lattice_of(poly, lattice)
+    table = getattr(lattice, memo)
+    fset = face_vertex_set(poly, face)
+    full = frozenset(range(len(lattice.vertices)))
+    best = np.inf
+    for G in lattice:
+        if G.vset <= fset and G.vset != full:
+            sep = table.get(G.vset)
+            if sep is None:
+                sep = table[G.vset] = separation(poly, lattice, G.vset)
+            best = min(best, sep)
+    if not np.isfinite(best):
+        raise PolytopeError(what)
+    return float(best)
+
+
+def _hull_separation(poly, lattice, G):
+    V = lattice.vertices
+    return hull_distance(V[sorted(G)], V[sorted(frozenset(range(len(V))) - G)])
+
+
+def _disjoint_separation(poly, lattice, G):
+    V = lattice.vertices
+    VG = V[sorted(G)]
+    return min((hull_distance(VG, V[sorted(H.vset)]) for H in lattice if not (G & H.vset)),
+               default=np.inf)
 
 
 def inner_facial_distance(poly, face, lattice=None):
@@ -312,21 +337,8 @@ def inner_facial_distance(poly, face, lattice=None):
     For F = C this is the pyramidal width of the vertex set; for proper F
     every subface of F competes.
     """
-    lattice = _lattice_of(poly, lattice)
-    V = lattice.vertices
-    fset = face_vertex_set(poly, face)
-    full = frozenset(range(len(V)))
-    best = np.inf
-    for G in lattice:
-        if G.vset <= fset and G.vset != full:
-            sep = lattice.inner.get(G.vset)
-            if sep is None:
-                sep = hull_distance(V[sorted(G.vset)], V[sorted(full - G.vset)])
-                lattice.inner[G.vset] = sep
-            best = min(best, sep)
-    if not np.isfinite(best):
-        raise PolytopeError("inner_facial_distance: no admissible subface")
-    return float(best)
+    return _subface_min(poly, face, lattice, "inner", _hull_separation,
+                        "inner_facial_distance: no admissible subface")
 
 
 def outer_facial_distance(poly, face, lattice=None):
@@ -335,23 +347,8 @@ def outer_facial_distance(poly, face, lattice=None):
     Faces are disjoint exactly when they share no vertex, so the pair scan
     runs on vertex sets.
     """
-    lattice = _lattice_of(poly, lattice)
-    V = lattice.vertices
-    fset = face_vertex_set(poly, face)
-    best = np.inf
-    for G in lattice:
-        if G.vset <= fset:
-            sep = lattice.outer.get(G.vset)
-            if sep is None:
-                sep, VG = np.inf, V[sorted(G.vset)]
-                for H in lattice:
-                    if not (G.vset & H.vset):
-                        sep = min(sep, hull_distance(VG, V[sorted(H.vset)]))
-                lattice.outer[G.vset] = sep
-            best = min(best, sep)
-    if not np.isfinite(best):
-        raise PolytopeError("outer_facial_distance: no disjoint face pair")
-    return float(best)
+    return _subface_min(poly, face, lattice, "outer", _disjoint_separation,
+                        "outer_facial_distance: no disjoint face pair")
 
 
 # -- slack profile and lower bounds ---------------------------------------------
@@ -359,17 +356,13 @@ def outer_facial_distance(poly, face, lattice=None):
 
 def sigma_profile(poly):
     """Per-row minimal strictly positive slack over the vertices."""
-    V = np.asarray(poly.enumerate_vertices())
+    slack, binding = poly.vertex_slacks()
     if not poly.D.size:
         raise PolytopeError("sigma_profile needs inequality rows")
-    slack = V @ poly.D.T - poly.e
-    sigma = np.empty(poly.D.shape[0])
-    for i in range(sigma.size):
-        strict = slack[:, i] > EPS_BIND
-        if not strict.any():
-            raise PolytopeError(f"sigma_profile: row {i} binds every vertex")
-        sigma[i] = slack[strict, i].min()
-    return sigma
+    every = np.flatnonzero(binding.all(axis=0))
+    if every.size:
+        raise PolytopeError(f"sigma_profile: row {every[0]} binds every vertex")
+    return np.where(binding, np.inf, slack).min(axis=0)
 
 
 def independent_binding_sets(poly, binding):
@@ -397,13 +390,13 @@ def facial_lower_bound(poly, face, other=None):
     """
     sigma = sigma_profile(poly)
     fset = face_vertex_set(poly, face)
-    I_F = binding_rows_of_vset(poly, fset)
+    I_F = poly.face_rows(fset)
     if other is None:
         return _one_sided_bound(poly, I_F, frozenset(), sigma)
     gset = face_vertex_set(poly, other)
     if fset & gset:
         raise PolytopeError("facial_lower_bound: faces must be disjoint")
-    I_G = binding_rows_of_vset(poly, gset)
+    I_G = poly.face_rows(gset)
     return max(
         _one_sided_bound(poly, I_F, I_G, sigma),
         _one_sided_bound(poly, I_G, I_F, sigma),
@@ -430,26 +423,14 @@ def phi_lower_bound(poly, face, lattice=None):
     does too: min over proper subfaces G of F of the slack-profile bound on
     dist(G, hull of the other vertices).  facial_lower_bound alone bounds
     only the distance for F itself, which can exceed the inner distance.
-    Each subface's bound is memoised in the lattice's ``lower``; the slack
-    profile is computed only when a subface misses.
+    Each subface's bound is memoised in the lattice's ``lower``.
     """
-    lattice = _lattice_of(poly, lattice)
-    fset = face_vertex_set(poly, face)
-    full = frozenset(range(len(lattice.vertices)))
-    sigma = None
-    best = np.inf
-    for G in lattice:
-        if G.vset <= fset and G.vset != full:
-            low = lattice.lower.get(G.vset)
-            if low is None:
-                if sigma is None:
-                    sigma = sigma_profile(poly)
-                I_G = binding_rows_of_vset(poly, G.vset)
-                low = lattice.lower[G.vset] = _one_sided_bound(poly, I_G, frozenset(), sigma)
-            best = min(best, low)
-    if not np.isfinite(best):
-        raise PolytopeError("phi_lower_bound: no admissible subface")
-    return float(best)
+    return _subface_min(poly, face, lattice, "lower", _slack_bound,
+                        "phi_lower_bound: no admissible subface")
+
+
+def _slack_bound(poly, lattice, G):
+    return _one_sided_bound(poly, poly.face_rows(G), frozenset(), sigma_profile(poly))
 
 
 def _inv_sigma_bound(poly, rows, sigma):
@@ -474,7 +455,7 @@ def phi_lower_bound_std(poly, face):
         raise PolytopeError("phi_lower_bound_std needs a standard-form polytope")
     sigma = sigma_profile(poly)
     fset = face_vertex_set(poly, face)
-    I_F = sorted(binding_rows_of_vset(poly, fset))
+    I_F = sorted(poly.face_rows(fset))
     if not I_F:
         raise PolytopeError("phi_lower_bound_std: face equals the polytope")
     return _inv_sigma_bound(poly, I_F, sigma)
@@ -508,13 +489,13 @@ def phibar_lower_bound_std(poly, face):
     vals = []
     vert_vals = []
     for j in sorted(fset):
-        I_v = sorted(binding_rows_of_vset(poly, frozenset([j])))
+        I_v = sorted(poly.face_rows([j]))
         if not I_v:
             continue
         vert_vals.append(_inv_sigma_bound(poly, I_v, sigma))
     if vert_vals:
         vals.append(min(vert_vals))
-    I_F = binding_rows_of_vset(poly, fset)
+    I_F = poly.face_rows(fset)
     comp = sorted(set(range(poly.n)) - set(I_F))
     if comp:
         vals.append(_inv_sigma_bound(poly, comp, sigma))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._hulls import project_to_hull
-from .geometry import face_lattice, binding_rows_of_vset
+from .geometry import face_lattice
 from .polytope import PolytopeError
 
 _PD_TOL = 1e-10
@@ -38,13 +38,9 @@ class Objective:
     def grad(self, x):
         raise NotImplementedError
 
-    @property
-    def smoothness(self):
-        raise NotImplementedError
-
     def smoothness_on(self, poly):
         """Lipschitz constant of the gradient valid on the given polytope."""
-        return self.smoothness
+        raise NotImplementedError
 
 
 class Quadratic(Objective):
@@ -77,8 +73,8 @@ class Quadratic(Objective):
         """Exact second derivative along d; enables closed-form line search."""
         return float(d @ self.Q @ d)
 
-    @property
-    def smoothness(self):
+    def smoothness_on(self, poly):
+        """The top eigenvalue of Q, which bounds the curvature on any polytope."""
         return float(max(self._eigs[-1], 0.0))
 
     @property
@@ -86,7 +82,7 @@ class Quadratic(Objective):
         return float(max(self._eigs[0], 0.0))
 
     def __repr__(self):
-        return f"Quadratic(n={self.n}, L={self.smoothness:.6g})"
+        return f"Quadratic(n={self.n}, L={self.smoothness_on(None):.6g})"
 
 
 class PowerDistance(Objective):
@@ -114,12 +110,6 @@ class PowerDistance(Objective):
         if nr == 0.0:
             return np.zeros_like(r)
         return self.p * nr ** (self.p - 2.0) * r
-
-    @property
-    def smoothness(self):
-        raise PolytopeError(
-            "PowerDistance smoothness depends on the domain; use smoothness_on(poly)"
-        )
 
     def smoothness_on(self, poly):
         V = np.asarray(poly.enumerate_vertices())
@@ -231,7 +221,7 @@ def minimize_quadratic(obj, poly):
     lattice = face_lattice(poly)
     cands = []
     for lat in lattice:
-        binding = binding_rows_of_vset(poly, lat.vset)
+        binding = poly.face_rows(lat.vset)
         x = _quadratic_face_min(obj, poly, binding)
         if x is None or not poly.contains(x, tol=1e-8):
             continue

@@ -9,7 +9,10 @@ Conventions shared across the package:
 * all points are 1-d float numpy arrays,
 * inequality rows within EPS_BIND of equality count as binding, and the
   inequality slacks D x - e and rates D d come from ``_slack`` and ``_rate``,
-  which Simplex and Box compute in O(n) without the dense rows,
+  which Simplex, Box and StdFormPolytope compute in O(n) without the dense
+  rows,
+* which rows bind at which vertex is read from one table per polytope,
+  ``vertex_slacks()``, and from nowhere else,
 * LMO ties break toward the lowest vertex index (vertex lists keep a fixed
   deterministic order),
 * max_step returns ``inf`` for directions of norm below EPS_DIRECTION, and
@@ -22,6 +25,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -70,8 +74,10 @@ def _as_point(x, n):
     return x
 
 
-def _as_vector(v, k):
+def _as_vector(v, k, name):
     if v is None:
+        if k:
+            raise PolytopeError(f"missing {name}: {k} rows need a right-hand side")
         return np.zeros(0)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.size != k:
@@ -80,10 +86,32 @@ def _as_vector(v, k):
 
 
 def _read_only(rows):
-    """The vertex rows, each made read-only, as the cached vertex list."""
+    """The given arrays, each made read-only: a cached vertex list or table."""
     for v in rows:
         v.setflags(write=False)
     return rows
+
+
+def _basis_vertices(name, rows, size, solve):
+    """The distinct points that ``solve`` finds over the size-subsets of rows.
+
+    ``solve`` maps a subset, a list of row indices in combinations order, to
+    a vertex or None.  Both basis enumerations share this: the subset-count
+    cap, the dedup at 9 decimals (the first point found is kept), the order
+    by coordinates rounded to 12 decimals and the empty-set error.
+    """
+    count = comb(rows, size)
+    if count > _BASIS_ENUM_CAP:
+        raise VertexCapExceeded(f"{name}: basis enumeration over {count} subsets refused")
+    seen = {}
+    for subset in itertools.combinations(range(rows), size):
+        x = solve(list(subset))
+        if x is not None:
+            seen.setdefault(tuple(np.round(x, 9) + 0.0), x)
+    verts = sorted(seen.values(), key=lambda v: tuple(np.round(v, 12)))
+    if not verts:
+        raise PolytopeError(f"{name}: no vertices found (empty polytope?)")
+    return verts
 
 
 @dataclass(frozen=True)
@@ -103,7 +131,8 @@ class Polytope:
     The base class implements every oracle generically from the inequality
     description and a cached vertex list; structured subclasses override the
     hot paths with closed forms.  The cached rows are read-only, since every
-    oracle and the memo tables below read them.  ``_supports`` and
+    oracle and the memo tables below read them.  ``vertex_slacks()`` is the
+    vertex-facet incidence, built on first use.  ``_supports`` and
     ``_gauges`` are the support and gauge tables that ``geometry`` fills on
     first use and that live as long as the polytope.
     """
@@ -118,11 +147,12 @@ class Polytope:
             raise PolytopeError("cannot infer the ambient dimension")
         self.n = int(n)
         self.A = _as_matrix(A, self.n)
-        self.b = _as_vector(b, self.A.shape[0])
+        self.b = _as_vector(b, self.A.shape[0], "b")
         self.D = _as_matrix(D, self.n)
-        self.e = _as_vector(e, self.D.shape[0])
+        self.e = _as_vector(e, self.D.shape[0], "e")
         self.name = name
         self._vertices = None
+        self._slacks = None
         self._dim = None
         self._supports = None
         self._gauges = {}
@@ -166,8 +196,6 @@ class Polytope:
 
     def binding_rows(self, x):
         """Boolean mask of inequality rows binding at x."""
-        if not self.D.size:
-            return np.zeros(0, dtype=bool)
         return self._slack(np.asarray(x, dtype=float)) <= EPS_BIND
 
     def minimal_face(self, x):
@@ -180,13 +208,7 @@ class Polytope:
 
     def face_dim(self, binding):
         """Dimension of the face cut out by the given binding inequality rows."""
-        rows = [self.A] if self.A.size else []
-        idx = sorted(binding)
-        if idx:
-            rows.append(self.D[idx])
-        if not rows:
-            return self.n
-        return self.n - _rank(np.vstack(rows))
+        return self.n - _rank(np.vstack([self.A, self.D[sorted(binding)]]))
 
     def face_dim_at(self, x):
         """Dimension of the minimal face of x, which must lie in the polytope.
@@ -197,17 +219,30 @@ class Polytope:
         only where rounding decides whether a row binds, and on an L1Ball
         with no facet rows (n > 12) only this method sees the faces.
         """
-        binding = frozenset(np.flatnonzero(self.binding_rows(x)).tolist())
-        return self.face_dim(binding)
+        return self.face_dim(np.flatnonzero(self.binding_rows(x)))
+
+    def vertex_slacks(self):
+        """The vertex slack table V D^T - e and its binding mask, slack <= EPS_BIND.
+
+        Row j holds the slacks of vertex j against the inequality rows.  The
+        mask is the one place that decides which rows bind at which vertex:
+        every face query on vertices reads it.  Both arrays are read-only,
+        built on first use and kept as long as the vertex list.
+        """
+        if self._slacks is None:
+            slack = np.asarray(self.enumerate_vertices()) @ self.D.T - self.e
+            self._slacks = _read_only((slack, slack <= EPS_BIND))
+        return self._slacks
 
     def face_vertex_index(self, binding):
         """Indices of the polytope vertices lying on the given face."""
-        V = np.asarray(self.enumerate_vertices())
-        idx = sorted(binding)
-        if not idx:
-            return list(range(len(V)))
-        ok = np.all(V @ self.D[idx].T - self.e[idx] <= EPS_BIND, axis=1)
-        return [int(i) for i in np.flatnonzero(ok)]
+        _, bind = self.vertex_slacks()
+        return np.flatnonzero(bind[:, sorted(binding)].all(axis=1)).tolist()
+
+    def face_rows(self, vset):
+        """Rows binding on every vertex in vset: the canonical binding set of its face."""
+        _, bind = self.vertex_slacks()
+        return frozenset(np.flatnonzero(bind[sorted(vset)].all(axis=0)).tolist())
 
     def face_vertices(self, face):
         binding = face.binding if isinstance(face, Face) else frozenset(face)
@@ -226,11 +261,13 @@ class Polytope:
 
     def in_face_lmo(self, x, g):
         """A vertex of the minimal face of x minimizing <g, v>."""
-        face = self.minimal_face(x)
-        idx = self.face_vertex_index(face.binding)
-        if not idx:
+        x = np.asarray(x, dtype=float)
+        if not self.contains(x):
+            raise PolytopeError("in_face_lmo: point is not in the polytope")
+        on_face = self.vertex_slacks()[1][:, self.binding_rows(x)].all(axis=1)
+        if not on_face.any():
             raise PolytopeError("in_face_lmo: face has no vertices")
-        V = np.asarray(self.enumerate_vertices())[idx]
+        V = np.asarray(self.enumerate_vertices())[on_face]
         return V[int(np.argmin(V @ np.asarray(g, dtype=float)))].copy()
 
     def max_step(self, x, d):
@@ -270,34 +307,20 @@ class Polytope:
 
     def _enumerate_vertices_impl(self, cap):
         m = np.linalg.matrix_rank(self.A) if self.A.size else 0
-        k = self.D.shape[0]
-        need = self.n - m
-        if need < 0:
+        if self.n < m:
             raise PolytopeError("over-determined equality system")
-        from math import comb
 
-        if comb(k, need) > _BASIS_ENUM_CAP:
-            raise VertexCapExceeded(
-                f"{self.name}: basis enumeration over {comb(k, need)} subsets refused"
-            )
-        seen = {}
-        for subset in itertools.combinations(range(k), need):
-            M = np.vstack([self.A, self.D[list(subset)]]) if self.A.size else self.D[list(subset)]
-            rhs = np.concatenate([self.b, self.e[list(subset)]])
+        def solve(rows):
+            M = np.vstack([self.A, self.D[rows]]) if self.A.size else self.D[rows]
             if M.shape[0] != self.n or np.linalg.matrix_rank(M) < self.n:
-                continue
+                return None
             try:
-                x = np.linalg.solve(M, rhs)
+                x = np.linalg.solve(M, np.concatenate([self.b, self.e[rows]]))
             except np.linalg.LinAlgError:
-                continue
-            if self.contains(x, tol=1e-8):
-                key = tuple(np.round(x, 9) + 0.0)
-                if key not in seen:
-                    seen[key] = x
-        verts = sorted(seen.values(), key=lambda v: tuple(np.round(v, 12)))
-        if not verts:
-            raise PolytopeError(f"{self.name}: no vertices found (empty polytope?)")
-        return verts
+                return None
+            return x if self.contains(x, tol=1e-8) else None
+
+        return _basis_vertices(self.name, self.D.shape[0], self.n - m, solve)
 
     def initial_vertex(self):
         """Deterministic starting vertex for the solvers."""
@@ -590,56 +613,33 @@ class StdFormPolytope(Polytope):
         )
         return res.status == 0 and -res.fun > 1e-9
 
-    def contains(self, x, tol=1e-8):
-        # the generic test with D x - e = x: no dense identity product
-        x = _as_point(x, self.n)
-        return bool(np.abs(self.A @ x - self.b).max() <= tol and x.min() >= -tol)
+    def _slack(self, x):
+        return x - self.e  # D is the identity
+
+    def _rate(self, d):
+        return d
 
     def face_dim_at(self, x):
         # the binding rows x_i >= 0 pin the zero coordinates; A pins the rest
         supp = np.asarray(x, dtype=float) > EPS_BIND
         return int(supp.sum()) - _rank(self.A[:, supp])
 
-    def in_face_lmo(self, x, g):
-        """LMO of the sub-polytope with the zero coordinates of x pinned."""
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise PolytopeError("in_face_lmo: point is not in the polytope")
-        fixed = x <= EPS_BIND
-        V = np.asarray(self.enumerate_vertices())
-        ok = np.flatnonzero(np.all(V[:, fixed] <= EPS_BIND, axis=1))
-        if ok.size == 0:
-            raise PolytopeError("in_face_lmo: face has no vertices")
-        sub = V[ok]
-        return sub[int(np.argmin(sub @ np.asarray(g, dtype=float)))].copy()
-
     def _enumerate_vertices_impl(self, cap):
-        from math import comb
-
-        if comb(self.n, self.m) > _BASIS_ENUM_CAP:
-            raise VertexCapExceeded(
-                f"{self.name}: basis enumeration over {comb(self.n, self.m)} bases refused"
-            )
-        seen = {}
-        for cols in itertools.combinations(range(self.n), self.m):
+        def solve(cols):
             B = self.A[:, cols]
             if np.linalg.matrix_rank(B) < self.m:
-                continue
+                return None
             try:
                 xb = np.linalg.solve(B, self.b)
             except np.linalg.LinAlgError:
-                continue
+                return None
             if xb.min() < -1e-9:
-                continue
+                return None
             x = np.zeros(self.n)
-            x[list(cols)] = np.maximum(xb, 0.0)
-            key = tuple(np.round(x, 9) + 0.0)
-            if key not in seen:
-                seen[key] = x
-        verts = sorted(seen.values(), key=lambda v: tuple(np.round(v, 12)))
-        if not verts:
-            raise PolytopeError(f"{self.name}: empty feasible region")
-        return verts
+            x[cols] = np.maximum(xb, 0.0)
+            return x
+
+        return _basis_vertices(self.name, self.n, self.m, solve)
 
     def is_simplex_like(self):
         """True when every vertex has 0/1 coordinates (to within 1e-9)."""
@@ -660,10 +660,9 @@ class HFormPolytope(Polytope):
         self._validate_rows()
 
     def _validate_rows(self):
-        V = np.asarray(self.enumerate_vertices())
-        slack = V @ self.D.T - self.e  # (num_vertices, k)
-        never_binding = np.flatnonzero(slack.min(axis=0) > EPS_BIND)
-        always_binding = np.flatnonzero(slack.max(axis=0) <= EPS_BIND)
+        _, bind = self.vertex_slacks()
+        never_binding = np.flatnonzero(~bind.any(axis=0))
+        always_binding = np.flatnonzero(bind.all(axis=0))
         if never_binding.size:
             raise PolytopeError(
                 f"hform rows {never_binding.tolist()} are never binding (redundant)"

@@ -252,9 +252,6 @@ def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
     is feasible.
     """
     variant = variant.upper()
-    if step in ("ss", "pow2") and L is None:
-        L = curvature_constant(obj, poly)
-    rule = StepRule(step, L)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if gap_tol <= 0:
@@ -265,6 +262,9 @@ def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
         raise ValueError("FWIPW requires the pow2 step rule")
     if variant != "FWIPW" and step == "pow2":
         raise ValueError("the pow2 step rule is specific to FWIPW")
+    if step in ("ss", "pow2") and L is None:
+        L = curvature_constant(obj, poly)
+    rule = StepRule(step, L)
 
     state = _STATES[variant](poly, variant, rule, x0)
     records = []

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from fwpoly.geometry import face_lattice, sigma_profile
 from fwpoly.polytope import (
     Box,
     Face,
@@ -291,6 +292,43 @@ class TestVertexEnumeration:
         assert np.array_equal(np.asarray(poly.enumerate_vertices()), before)
 
 
+class TestVertexSlackTable:
+    POLYS = [lambda: Simplex(3), lambda: Box([0, 0], [1, 2]), lambda: L1Ball(3),
+             lambda: VRepPolytope([(0, 0), (1, 0), (0, 1)]), truncated_simplex,
+             lambda: StdFormPolytope(np.ones((1, 4)), [1.0])]
+    IDS = ["simplex3", "box2", "l1ball3", "vrep3", "truncsimplex", "std4"]
+
+    @pytest.mark.parametrize("make", POLYS, ids=IDS)
+    def test_built_once_and_read_only(self, make):
+        # every incidence query reads the one table, so none may rebuild it
+        # and no caller may write into it
+        poly = make()
+        slack, binding = poly.vertex_slacks()
+        lattice = face_lattice(poly)
+        sigma_profile(poly)
+        x = poly.sample_point(np.random.default_rng(0))
+        poly.in_face_lmo(x, np.arange(poly.n, dtype=float))
+        for face in lattice:
+            poly.face_vertex_index(poly.face_rows(face.vset))
+        again = poly.vertex_slacks()
+        assert again[0] is slack and again[1] is binding
+        for table, value in ((slack, 1.0), (binding, False)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = value
+
+    @pytest.mark.parametrize("make", POLYS, ids=IDS)
+    def test_matches_the_vertex_rows(self, make):
+        # the table is V D^T - e, and each lattice face is exactly the vertex
+        # set that its binding rows cut out
+        poly = make()
+        V = np.asarray(poly.enumerate_vertices())
+        slack, binding = poly.vertex_slacks()
+        assert np.array_equal(slack, V @ poly.D.T - poly.e)
+        assert np.array_equal(binding, slack <= 1e-9)
+        for face in face_lattice(poly):
+            assert poly.face_vertex_index(poly.face_rows(face.vset)) == sorted(face.vset)
+
+
 class TestGeometryHelpers:
     def test_is_vertex(self):
         box = Box([0, 0], [1, 1])
@@ -368,6 +406,27 @@ class TestFileFormat:
             p.write_text(bad if isinstance(bad, str) else json.dumps(bad))
             with pytest.raises(PolytopeError):
                 load_polytope(p)
+
+    def test_missing_right_hand_side_rejected(self, tmp_path):
+        # rows without their right-hand side are refused when the polytope is
+        # built, not later inside the vertex enumeration or a membership test
+        D = np.vstack([np.eye(3), -np.eye(3)])
+        e = [0, 0, 0, -0.6, -0.6, -0.6]
+        with pytest.raises(PolytopeError, match="missing b"):
+            HFormPolytope(A=[[1, 1, 1]], b=None, D=D, e=e)
+        with pytest.raises(PolytopeError, match="missing b"):
+            Polytope(A=[[1, 1, 1]], D=D, e=e)
+        with pytest.raises(PolytopeError, match="missing e"):
+            Polytope(D=D)
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps({"A": [[1, 1, 1]], "D": D.tolist(), "e": e}))
+        with pytest.raises(PolytopeError, match="missing b"):
+            load_polytope(p)
+        p = tmp_path / "h.poly"
+        p.write_text("hform\nA 1 1 1\n" + "".join(
+            "D " + " ".join(map(str, row)) + "\n" for row in D) + "e 0 0 0 -0.6 -0.6 -0.6\n")
+        with pytest.raises(PolytopeError, match="missing b"):
+            load_polytope(p)
 
     def test_comments_and_unknown_kind(self, tmp_path):
         p = tmp_path / "c.poly"

@@ -24,7 +24,7 @@ from fwpoly.instances import (
 )
 from fwpoly import active_set
 from fwpoly.active_set import ActiveSet
-from fwpoly.objectives import Objective, distance_squared
+from fwpoly.objectives import Objective, distance_squared, power_distance
 from fwpoly.polytope import Box, PolytopeError, Simplex
 from fwpoly.solvers import CSV_COLUMNS, IterRecord, RunTrace, solve
 
@@ -269,6 +269,20 @@ class TestValidation:
     def test_infeasible_x0_rejected(self):
         with pytest.raises(PolytopeError):
             solve(S3, self.OBJ, "FW", x0=np.array([2.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("variant, step, kwargs, message", [
+        ("nope", "ss", {}, "unknown variant 'NOPE'"),
+        ("FW", "ss", {"gap_tol": 0.0}, "gap_tol must be positive"),
+        ("FW", "ss", {"max_iters": -1}, "max_iters must be nonnegative"),
+        ("FWIPW", "ss", {}, "FWIPW requires the pow2 step rule"),
+        ("FW", "pow2", {}, "the pow2 step rule is specific to FWIPW"),
+    ])
+    def test_arguments_checked_before_the_curvature_constant(self, variant, step,
+                                                             kwargs, message):
+        # L for a power distance needs every vertex of the box: 2^70 of them
+        box = Box(np.zeros(70), np.ones(70))
+        with pytest.raises(ValueError, match=message):
+            solve(box, power_distance(np.zeros(70), 4), variant, step=step, **kwargs)
 
 
 class TestExactVertexIdentity:
