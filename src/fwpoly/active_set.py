@@ -16,9 +16,9 @@ A vertex is identified by its exact coordinates: the key is the tuple of
 its floats, so two rows merge only when they are equal (-0.0 equals 0.0).
 No rounding is needed because every vertex comes from the polytope's own
 oracles, which return the same bits for the same vertex: ``lmo`` and
-``in_face_lmo`` build e_i, lo/hi or +-r e_i in closed form or copy a cached
-``enumerate_vertices()`` row, and ``from_vertex`` replaces a caller's start
-point by the polytope's own coordinates for that vertex.
+``in_face_lmo`` build e_i, lo/hi or +-r e_i in closed form or copy a row of
+the read-only ``enumerate_vertices()`` array, and ``from_vertex`` replaces a
+caller's start point by the polytope's own coordinates for that vertex.
 
 Rows stay sorted by key, which is exact lexicographic order, so every
 reduction over the support runs in a fixed order: the point and the away /

@@ -49,7 +49,7 @@ SUPPORT_MARGIN = 1e-10
 def _check_pair(poly, y, x):
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    if not poly.contains(x, tol=1e-8) or not poly.contains(y, tol=1e-8):
+    if not poly.contains(x) or not poly.contains(y):
         raise PolytopeError("distance: both points must lie in the polytope")
     return y, x
 
@@ -79,7 +79,7 @@ def _difference_hform(poly, idx):
     """
     hf = poly._gauges.get(idx)
     if hf is None:
-        V = np.asarray(poly.enumerate_vertices())
+        V = poly.enumerate_vertices()
         diffs = (V[:, None, :] - V[list(idx)][None, :, :]).reshape(-1, poly.n)
         hf = poly._gauges[idx] = hull_hform(diffs)
     return hf
@@ -123,7 +123,7 @@ def _support_table(poly):
     most dim+1, in itertools.combinations order, each with its bordered
     matrix [V_S^T; 1].
     """
-    V = np.asarray(poly.enumerate_vertices(cap=VERTEX_DIST_VMAX))
+    V = poly.enumerate_vertices(cap=VERTEX_DIST_VMAX)
     if poly._supports is None:
         table = []
         for size in range(1, poly.dim() + 2):
@@ -218,7 +218,7 @@ class FaceLattice(list):
 
     def __init__(self, faces, poly):
         super().__init__(faces)
-        self.vertices = np.asarray(poly.enumerate_vertices())
+        self.vertices = poly.enumerate_vertices()
         self.rows = (poly.D, poly.e)
         self.inner = {}
         self.outer = {}
@@ -237,7 +237,7 @@ def _lattice_of(poly, lattice):
     if not isinstance(lattice, FaceLattice):
         return FaceLattice(lattice, poly)
     D, e = lattice.rows
-    if not (np.array_equal(lattice.vertices, np.asarray(poly.enumerate_vertices()))
+    if not (np.array_equal(lattice.vertices, poly.enumerate_vertices())
             and np.array_equal(D, poly.D) and np.array_equal(e, poly.e)):
         raise PolytopeError("face lattice was built from another polytope")
     return lattice
@@ -249,7 +249,7 @@ def face_lattice(poly):
     Every face is an intersection of facets, so closing the full vertex set
     under single-facet intersections enumerates the lattice.
     """
-    V = np.asarray(poly.enumerate_vertices())
+    V = poly.enumerate_vertices()
     if not poly.D.size:
         raise PolytopeError("face_lattice needs an inequality description")
     incidence = [frozenset(np.flatnonzero(rows).tolist()) for rows in poly.vertex_slacks()[1].T]
@@ -274,13 +274,19 @@ def face_vertex_set(poly, face):
     """Normalize a face argument to a frozenset of vertex indices.
 
     Accepts a Face (binding rows), an iterable of vertex indices, or a
-    LatticeFace.
+    LatticeFace.  Vertex indices must name a face: a non-empty set of
+    in-range indices that equals the vertex set its common binding rows cut
+    out, so a diagonal of a square is refused.
     """
     if isinstance(face, LatticeFace):
         return face.vset
     if isinstance(face, Face):
         return frozenset(poly.face_vertex_index(face.binding))
-    return frozenset(int(i) for i in face)
+    vset = frozenset(int(i) for i in face)
+    if not (vset and 0 <= min(vset) and max(vset) < len(poly.enumerate_vertices())
+            and vset == frozenset(poly.face_vertex_index(poly.face_rows(vset)))):
+        raise PolytopeError(f"vertices {sorted(vset)} do not form a face of {poly.name}")
+    return vset
 
 
 def minimal_face_of_set(poly, points):
@@ -512,12 +518,16 @@ def relative_boundary_distance(poly, x):
 
     Each inequality row is projected onto the tangent space of the affine
     hull; the minimum normalized slack is the exact distance for points in
-    the relative interior.
+    the relative interior.  Without inequality rows only a single point has
+    no boundary; any larger polytope raises, as its boundary is not kept.
     """
     x = np.asarray(x, dtype=float)
-    if not poly.contains(x, tol=1e-8):
+    if not poly.contains(x):
         raise PolytopeError("relative_boundary_distance: point outside polytope")
     if not poly.D.size:
+        if poly.dim():
+            raise PolytopeError(
+                f"relative_boundary_distance: {poly.name} keeps no facet rows")
         return np.inf
     if poly.A.size:
         _, _, Vt = np.linalg.svd(poly.A, full_matrices=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._hulls import project_to_hull
 from .geometry import face_lattice
-from .polytope import PolytopeError
+from .polytope import PolytopeError, _read_only
 
 _PD_TOL = 1e-10
 
@@ -46,13 +46,13 @@ class Objective:
 class Quadratic(Objective):
     def __init__(self, Q, c, c0=0.0):
         Q = np.asarray(Q, dtype=float)
-        c = np.asarray(c, dtype=float)
+        c = np.array(c, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or c.shape != (Q.shape[0],):
             raise ValueError("Quadratic: Q must be square and match c")
         if not np.allclose(Q, Q.T, atol=1e-10):
             raise ValueError("Quadratic: Q must be symmetric")
-        self.Q = 0.5 * (Q + Q.T)
-        self.c = c
+        self.Q = _read_only(0.5 * (Q + Q.T))
+        self.c = _read_only(c)
         self.c0 = float(c0)
         self._eigs = np.linalg.eigvalsh(self.Q)
         if self._eigs[0] < -1e-9 * max(1.0, abs(self._eigs[-1])):
@@ -89,7 +89,7 @@ class PowerDistance(Objective):
     """f(x) = ||x - center||^p with p >= 2."""
 
     def __init__(self, center, p):
-        self.center = np.asarray(center, dtype=float)
+        self.center = _read_only(np.array(center, dtype=float))
         self.p = float(p)
         if self.p < 2:
             raise ValueError("PowerDistance: p must be >= 2")
@@ -112,7 +112,7 @@ class PowerDistance(Objective):
         return self.p * nr ** (self.p - 2.0) * r
 
     def smoothness_on(self, poly):
-        V = np.asarray(poly.enumerate_vertices())
+        V = poly.enumerate_vertices()
         R = float(np.linalg.norm(V - self.center, axis=1).max())
         if self.p == 2.0:
             return 2.0
@@ -154,7 +154,7 @@ def audit_curvature(obj, poly):
     """
     rng = np.random.default_rng(0)
     bound = curvature_constant(obj, poly)
-    V = np.asarray(poly.enumerate_vertices())
+    V = poly.enumerate_vertices()
     worst = 0.0
 
     def secant(x, d, eta):
@@ -223,7 +223,7 @@ def minimize_quadratic(obj, poly):
     for lat in lattice:
         binding = poly.face_rows(lat.vset)
         x = _quadratic_face_min(obj, poly, binding)
-        if x is None or not poly.contains(x, tol=1e-8):
+        if x is None or not poly.contains(x):
             continue
         cands.append((obj.value(x), x))
     if not cands:
@@ -242,7 +242,7 @@ def minimize_quadratic(obj, poly):
 
 def minimize_power_distance(obj, poly):
     """Project the center onto the polytope; the projection minimizes any power."""
-    V = np.asarray(poly.enumerate_vertices())
+    V = poly.enumerate_vertices()
     dist, lam = project_to_hull(V, obj.center)
     x = lam @ V
     scale = max(1.0, float(np.abs(V).max()))

@@ -13,8 +13,10 @@ Conventions shared across the package:
   rows,
 * which rows bind at which vertex is read from one table per polytope,
   ``vertex_slacks()``, and from nowhere else,
-* LMO ties break toward the lowest vertex index (vertex lists keep a fixed
-  deterministic order),
+* the data is frozen at construction: A, b, D, e are read-only private
+  copies, and ``enumerate_vertices()`` is one read-only (k, n) array in a
+  fixed deterministic order, so nothing cached from them can go stale,
+* LMO ties break toward the lowest vertex index,
 * max_step returns ``inf`` for directions of norm below EPS_DIRECTION, and
   callers that need a finite cap replace it by 1.0.
 """
@@ -33,6 +35,7 @@ from ._hulls import hull_hform
 
 EPS_BIND = 1e-9
 EPS_DIRECTION = 1e-14
+FEAS_TOL = 1e-8
 ETA_CAP = 1e6
 V_MAX = 64
 FACE_LATTICE_MAX = 4096
@@ -48,14 +51,13 @@ class VertexCapExceeded(PolytopeError):
 
 
 def _as_matrix(M, n):
-    if M is None:
-        return np.zeros((0, n))
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    """M as a read-only private float copy with n columns; None gives no rows."""
+    M = np.zeros((0, n)) if M is None else np.atleast_2d(np.array(M, dtype=float))
     if M.size == 0:
-        return np.zeros((0, n))
+        M = np.zeros((0, n))
     if M.shape[1] != n:
         raise PolytopeError(f"expected {n} columns, got {M.shape[1]}")
-    return M
+    return _read_only(M)
 
 
 def _rank(M):
@@ -75,21 +77,19 @@ def _as_point(x, n):
 
 
 def _as_vector(v, k, name):
-    if v is None:
-        if k:
-            raise PolytopeError(f"missing {name}: {k} rows need a right-hand side")
-        return np.zeros(0)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    """v as a read-only private float copy of length k."""
+    if v is None and k:
+        raise PolytopeError(f"missing {name}: {k} rows need a right-hand side")
+    v = np.atleast_1d(np.array([] if v is None else v, dtype=float))
     if v.size != k:
         raise PolytopeError(f"expected length {k}, got {v.size}")
-    return v
+    return _read_only(v)
 
 
-def _read_only(rows):
-    """The given arrays, each made read-only: a cached vertex list or table."""
-    for v in rows:
-        v.setflags(write=False)
-    return rows
+def _read_only(a):
+    """The array a, made read-only: frozen problem data or a cached table."""
+    a.setflags(write=False)
+    return a
 
 
 def _basis_vertices(name, rows, size, solve):
@@ -98,7 +98,8 @@ def _basis_vertices(name, rows, size, solve):
     ``solve`` maps a subset, a list of row indices in combinations order, to
     a vertex or None.  Both basis enumerations share this: the subset-count
     cap, the dedup at 9 decimals (the first point found is kept), the order
-    by coordinates rounded to 12 decimals and the empty-set error.
+    by coordinates rounded to 12 decimals into the rows of one array, and the
+    empty-set error.
     """
     count = comb(rows, size)
     if count > _BASIS_ENUM_CAP:
@@ -108,10 +109,9 @@ def _basis_vertices(name, rows, size, solve):
         x = solve(list(subset))
         if x is not None:
             seen.setdefault(tuple(np.round(x, 9) + 0.0), x)
-    verts = sorted(seen.values(), key=lambda v: tuple(np.round(v, 12)))
-    if not verts:
+    if not seen:
         raise PolytopeError(f"{name}: no vertices found (empty polytope?)")
-    return verts
+    return np.array(sorted(seen.values(), key=lambda v: tuple(np.round(v, 12))))
 
 
 @dataclass(frozen=True)
@@ -129,12 +129,12 @@ class Polytope:
     """Bounded polytope with equality rows A x = b and inequalities D x >= e.
 
     The base class implements every oracle generically from the inequality
-    description and a cached vertex list; structured subclasses override the
-    hot paths with closed forms.  The cached rows are read-only, since every
-    oracle and the memo tables below read them.  ``vertex_slacks()`` is the
-    vertex-facet incidence, built on first use.  ``_supports`` and
-    ``_gauges`` are the support and gauge tables that ``geometry`` fills on
-    first use and that live as long as the polytope.
+    description and the cached vertex array; structured subclasses override
+    the hot paths with closed forms.  The rows and the vertex array are
+    read-only, since every oracle and the memo tables below read them.
+    ``vertex_slacks()`` is the vertex-facet incidence, built on first use.
+    ``_supports`` and ``_gauges`` are the support and gauge tables that
+    ``geometry`` fills on first use and that live as long as the polytope.
     """
 
     def __init__(self, A=None, b=None, D=None, e=None, n=None, name="polytope"):
@@ -167,11 +167,11 @@ class Polytope:
         """Dimension of the polytope (affine dimension of its vertex set)."""
         if self._dim is None:
             V = self.enumerate_vertices()
-            self._dim = _rank(np.asarray(V) - V[0])
+            self._dim = _rank(V - V[0])
         return self._dim
 
     def diameter(self):
-        V = np.asarray(self.enumerate_vertices())
+        V = self.enumerate_vertices()
         d2 = np.sum((V[:, None, :] - V[None, :, :]) ** 2, axis=-1)
         return float(np.sqrt(d2.max()))
 
@@ -185,7 +185,7 @@ class Polytope:
         """Rates D d at which the slacks change along d."""
         return self.D @ d
 
-    def contains(self, x, tol=1e-8):
+    def contains(self, x, tol=FEAS_TOL):
         # written so that a NaN residual or slack fails the test
         x = _as_point(x, self.n)
         if self.A.size and not np.abs(self.A @ x - self.b).max() <= tol:
@@ -227,11 +227,11 @@ class Polytope:
         Row j holds the slacks of vertex j against the inequality rows.  The
         mask is the one place that decides which rows bind at which vertex:
         every face query on vertices reads it.  Both arrays are read-only,
-        built on first use and kept as long as the vertex list.
+        built on first use and kept as long as the vertex array.
         """
         if self._slacks is None:
-            slack = np.asarray(self.enumerate_vertices()) @ self.D.T - self.e
-            self._slacks = _read_only((slack, slack <= EPS_BIND))
+            slack = _read_only(self.enumerate_vertices() @ self.D.T - self.e)
+            self._slacks = slack, _read_only(slack <= EPS_BIND)
         return self._slacks
 
     def face_vertex_index(self, binding):
@@ -245,9 +245,9 @@ class Polytope:
         return frozenset(np.flatnonzero(bind[sorted(vset)].all(axis=0)).tolist())
 
     def face_vertices(self, face):
+        """The vertices on a face (a Face or its binding rows), one per row."""
         binding = face.binding if isinstance(face, Face) else frozenset(face)
-        V = self.enumerate_vertices()
-        return [V[i] for i in self.face_vertex_index(binding)]
+        return self.enumerate_vertices()[self.face_vertex_index(binding)]
 
     def is_vertex(self, x):
         return self.contains(x) and self.face_dim_at(x) == 0
@@ -256,7 +256,7 @@ class Polytope:
 
     def lmo(self, g):
         """A vertex minimizing <g, v>; ties break to the lowest index."""
-        V = np.asarray(self.enumerate_vertices())
+        V = self.enumerate_vertices()
         return V[int(np.argmin(V @ np.asarray(g, dtype=float)))].copy()
 
     def in_face_lmo(self, x, g):
@@ -267,7 +267,7 @@ class Polytope:
         on_face = self.vertex_slacks()[1][:, self.binding_rows(x)].all(axis=1)
         if not on_face.any():
             raise PolytopeError("in_face_lmo: face has no vertices")
-        V = np.asarray(self.enumerate_vertices())[on_face]
+        V = self.enumerate_vertices()[on_face]
         return V[int(np.argmin(V @ np.asarray(g, dtype=float)))].copy()
 
     def max_step(self, x, d):
@@ -296,16 +296,16 @@ class Polytope:
     # -- vertices ---------------------------------------------------------
 
     def enumerate_vertices(self, cap=V_MAX):
-        """All vertices, in a fixed deterministic order (cached)."""
+        """All vertices as one read-only (k, n) array, in a fixed order (cached)."""
         if self._vertices is None:
-            self._vertices = _read_only(self._enumerate_vertices_impl(cap))
+            self._vertices = _read_only(self._enumerate_vertices_impl())
         if len(self._vertices) > cap:
             raise VertexCapExceeded(
                 f"{self.name}: {len(self._vertices)} vertices exceed cap {cap}"
             )
         return self._vertices
 
-    def _enumerate_vertices_impl(self, cap):
+    def _enumerate_vertices_impl(self):
         m = np.linalg.matrix_rank(self.A) if self.A.size else 0
         if self.n < m:
             raise PolytopeError("over-determined equality system")
@@ -318,7 +318,7 @@ class Polytope:
                 x = np.linalg.solve(M, np.concatenate([self.b, self.e[rows]]))
             except np.linalg.LinAlgError:
                 return None
-            return x if self.contains(x, tol=1e-8) else None
+            return x if self.contains(x) else None
 
         return _basis_vertices(self.name, self.D.shape[0], self.n - m, solve)
 
@@ -328,7 +328,7 @@ class Polytope:
 
     def sample_point(self, rng):
         """Random point of the polytope (Dirichlet mix of the vertices)."""
-        V = np.asarray(self.enumerate_vertices())
+        V = self.enumerate_vertices()
         return rng.dirichlet(np.ones(len(V))) @ V
 
     def __repr__(self):
@@ -352,7 +352,7 @@ class Simplex(Polytope):
     def _rate(self, d):
         return d
 
-    def contains(self, x, tol=1e-8):
+    def contains(self, x, tol=FEAS_TOL):
         # the generic test with D x - e = x and the single row sum(x) = 1
         x = _as_point(x, self.n)
         return bool(abs((self.A @ x)[0] - 1.0) <= tol and x.min() >= -tol)
@@ -376,8 +376,10 @@ class Simplex(Polytope):
         v[free[int(np.argmin(g[free]))]] = 1.0
         return v
 
-    def _enumerate_vertices_impl(self, cap):
-        return [np.eye(self.n)[i] for i in range(self.n)]
+    def _enumerate_vertices_impl(self):
+        if self.n > V_MAX:
+            raise VertexCapExceeded(f"{self.name}: {self.n} vertices exceed cap {V_MAX}")
+        return np.eye(self.n)
 
     def sample_point(self, rng):
         # the base method's Dirichlet mix of the identity rows, bit for bit,
@@ -395,10 +397,10 @@ class Box(Polytope):
     """Axis-aligned box {lo <= x <= hi}."""
 
     def __init__(self, lo, hi, name=None):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape or (hi <= lo).any():
-            raise PolytopeError("box needs lo < hi componentwise")
+        lo = _read_only(np.atleast_1d(np.array(lo, dtype=float)))
+        hi = _read_only(np.atleast_1d(np.array(hi, dtype=float)))
+        if lo.size < 1 or lo.shape != hi.shape or (hi <= lo).any():
+            raise PolytopeError("box needs n >= 1 and lo < hi componentwise")
         n = lo.size
         super().__init__(
             D=np.vstack([np.eye(n), -np.eye(n)]),
@@ -414,7 +416,7 @@ class Box(Polytope):
     def _rate(self, d):
         return np.concatenate([d, -d])
 
-    def contains(self, x, tol=1e-8):
+    def contains(self, x, tol=FEAS_TOL):
         # the generic test on the two halves of _slack, each NaN-safe
         x = _as_point(x, self.n)
         return bool((x - self.lo).min() >= -tol and (self.hi - x).min() >= -tol)
@@ -441,14 +443,11 @@ class Box(Polytope):
         v[at_hi] = self.hi[at_hi]
         return v
 
-    def _enumerate_vertices_impl(self, cap):
-        if 2**self.n > max(cap, V_MAX):
-            raise VertexCapExceeded(f"box{self.n} has {2**self.n} vertices")
-        corners = [
-            np.where(np.array(bits), self.hi, self.lo).astype(float)
-            for bits in itertools.product([0, 1], repeat=self.n)
-        ]
-        return sorted(corners, key=lambda v: tuple(np.round(v, 12)))
+    def _enumerate_vertices_impl(self):
+        if 2**self.n > V_MAX:
+            raise VertexCapExceeded(f"{self.name}: {2**self.n} vertices exceed cap {V_MAX}")
+        corners = np.where(list(itertools.product([0, 1], repeat=self.n)), self.hi, self.lo)
+        return np.array(sorted(corners, key=lambda v: tuple(np.round(v, 12))))
 
     def diameter(self):
         return float(np.linalg.norm(self.hi - self.lo))
@@ -470,8 +469,8 @@ class L1Ball(Polytope):
     _HFORM_MAX_N = 12
 
     def __init__(self, n, radius=1.0, name=None):
-        if radius <= 0:
-            raise PolytopeError("l1 ball needs radius > 0")
+        if n < 1 or radius <= 0:
+            raise PolytopeError("l1 ball needs n >= 1 and radius > 0")
         if n <= self._HFORM_MAX_N:
             signs = np.array(list(itertools.product([1.0, -1.0], repeat=n)))
             D, e = -signs, np.full(2**n, -radius)
@@ -480,7 +479,7 @@ class L1Ball(Polytope):
         super().__init__(D=D, e=e, n=n, name=name or f"l1ball{n}")
         self.radius = float(radius)
 
-    def contains(self, x, tol=1e-8):
+    def contains(self, x, tol=FEAS_TOL):
         return float(np.abs(_as_point(x, self.n)).sum()) <= self.radius + tol
 
     def face_dim_at(self, x):
@@ -554,15 +553,14 @@ class L1Ball(Polytope):
         tail = float(np.abs(d).sum())
         return eta_prev + max(self.radius - phi_prev, 0.0) / tail
 
-    def _enumerate_vertices_impl(self, cap):
-        out = []
-        for i in range(self.n):
-            v = np.zeros(self.n)
-            v[i] = self.radius
-            out.append(v.copy())
-            v[i] = -self.radius
-            out.append(v.copy())
-        return out
+    def _enumerate_vertices_impl(self):
+        if 2 * self.n > V_MAX:
+            raise VertexCapExceeded(f"{self.name}: {2 * self.n} vertices exceed cap {V_MAX}")
+        i = np.arange(self.n)
+        V = np.zeros((2 * self.n, self.n))
+        V[2 * i, i] = self.radius
+        V[2 * i + 1, i] = -self.radius
+        return V
 
     def diameter(self):
         return 2.0 * self.radius
@@ -572,7 +570,7 @@ class L1Ball(Polytope):
 
 
 class VRepPolytope(Polytope):
-    """Polytope given by an explicit vertex list (order preserved)."""
+    """Polytope given by its vertices, one per row (order preserved)."""
 
     def __init__(self, vertices, name="vrep"):
         V = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -585,7 +583,7 @@ class VRepPolytope(Polytope):
                 f"vrep: points at indices {inner} are convex combinations of the others"
             )
         super().__init__(A=hf.A, b=hf.b, D=hf.D, e=hf.e, n=V.shape[1], name=name)
-        self._vertices = _read_only([V[i].copy() for i in range(V.shape[0])])
+        self._vertices = _read_only(V.copy())
 
 
 class StdFormPolytope(Polytope):
@@ -624,7 +622,7 @@ class StdFormPolytope(Polytope):
         supp = np.asarray(x, dtype=float) > EPS_BIND
         return int(supp.sum()) - _rank(self.A[:, supp])
 
-    def _enumerate_vertices_impl(self, cap):
+    def _enumerate_vertices_impl(self):
         def solve(cols):
             B = self.A[:, cols]
             if np.linalg.matrix_rank(B) < self.m:
@@ -643,7 +641,7 @@ class StdFormPolytope(Polytope):
 
     def is_simplex_like(self):
         """True when every vertex has 0/1 coordinates (to within 1e-9)."""
-        V = np.asarray(self.enumerate_vertices())
+        V = self.enumerate_vertices()
         return bool(np.all(np.minimum(np.abs(V), np.abs(V - 1.0)) <= 1e-9))
 
 

@@ -40,7 +40,6 @@ from .stepsize import StepRule, target_pow2
 
 CASE_TOL = 1e-12
 POINT_TOL = 1e-10
-FEAS_TOL = 1e-8
 
 VARIANTS = ("FW", "AFW", "BPFW", "IFW", "FWIPW")
 
@@ -115,7 +114,7 @@ def _classify(eta, eta_max):
 
 
 def _check_feasible(poly, x, t):
-    if not poly.contains(x, tol=FEAS_TOL):
+    if not poly.contains(x):
         raise PolytopeError(f"iterate left the polytope at t={t}")
 
 

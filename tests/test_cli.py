@@ -51,6 +51,13 @@ class TestGeometryCommand:
         phi = float(capsys.readouterr().out.strip())
         assert lb <= phi + 1e-9
 
+    @pytest.mark.parametrize("op,face", [("phi", "v0,v3"), ("phibar", "v0,v7"),
+                                         ("lb", "v1,v2")])
+    def test_non_face_vertex_set_fails(self, capsys, op, face):
+        # a diagonal of the square, or an index past its four vertices
+        assert run_cli("geometry", "--polytope", "box2", "--op", op, "--face", face) == 1
+        assert "do not form a face" in capsys.readouterr().err
+
     def test_radial_needs_points(self):
         assert run_cli("geometry", "--polytope", "box2", "--op", "radial") == 2
 
@@ -83,6 +90,8 @@ class TestGeometryCommand:
         pytest.param(json.dumps({"D": [[1, 0]]}).encode(), id="json"),
         pytest.param(b"box\nlo 0 x\nhi 1 1\n", id="non-numeric"),
         pytest.param(b"box\nlo 0 \xff\nhi 1 1\n", id="non-utf8"),
+        pytest.param(b"box 0\n", id="box-n0"),
+        pytest.param(b"l1ball 0\n", id="l1ball-n0"),
     ])
     def test_garbled_file_is_usage_error(self, tmp_path, data):
         p = tmp_path / "bad.poly"

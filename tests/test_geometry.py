@@ -34,7 +34,14 @@ from fwpoly.geometry import (
     vertex_distance,
 )
 from fwpoly.instances import named_polytope, random_vrep, truncated_simplex
-from fwpoly.polytope import Box, PolytopeError, Simplex, StdFormPolytope, VRepPolytope
+from fwpoly.polytope import (
+    Box,
+    L1Ball,
+    PolytopeError,
+    Simplex,
+    StdFormPolytope,
+    VRepPolytope,
+)
 
 S3 = Simplex(3)
 CENTROID = np.array([1.0, 1.0, 1.0]) / 3.0
@@ -171,6 +178,18 @@ class TestFacialDistances:
         assert len(faces) == 7
         dims = sorted(f.dim for f in faces)
         assert dims == [0, 0, 0, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("vset", [[0, 3], [1, 2], [0, 99], [-1], []],
+                         ids=["diagonal", "antidiagonal", "out-of-range", "negative", "empty"])
+def test_non_face_vertex_set_rejected(vset):
+    # box2's vertices are (0,0), (0,1), (1,0), (1,1): 0 and 3 span a diagonal
+    for fn in (inner_facial_distance, outer_facial_distance, phi_lower_bound,
+               facial_lower_bound):
+        with pytest.raises(PolytopeError, match="do not form a face"):
+            fn(BOX2, vset)
+    for face in ([0, 1], range(4)):  # an edge and the whole square are faces
+        assert inner_facial_distance(BOX2, face) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
 class TestSigmaAndLowerBounds:
@@ -478,6 +497,15 @@ class TestDerivedCertificates:
         x = np.array([0.5, 0.5, 0.0])
         cert = derive_error_bound(S3, 1.0, 0.5, [x], "radial")
         assert not cert.valid
+
+    def test_radial_refused_without_facet_rows(self):
+        # L1Ball(13) keeps no facet rows, yet its boundary lies 1/sqrt(13)
+        # from the centre: no infinite radial certificate may come out
+        with pytest.raises(PolytopeError, match="no facet rows"):
+            derive_error_bound(L1Ball(13), 1.0, 0.5, [np.zeros(13)], "radial")
+        # a single point has no boundary at all
+        point = VRepPolytope([[0.5, 0.5]])
+        assert relative_boundary_distance(point, [0.5, 0.5]) == np.inf
 
     def test_vertex_uses_inner_facial(self):
         x = np.array([0.5, 0.5, 0.0])

@@ -6,11 +6,13 @@ scans, per-coordinate ratio tests, and rank computations done by hand.
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fwpoly.geometry import face_lattice, sigma_profile
+from fwpoly.objectives import PowerDistance, Quadratic
 from fwpoly.polytope import (
     Box,
     Face,
@@ -278,18 +280,68 @@ class TestVertexEnumeration:
         lambda: StdFormPolytope(np.ones((1, 4)), [1.0]),
     ])
     def test_cached_rows_are_read_only(self, make):
-        # every oracle and geometry's memo tables read the cached list, so a
-        # write into a row must raise instead of changing them silently
+        # every oracle and geometry's memo tables read the cached array and
+        # the rows, so a write into either must raise instead of changing
+        # them silently
         poly = make()
         V = poly.enumerate_vertices()
-        before = np.asarray(V).copy()
+        assert type(V) is np.ndarray and V.shape == (len(V), poly.n) and len(V) >= 1
+        assert poly.enumerate_vertices() is V
+        before = V.copy()
+        for arr in (V, *poly.hform(), *poly.vertex_slacks()):
+            assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             V[0][0] = 5.0
-        assert np.array_equal(np.asarray(poly.enumerate_vertices()), before)
+        with pytest.raises(ValueError, match="read-only"):
+            V[0, 0] = 5.0
+        assert np.array_equal(poly.enumerate_vertices(), before)
         g = np.arange(poly.n, dtype=float)
         for v in (poly.lmo(g), poly.in_face_lmo(poly.lmo(g), g), poly.initial_vertex()):
             v[0] = 7.0  # the oracles hand out writable copies
-        assert np.array_equal(np.asarray(poly.enumerate_vertices()), before)
+        assert np.array_equal(poly.enumerate_vertices(), before)
+
+    def test_caller_data_is_copied(self):
+        # the polytope and the objectives keep private copies, so a caller who
+        # edits the arrays they passed in changes neither a cached table nor
+        # an oracle's answer
+        lo, hi = np.zeros(2), np.ones(2)
+        A, b = np.ones((1, 3)), np.array([1.0])
+        D = np.vstack([np.eye(3), -np.eye(3)])
+        e = np.array([0.0, 0.0, 0.0, -0.6, -0.6, -0.6])
+        c, center = np.array([1.0, -2.0]), np.array([0.25, 0.5])
+
+        def build():
+            return (Box(lo, hi), HFormPolytope(A=A, b=b, D=D, e=e),
+                    Quadratic(np.eye(2), c), PowerDistance(center, 3))
+
+        def answers(box, trunc, quad, power):
+            x2, x3 = np.array([0.0, 0.0]), np.array([0.6, 0.4, 0.0])
+            return [box.contains(x2), trunc.contains(x3), box.lmo([1.0, -1.0]),
+                    trunc.lmo([1.0, 2.0, 3.0]), *box.vertex_slacks(),
+                    *trunc.vertex_slacks(), quad.value(x2), power.value(x2)]
+
+        early, late = build(), build()
+        before = answers(*early)
+        lo[0], hi[1] = 0.5, 0.25
+        A[0, 0], b[0], D[0, 0], e[:] = 5.0, 7.0, 9.0, 3.0
+        c[:], center[:] = 0.0, 9.0
+        for got in (answers(*early), answers(*late)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, before))
+        assert before[:2] == [True, True]
+        assert early[0].lmo([1.0, -1.0]).tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("poly", [Simplex(500), L1Ball(500), Box(np.zeros(500), np.ones(500))],
+                             ids=["simplex500", "l1ball500", "box500"])
+    def test_over_cap_refused_before_allocating(self, poly):
+        tracemalloc.start()
+        try:
+            with pytest.raises(VertexCapExceeded):
+                poly.enumerate_vertices()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert poly._vertices is None
 
 
 class TestVertexSlackTable:
