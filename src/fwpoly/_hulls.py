@@ -20,6 +20,16 @@ RANK_TOL = 1e-9
 MAX_CYCLES_PER_POINT = 10
 
 
+def _singular_rank(s):
+    """The one rank rule: singular values above RANK_TOL times max(1, the largest)."""
+    return int(np.sum(s > RANK_TOL * max(1.0, s[0]))) if s.size else 0
+
+
+def _rank(M):
+    """Numerical rank of M under _singular_rank."""
+    return _singular_rank(np.linalg.svd(M, compute_uv=False)) if M.size else 0
+
+
 def affine_hull(points):
     """Orthonormal frame of the affine hull of ``points``.
 
@@ -30,9 +40,8 @@ def affine_hull(points):
     P = np.atleast_2d(np.asarray(points, dtype=float))
     x0 = P[0]
     R = P - x0
-    scale = max(1.0, float(np.abs(R).max()))
     _, s, Vt = np.linalg.svd(R, full_matrices=True)
-    d = int(np.sum(s > RANK_TOL * scale))
+    d = _singular_rank(s)
     B = Vt[:d].T
     N = Vt[d:]
     return x0, B, N

@@ -29,14 +29,14 @@ from math import comb
 
 import numpy as np
 
-from ._hulls import hull_distance, hull_hform
+from ._hulls import _rank, _singular_rank, hull_distance, hull_hform
 from .polytope import (
     EPS_BIND,
+    EPS_DIRECTION,
     FACE_LATTICE_MAX,
     Face,
     PolytopeError,
     StdFormPolytope,
-    _rank,
 )
 
 VERTEX_DIST_VMAX = 16
@@ -61,7 +61,7 @@ def radial_distance(poly, y, x):
     """
     y, x = _check_pair(poly, y, x)
     w = y - x
-    if np.linalg.norm(w) < 1e-14:
+    if np.linalg.norm(w) < EPS_DIRECTION:
         return 0.0
     t = poly.max_step(x, w)
     if not np.isfinite(t):
@@ -93,7 +93,7 @@ def _gauge(hf, w):
     """
     w = np.asarray(w, dtype=float)
     nw = np.linalg.norm(w)
-    if nw < 1e-14:
+    if nw < EPS_DIRECTION:
         return 0.0
     if not hf.D.size:
         return 0.0  # K is a point: only reachable with w = 0
@@ -110,7 +110,7 @@ def _gauge(hf, w):
 def face_distance(poly, y, x):
     """Gauge of y - x with respect to C minus the minimal face of x."""
     y, x = _check_pair(poly, y, x)
-    if np.linalg.norm(y - x) < 1e-14:
+    if np.linalg.norm(y - x) < EPS_DIRECTION:
         return 0.0
     idx = tuple(poly.face_vertex_index(poly.minimal_face(x).binding))
     return _gauge(_difference_hform(poly, idx), y - x)
@@ -129,7 +129,7 @@ def _support_table(poly):
         for size in range(1, poly.dim() + 2):
             for S in itertools.combinations(range(len(V)), size):
                 M = np.vstack([V[list(S)].T, np.ones(size)])
-                if np.linalg.matrix_rank(M) == size:
+                if _rank(M) == size:
                     table.append((S, M))
         poly._supports = table
     return V, poly._supports
@@ -171,7 +171,7 @@ def vertex_distance(poly, y, x):
     """
     y, x = _check_pair(poly, y, x)
     w = y - x
-    if np.linalg.norm(w) < 1e-14:
+    if np.linalg.norm(w) < EPS_DIRECTION:
         return 0.0
     best = 0.0
     for S in minimal_supports(poly, x):
@@ -292,6 +292,8 @@ def face_vertex_set(poly, face):
 def minimal_face_of_set(poly, points):
     """Smallest face of the polytope containing all the given points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not all(poly.contains(p) for p in points):
+        raise PolytopeError("minimal_face_of_set: a point is not in the polytope")
     rows = np.all([poly.binding_rows(p) for p in points], axis=0)
     binding = frozenset(np.flatnonzero(rows).tolist())
     return Face(binding, poly.face_dim(binding))
@@ -377,12 +379,12 @@ def independent_binding_sets(poly, binding):
     if not idx:
         raise PolytopeError("independent_binding_sets: empty binding set")
     Dsub = poly.D[idx]
-    r = np.linalg.matrix_rank(Dsub)
+    r = _rank(Dsub)
     if comb(len(idx), r) > 20000:
         raise PolytopeError("independent_binding_sets: too many subsets")
     out = []
     for S in itertools.combinations(idx, r):
-        if np.linalg.matrix_rank(poly.D[list(S)]) == r:
+        if _rank(poly.D[list(S)]) == r:
             out.append(tuple(S))
     return out
 
@@ -530,8 +532,8 @@ def relative_boundary_distance(poly, x):
                 f"relative_boundary_distance: {poly.name} keeps no facet rows")
         return np.inf
     if poly.A.size:
-        _, _, Vt = np.linalg.svd(poly.A, full_matrices=True)
-        m = np.linalg.matrix_rank(poly.A)
+        _, s, Vt = np.linalg.svd(poly.A, full_matrices=True)
+        m = _singular_rank(s)
         Tan = Vt[m:].T  # n x (n-m) orthonormal tangent basis
     else:
         Tan = np.eye(poly.n)

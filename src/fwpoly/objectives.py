@@ -3,12 +3,13 @@
 Two families cover every experiment in the package:
 
 * Quadratic: f(x) = 0.5 x'Qx + c'x + c0 with Q symmetric positive
-  semidefinite.  Smoothness is the top eigenvalue, curvature along a
-  direction is exact, and positive-definite instances carry an analytic
-  error bound with exponent 1/2.
+  semidefinite.  Smoothness is the top eigenvalue, the line model is the
+  objective itself along the direction, and positive-definite instances
+  carry an analytic error bound with exponent 1/2.
 * PowerDistance: f(x) = ||x - z||^p for p >= 2.  Smoothness depends on the
-  domain radius, the error-bound exponent is 1/p, and the modulus is
-  certified by sampling.
+  domain radius, the line model is ||x - z||^2 along the direction (an
+  increasing function of the objective), the error-bound exponent is 1/p,
+  and the modulus is certified by sampling.
 
 The module also computes the curvature constant L * diam^2, audits it
 against sampled secant curvature, and minimizes objectives over a polytope
@@ -30,12 +31,17 @@ _PD_TOL = 1e-10
 
 
 class Objective:
-    """Interface: value, gradient, and a smoothness constant."""
+    """Interface: value, gradient, line model and a smoothness constant."""
 
     def value(self, x):
         raise NotImplementedError
 
     def grad(self, x):
+        raise NotImplementedError
+
+    def line_model(self, x, g, d):
+        """(slope, curvature) of a quadratic in eta with the minimizer of
+        f(x + eta d) on every [0, eta_max]; g is the gradient at x."""
         raise NotImplementedError
 
     def smoothness_on(self, poly):
@@ -70,8 +76,12 @@ class Quadratic(Objective):
         return self.Q @ np.asarray(x, dtype=float) + self.c
 
     def curvature_along(self, d):
-        """Exact second derivative along d; enables closed-form line search."""
+        """Exact second derivative along d."""
         return float(d @ self.Q @ d)
+
+    def line_model(self, x, g, d):
+        """The objective's own slope and curvature along d."""
+        return float(g @ d), self.curvature_along(d)
 
     def smoothness_on(self, poly):
         """The top eigenvalue of Q, which bounds the curvature on any polytope."""
@@ -110,6 +120,11 @@ class PowerDistance(Objective):
         if nr == 0.0:
             return np.zeros_like(r)
         return self.p * nr ** (self.p - 2.0) * r
+
+    def line_model(self, x, g, d):
+        """Half the slope and curvature of ||x + eta d - center||^2, which f increases with."""
+        r = np.asarray(x, dtype=float) - self.center
+        return float(r @ d), float(d @ d)
 
     def smoothness_on(self, poly):
         V = poly.enumerate_vertices()

@@ -31,7 +31,7 @@ from math import comb
 
 import numpy as np
 
-from ._hulls import hull_hform
+from ._hulls import _rank, hull_hform
 
 EPS_BIND = 1e-9
 EPS_DIRECTION = 1e-14
@@ -58,14 +58,6 @@ def _as_matrix(M, n):
     if M.shape[1] != n:
         raise PolytopeError(f"expected {n} columns, got {M.shape[1]}")
     return _read_only(M)
-
-
-def _rank(M):
-    """Numerical rank: singular values above 1e-9 times max(1, the largest)."""
-    if not M.size:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > 1e-9 * max(1.0, s[0])))
 
 
 def _as_point(x, n):
@@ -306,13 +298,13 @@ class Polytope:
         return self._vertices
 
     def _enumerate_vertices_impl(self):
-        m = np.linalg.matrix_rank(self.A) if self.A.size else 0
+        m = _rank(self.A)
         if self.n < m:
             raise PolytopeError("over-determined equality system")
 
         def solve(rows):
             M = np.vstack([self.A, self.D[rows]]) if self.A.size else self.D[rows]
-            if M.shape[0] != self.n or np.linalg.matrix_rank(M) < self.n:
+            if M.shape[0] != self.n or _rank(M) < self.n:
                 return None
             try:
                 x = np.linalg.solve(M, np.concatenate([self.b, self.e[rows]]))
@@ -399,8 +391,9 @@ class Box(Polytope):
     def __init__(self, lo, hi, name=None):
         lo = _read_only(np.atleast_1d(np.array(lo, dtype=float)))
         hi = _read_only(np.atleast_1d(np.array(hi, dtype=float)))
-        if lo.size < 1 or lo.shape != hi.shape or (hi <= lo).any():
-            raise PolytopeError("box needs n >= 1 and lo < hi componentwise")
+        if (lo.size < 1 or lo.shape != hi.shape or not np.isfinite([lo, hi]).all()
+                or (hi <= lo).any()):
+            raise PolytopeError("box needs n >= 1 and finite lo < hi componentwise")
         n = lo.size
         super().__init__(
             D=np.vstack([np.eye(n), -np.eye(n)]),
@@ -592,7 +585,7 @@ class StdFormPolytope(Polytope):
     def __init__(self, A, b, name="stdform"):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         m, n = A.shape
-        if np.linalg.matrix_rank(A) < m:
+        if _rank(A) < m:
             raise PolytopeError("stdform: A must have full row rank")
         super().__init__(A=A, b=b, D=np.eye(n), e=np.zeros(n), n=n, name=name)
         self.m = m
@@ -625,7 +618,7 @@ class StdFormPolytope(Polytope):
     def _enumerate_vertices_impl(self):
         def solve(cols):
             B = self.A[:, cols]
-            if np.linalg.matrix_rank(B) < self.m:
+            if _rank(B) < self.m:
                 return None
             try:
                 xb = np.linalg.solve(B, self.b)
@@ -653,7 +646,7 @@ class HFormPolytope(Polytope):
         if not self.D.size:
             raise PolytopeError("hform needs at least one inequality row")
         rows = np.vstack([self.A, self.D]) if self.A.size else self.D
-        if np.linalg.matrix_rank(rows) < self.n:
+        if _rank(rows) < self.n:
             raise PolytopeError("hform: lineality space is nontrivial (unbounded)")
         self._validate_rows()
 

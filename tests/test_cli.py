@@ -92,6 +92,7 @@ class TestGeometryCommand:
         pytest.param(b"box\nlo 0 \xff\nhi 1 1\n", id="non-utf8"),
         pytest.param(b"box 0\n", id="box-n0"),
         pytest.param(b"l1ball 0\n", id="l1ball-n0"),
+        pytest.param(b"box\nlo nan 0\nhi 1 1\n", id="box-nan"),
     ])
     def test_garbled_file_is_usage_error(self, tmp_path, data):
         p = tmp_path / "bad.poly"

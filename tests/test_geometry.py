@@ -519,6 +519,13 @@ class TestDerivedCertificates:
         cert = derive_error_bound(S3, 1.0, 0.5, [x], "face")
         assert cert.mu == pytest.approx(1.5, abs=1e-10)
 
+    @pytest.mark.parametrize("kind", ["vertex", "face"])
+    def test_optimum_outside_refused(self, kind):
+        # the coordinates sum to 1.5: no face of S3 holds this point, yet its
+        # binding rows alone used to give a valid certificate with mu = 1.5
+        with pytest.raises(PolytopeError, match="not in the polytope"):
+            derive_error_bound(S3, 1.0, 0.5, [[0.5, 0.5, 0.5]], kind)
+
     def test_simplex_support_kind(self):
         x = np.array([0.5, 0.5, 0.0])
         cert = derive_error_bound(STD3, 1.0, 0.5, [x], "simplex")

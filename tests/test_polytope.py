@@ -262,6 +262,18 @@ class TestVertexEnumeration:
         scaled = StdFormPolytope(np.ones((1, 3)), [2.0])
         assert not scaled.is_simplex_like()
 
+    @pytest.mark.parametrize("lo, hi", [
+        ([np.nan, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.nan]),
+        ([0.0, 0.0], [np.inf, 1.0]),
+        ([-np.inf, 0.0], [1.0, 1.0]),
+    ])
+    def test_box_rejects_non_finite_bounds(self, lo, hi):
+        # a NaN bound used to build a box whose lmo returned NaN, and an
+        # infinite one a box of infinite diameter
+        with pytest.raises(PolytopeError, match="finite"):
+            Box(lo, hi)
+
     def test_unbounded_stdform_rejected(self):
         # x1 - x2 = 0, x >= 0 is an unbounded ray
         with pytest.raises(PolytopeError):

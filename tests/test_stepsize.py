@@ -7,18 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fwpoly.objectives import distance_squared, quadratic
-from fwpoly.stepsize import StepRule, golden_section, line_search, short_step, target_pow2
-
-
-class TestGoldenSection:
-    def test_parabola(self):
-        eta = golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
-        assert eta == pytest.approx(0.3, abs=1e-8)
-
-    def test_monotone_decreasing_hits_right_end(self):
-        eta = golden_section(lambda t: -t, 0.0, 1.0)
-        assert eta == pytest.approx(1.0, abs=1e-8)
+from fwpoly.objectives import Objective, PowerDistance, distance_squared, quadratic
+from fwpoly.polytope import Simplex
+from fwpoly.solvers import solve
+from fwpoly.stepsize import StepRule, line_search, short_step, target_pow2
 
 
 class TestLineSearch:
@@ -52,6 +44,43 @@ class TestLineSearch:
         # objective still decreasing at the cap; must return the cap exactly
         assert line_search(obj, x, obj.grad(x), d, eta_max=1.0) == 1.0
 
+    @given(st.sampled_from([2.5, 3.0, 4.0, 6.0]), st.integers(1, 4), st.data())
+    def test_power_distance_step_is_exact(self, p, n, data):
+        """The step is no worse than any of 2,001 grid points on [0, eta_max]."""
+        coords = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+        x, center, d = (np.array(data.draw(coords)) for _ in range(3))
+        eta_max = data.draw(st.floats(1e-3, 4.0))
+        obj = PowerDistance(center, p)
+        eta = line_search(obj, x, obj.grad(x), d, eta_max)
+        assert 0.0 <= eta <= eta_max
+        r = x + np.linspace(0.0, eta_max, 2001)[:, None] * d - center
+        grid = np.sqrt(np.einsum("ij,ij->i", r, r)) ** p  # obj.value on each row
+        assert obj.value(x + eta * d) <= grid.min() + 1e-12 * grid.max()
+
+    @pytest.mark.parametrize("variant", ["AFW", "BPFW", "IFW"])
+    def test_power_distance_reaches_gap_tol(self, variant):
+        # an inexact step used to stall these at max_iters with gaps of 2e-10
+        # to 1.7e-9; the exact one converges in 139 to 158 iterations
+        obj = PowerDistance(np.linspace(-0.1, 0.1, 50), 4)
+        tr = solve(Simplex(50), obj, variant, step="ls", gap_tol=1e-12, max_iters=500)
+        assert tr.terminal_reason == "gap_tol"
+
+    def test_objective_without_line_model(self):
+        class Bowl(Objective):
+            def value(self, x):
+                return float(x @ x)
+
+            def grad(self, x):
+                return 2.0 * x
+
+            def smoothness_on(self, poly):
+                return 2.0
+
+        with pytest.raises(NotImplementedError):
+            solve(Simplex(3), Bowl(), "FW", step="ls", max_iters=10)
+        tr = solve(Simplex(3), Bowl(), "FW", step="ss", max_iters=10)
+        assert len(tr.records) > 0
+
 
 class TestShortStep:
     def test_interior_value(self):
@@ -76,8 +105,8 @@ class _Curved:
     def __init__(self, curv):
         self.curv = curv
 
-    def curvature_along(self, d):
-        return self.curv
+    def line_model(self, x, g, d):
+        return float(g @ d), self.curv
 
 
 SLOPES = st.floats(-1e6, 1e6, allow_nan=False)

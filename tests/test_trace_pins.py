@@ -72,19 +72,19 @@ PINS = {
     "fw_segment-IFW-ss":
         "8529ee625a35558302c26af951d051534fb9e9cf6ee32a00fb459a221187a464",
     "fw_power4-AFW-ls":
-        "0f566d0822b122570834e46764993d9961333ec503bebd9594c83145dae0f06b",
+        "5733a83bca48791b1d33543f75226408069ff72bb0bf8b509431a0c8808b6f0c",
     "fw_power4-AFW-ss":
         "93b76152ca102a65e68d466f50528d87a83da1f627ad86776ef4f27ecdc1ad71",
     "fw_power4-BPFW-ls":
-        "0f566d0822b122570834e46764993d9961333ec503bebd9594c83145dae0f06b",
+        "5733a83bca48791b1d33543f75226408069ff72bb0bf8b509431a0c8808b6f0c",
     "fw_power4-BPFW-ss":
         "3ae56bd88add72db73a3c802d0ccac45ef8f293d4e78ca5111cdd29c7b9c2f4f",
     "fw_power4-FW-ls":
-        "da475f304ec72f6575bc0515a1718f3db5762b1ab2bd9bd7412ac733f3e7660e",
+        "cb7a0220e2adc02a759cf4be9cc188040e9b12fc677628e2644b2fde1c09bfba",
     "fw_power4-FW-ss":
         "901ddc69b917bfc6adf3fcd98ef53217e6867f8acf63540ae9156337f4a1d76d",
     "fw_power4-IFW-ls":
-        "da475f304ec72f6575bc0515a1718f3db5762b1ab2bd9bd7412ac733f3e7660e",
+        "cb7a0220e2adc02a759cf4be9cc188040e9b12fc677628e2644b2fde1c09bfba",
     "fw_power4-IFW-ss":
         "7f2c5808cd2f99e7f42f8aba77c6d961a19e96062cc7fa41451aadc762e8a8e8",
     "wolfe_edge-AFW-ls":
