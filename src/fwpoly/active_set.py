@@ -103,9 +103,11 @@ class ActiveSet:
             self._weights[i] += w
             return
         self._keys.insert(i, k)
-        self._rows = np.insert(self._rows, i, np.asarray(v, dtype=float), axis=0)
-        self._weights = np.insert(self._weights, i, w)
-        self._born = np.insert(self._born, i, self._next)
+        rows, weights, born = self._rows, self._weights, self._born
+        row = np.asarray(v, dtype=float)[None]
+        self._rows = np.concatenate((rows[:i], row, rows[i:]))
+        self._weights = np.concatenate((weights[:i], [w], weights[i:]))
+        self._born = np.concatenate((born[:i], [self._next], born[i:]))
         self._next += 1
 
     def _total(self):

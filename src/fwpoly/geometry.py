@@ -587,6 +587,8 @@ def derive_error_bound(poly, mu, theta, xstar_points, kind, lattice=None):
     if kind == "simplex":
         if not (isinstance(poly, StdFormPolytope) and poly.is_simplex_like()):
             raise PolytopeError("simplex certificates need a 0/1 standard-form polytope")
+        if not all(poly.contains(p) for p in pts):
+            raise PolytopeError("simplex certificate: an optimal point is not in the polytope")
         card = int(max(np.sum(p > EPS_BIND) for p in pts))
         if card == 0 or card >= poly.n:
             raise PolytopeError("simplex certificate: degenerate support size")

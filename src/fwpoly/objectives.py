@@ -15,6 +15,11 @@ The module also computes the curvature constant L * diam^2, audits it
 against sampled secant curvature, and minimizes objectives over a polytope
 exactly (face-wise KKT systems for quadratics, Euclidean projection for
 power distances).
+
+A solver asks each objective for a run-local ``evaluation`` of the gradient,
+the value and the line model at the current iterate.  The default one
+recomputes each from x; a quadratic's keeps y = Qx at one product per step
+and recomputes it exactly at each drop step (see ``QuadraticEvaluation``).
 """
 
 from __future__ import annotations
@@ -48,6 +53,35 @@ class Objective:
         """Lipschitz constant of the gradient valid on the given polytope."""
         raise NotImplementedError
 
+    def evaluation(self, x):
+        """The run-local evaluation a solver starts at x."""
+        return Evaluation(self, x)
+
+
+class Evaluation:
+    """Gradient, value and line model at the current iterate of one run.
+
+    This one recomputes each from x through the objective's own methods, so
+    a run makes the calls, and gets the bits, of asking the objective
+    directly.  ``advance`` moves it to the next iterate x + eta d; ``refresh``
+    marks a drop step, which a stateful evaluation recomputes from scratch.
+    """
+
+    def __init__(self, obj, x):
+        self.obj, self.x = obj, x
+
+    def gradient(self):
+        return self.obj.grad(self.x)
+
+    def f_val(self):
+        return self.obj.value(self.x)
+
+    def line_model(self, x, g, d):
+        return self.obj.line_model(x, g, d)
+
+    def advance(self, x, d, eta, refresh):
+        self.x = x
+
 
 class Quadratic(Objective):
     def __init__(self, Q, c, c0=0.0):
@@ -79,6 +113,22 @@ class Quadratic(Objective):
         """Exact second derivative along d."""
         return float(d @ self.Q @ d)
 
+    def product(self, d):
+        """Q @ d, as the sum of Q's rows at d's nonzeros when they are few.
+
+        Q is symmetric, so Qd = sum_i d_i Q[i].  Gathering k rows copies
+        them and reads them again, about 3kn words against the n^2 of the
+        dense product, so rows are gathered when 3k <= n.  For d = e_i the
+        result is row i, bit for bit.
+        """
+        if 3 * np.count_nonzero(d) <= d.size:
+            nz = np.flatnonzero(d)
+            return d[nz] @ self.Q[nz]
+        return self.Q @ d
+
+    def evaluation(self, x):
+        return QuadraticEvaluation(self, x)
+
     def line_model(self, x, g, d):
         """The objective's own slope and curvature along d."""
         return float(g @ d), self.curvature_along(d)
@@ -93,6 +143,49 @@ class Quadratic(Objective):
 
     def __repr__(self):
         return f"Quadratic(n={self.n}, L={self.smoothness_on(None):.6g})"
+
+
+class QuadraticEvaluation(Evaluation):
+    """Keeps y = Qx along a run, at one product Qd per step.
+
+    g = y + c and f = 0.5 x'y + c'x + c0.  The line model (g'd, d'Qd) keeps
+    its Qd, and ``advance`` adds eta Qd to y; the short step asks for no line
+    model, so ``advance`` takes the product itself.  At the start and at each
+    drop step y = Q @ x, so g there is ``Quadratic.grad`` bit for bit.  In
+    between, y drifts from Qx by rounding: max|y - Qx| stayed below
+    1.8e-14 max|Qx| over the 124,314 steps of the benchmark's certified
+    solves (seed 1), 100,000 of them FW steps with no refresh.  The tests
+    check |g - grad f(x)|_inf <= 1e-12 max(1, s) and |f - f(x)| <= 1e-12
+    max(1, s max(1, |x|_1)) at every step, s = max|Q| max(1, |x|_1) + max|c|.
+    """
+
+    def __init__(self, obj, x):
+        self.obj = obj
+        self._refresh(x)
+
+    def _refresh(self, x):
+        self.x, self.y = x, self.obj.Q @ x
+        self.g = self.y + self.obj.c
+        self._d = self._qd = None
+
+    def gradient(self):
+        return self.g
+
+    def f_val(self):
+        x = self.x
+        return float(0.5 * (x @ self.y) + self.obj.c @ x + self.obj.c0)
+
+    def line_model(self, x, g, d):
+        self._d, self._qd = d, self.obj.product(d)
+        return float(g @ d), float(d @ self._qd)
+
+    def advance(self, x, d, eta, refresh):
+        if refresh:
+            self._refresh(x)
+            return
+        qd = self._qd if d is self._d else self.obj.product(d)
+        self.x, self.y = x, self.y + eta * qd
+        self.g = self.y + self.obj.c
 
 
 class PowerDistance(Objective):

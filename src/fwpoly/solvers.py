@@ -11,6 +11,11 @@ and its cap, and the case label used by the counting arguments:
 * Case 2: the step hit a cap that was at least 1 (full progress available),
 * Case 3: the step hit a cap below 1 (a drop step; no guaranteed decrease).
 
+The gradient, the value and the line model come from the objective's
+run-local evaluation (``objectives.Evaluation``), advanced after each step
+and refreshed at each drop step; a quadratic's carries the rounding of its
+tracked y = Qx.  The returned final value and gap are exact evaluations.
+
 Stopping is on the Frank-Wolfe gap, an affine-invariant optimality measure;
 a gap that is not finite (a NaN or infinite gradient) stops the run with
 terminal reason "nonfinite".  FWIPW also stops, as "stationary", when its
@@ -136,8 +141,8 @@ class _PointState:
         """(chosen direction, strong gap <g, a - v> or None); gap is <g, x - v>."""
         return fw_direction(self.x, v, gap), None
 
-    def step(self, obj, g, d):
-        return self.rule.step(obj, self.x, g, d)
+    def step(self, ev, g, d):
+        return self.rule.step(ev, self.x, g, d)
 
     def count(self):
         # x has passed the feasibility check, so no second membership test
@@ -214,7 +219,7 @@ class _IntegerStepState(_PointState):
         d = pairwise_direction(self.poly, self.x, g, v)
         return d, float(g @ (d.payload[0] - v))
 
-    def step(self, obj, g, d):
+    def step(self, ev, g, d):
         """The power-of-two step, or None with ``stop_reason`` set."""
         self.gamma = -d.inner / self.L
         if self.gamma <= 0.0:
@@ -247,8 +252,8 @@ def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
     smoothness times squared diameter when a rule needs it.  One loop serves
     every variant: each iteration takes the gradient and the LMO vertex,
     stops on the FW gap, lets the variant's state choose a direction and a
-    step, records the iteration, applies the step, and checks the iterate
-    is feasible.
+    step, records the iteration, applies the step, checks the iterate is
+    feasible, and advances the objective's run-local evaluation.
     """
     variant = variant.upper()
     if variant not in VARIANTS:
@@ -266,11 +271,12 @@ def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
     rule = StepRule(step, L)
 
     state = _STATES[variant](poly, variant, rule, x0)
+    ev = obj.evaluation(state.x)
     records = []
     reason = "max_iters"
     for t in range(max_iters):
         x = state.x
-        g = obj.grad(x)
+        g = ev.gradient()
         v = poly.lmo(g)
         gap = float(g @ (x - v))
         if not math.isfinite(gap):  # NaN or inf in the gradient
@@ -280,18 +286,20 @@ def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
             reason = "gap_tol"
             break
         d, strong = state.direction(g, v, gap)
-        eta = state.step(obj, g, d)
+        eta = state.step(ev, g, d)
         if eta is None:  # only FWIPW stops here
             reason = state.stop_reason
             break
-        f_val = obj.value(x)
+        f_val = ev.f_val()
+        case = _classify(eta, d.eta_max)
         records.append(IterRecord(
             t, f_val, None if fstar is None else f_val - fstar,
-            gap, _classify(eta, d.eta_max), d.kind, eta, d.eta_max, d.inner,
+            gap, case, d.kind, eta, d.eta_max, d.inner,
             state.count(), strong_gap=strong, gamma=state.gamma,
             x=x.copy() if record_points else None))
         state.update(d, eta, t)
         _check_feasible(poly, state.x, t + 1)
+        ev.advance(state.x, d.vec, eta, refresh=case == 3)
     x = state.x
     g = obj.grad(x)
     return RunTrace(variant, records, reason, x, obj.value(x),

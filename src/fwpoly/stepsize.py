@@ -4,6 +4,8 @@ Exact line search is closed-form for every objective: each objective gives
 the slope and curvature of a quadratic in the step that has the same
 minimizer on [0, eta_max] as the objective along the direction.  Line search
 and the short step then take the same clipped Newton step on their quadratic.
+The solvers pass their run-local evaluation as the objective, so a
+quadratic's line model computes Qd once and keeps it to advance y = Qx.
 """
 
 from __future__ import annotations

@@ -17,6 +17,9 @@ The digests were generated before the envelopes were rewritten as one
 per-family table (numpy 2.4.6, Python 3.11.7); a changed digest is a change
 of the certified bounds, not noise.  The 27 FW, IFW and FWIPW runs whose
 ``afw`` checks had t1 below t0 were re-pinned when t1 became max(t0, ...).
+Five run digests and the ``wolfe`` and ``interior`` bench digests were
+re-pinned when quadratic solves began to keep y = Qx along the run; the
+envelope verdicts of those runs did not change (``scripts/compare_pins.py``).
 """
 
 import hashlib
@@ -107,15 +110,15 @@ ENVELOPE_PINS = {
     "wolfe_edge-AFW-ls":
         "9c2de93890054c0ac9df7142715d35e63453a0d040a1f6825e17e9bf0e394e88",
     "wolfe_edge-AFW-ss":
-        "02f72ed18eccf6a70ba60e26c45b8d6534d4464c5459cfee976bbf27ced69312",
+        "16373e7abb405e040cc6ce9330aa366b63adce540f4b78becb9923fc5cc74fc0",
     "wolfe_edge-BPFW-ls":
         "7eae8cf5ebed8b08b1fc2383cdbb735c1ffe63439de514ecddbeaffd042e8ee7",
     "wolfe_edge-BPFW-ss":
         "dfbc54eb53547dff11a1586e178c7dd57aacedf85369e52634db1c5b296f4216",
     "wolfe_edge-FW-ls":
-        "f4148e16914ccac2833a9a34e8da84ab3ae2a68a99a9e5dfd8d0aa41adbc3265",
+        "473c362d784a223eaf3ce61e17e3c44583ea4847bb7bfe74ae0984a776002fbe",
     "wolfe_edge-FW-ss":
-        "ba2d77257cbe6611e0a3a89179a7ebcc277d999ae3bc3d9c6db6d7d648bd0113",
+        "3f60f15e81b855d63d82730b15b6c273aea2c406c4995db739bccebfc427bac5",
     "wolfe_edge-IFW-ls":
         "33d81a4cf36abb1484e460a20c21d5e7b85a98859b465d571d5ddf5cd8dc19ec",
     "wolfe_edge-IFW-ss":
@@ -123,7 +126,7 @@ ENVELOPE_PINS = {
     "edge_mid_std-AFW-ls":
         "aacb0e80d9db8476674ad17ea0277ae81e373db4daf1f35040ea6537cc65d0f2",
     "edge_mid_std-AFW-ss":
-        "96de41d00ac4fe27ef4d39dfbf867352779bd2a41de775fb403d7ad3ec5734cb",
+        "b5a37e5399146a84a9f438046f9b100b7c46755e3db8df367fc726e51310a255",
     "edge_mid_std-BPFW-ls":
         "94c6d84c6eaa42475a028703abd164f09a2e9fe6ffb472ed35113925e42eb0e4",
     "edge_mid_std-BPFW-ss":
@@ -159,7 +162,7 @@ ENVELOPE_PINS = {
     "fwipw_simplex5-AFW-ls":
         "890d178b6b11c9204e7b4f0145362d2124fa565afb620b17ad0ff7f44c2077cc",
     "fwipw_simplex5-AFW-ss":
-        "215313c603c4fe3b4b6f8ee7fd070c4d2b57b305da9b7e71c118626a5b81ab8f",
+        "8cc6269a789f18c77ba5b197493887ccc047e83528452a5db316afd0a590a2e8",
     "fwipw_simplex5-BPFW-ls":
         "634dc5f49bf3f6e6c4208335332f13cb1895b406737937736093b10955e1d6fe",
     "fwipw_simplex5-BPFW-ss":
@@ -178,9 +181,9 @@ ENVELOPE_PINS = {
 
 BENCH_PINS = {
     "fwipw": "af9ac9b6846364a1bcec91210cc1e08f65ca8bccccae0d145bfcca0d833ebe95",
-    "interior": "f8e72cf15b000609ad4b7dccc3c158c832956c1f582a0a34e7be9375b5100615",
+    "interior": "ba77b266f9eeded9c58bca568af984685870b5f7bf1e5a701d09c99426e41326",
     "theta-sweep": "e6e2ce188a7818de8153f773988113c1d16239564990d418c27a878d89d5d68f",
-    "wolfe": "94ba605461e006ee4a6de79966d5a78a3436e718ee9cd77ab4f4dff9d6ee1546",
+    "wolfe": "4427a82ee5fc5a8ab827e86295ae1eed863ec173efc2d09f67d0a48db39464df",
 }
 
 

@@ -531,6 +531,12 @@ class TestDerivedCertificates:
         cert = derive_error_bound(STD3, 1.0, 0.5, [x], "simplex")
         assert cert.valid and cert.mu > 0.0
 
+    @pytest.mark.parametrize("x", [[0.5, 0.5, -7.0], [3.0, 0.0, 0.0]])
+    def test_simplex_optimum_outside_refused(self, x):
+        # the support-size count alone gave these a valid certificate, mu = 1.0
+        with pytest.raises(PolytopeError, match="not in the polytope"):
+            derive_error_bound(STD3, 1.0, 0.5, [x], "simplex")
+
 
 # -- exponent estimation ----------------------------------------------------------------
 

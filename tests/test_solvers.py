@@ -331,6 +331,9 @@ class TestExactVertexIdentity:
 class TestOracleCounts:
     """The zigzag runs make one call of each oracle per iteration.
 
+    Except for a quadratic, whose run-local evaluation keeps y = Qx and
+    makes one product per iteration in place of a gradient and a value.
+
     Around the loop there is a fixed overhead: the start point's
     feasibility check (and the LMO that picks the default start vertex),
     then the final gradient, LMO and value of the returned trace.
@@ -354,7 +357,7 @@ class TestOracleCounts:
         self._count(monkeypatch, counts, inst.obj, ("grad", "value"))
         self._count(monkeypatch, counts, inst.poly, ("lmo", "contains"))
         if hasattr(inst.obj, "curvature_along"):
-            self._count(monkeypatch, counts, inst.obj, ("curvature_along",))
+            self._count(monkeypatch, counts, inst.obj, ("curvature_along", "product"))
         tr = run_instance(inst, "FW", step=step, gap_tol=1e-12, max_iters=self.ITERS)
         assert tr.terminal_reason == "max_iters"
         assert len(tr.records) == self.ITERS
@@ -363,9 +366,13 @@ class TestOracleCounts:
     def test_wolfe_edge_fw_line_search(self, monkeypatch):
         counts = self._run(monkeypatch, wolfe_edge(), "ls")
         T = self.ITERS
-        # x0 is pinned: one start check, then grad, lmo, value at the end
-        assert counts == {"grad": T + 1, "value": T + 1, "lmo": T + 1,
-                          "contains": T + 1, "curvature_along": T}
+        # x0 is pinned: one start check.  The run keeps y = Qx, so each step
+        # takes one product Qd (the line model's, reused for y) and no
+        # gradient, value or curvature call; the exact grad and value of the
+        # returned trace come at the end.  FW steps have cap 1, so no drop
+        # step refreshes y.
+        assert counts == {"grad": 1, "value": 1, "lmo": T + 1, "contains": T + 1,
+                          "curvature_along": 0, "product": T}
 
     def test_fw_power4_fw_short_step(self, monkeypatch):
         inst = fw_power4()
