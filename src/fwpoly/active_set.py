@@ -33,7 +33,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .polytope import ETA_CAP
+from .polytope import ETA_CAP, tie_argmin
 
 EPS_WEIGHT = 1e-12
 
@@ -147,10 +147,13 @@ class ActiveSet:
     def away_and_local_fw(self, g):
         """Rows (i, j) of the away and local FW vertices: argmax / argmin of <g, v>.
 
-        Ties break deterministically to the smallest vertex key.
+        Values within TIE_TOL of the best (``tie_argmin``) are tied, and
+        ties break to the smallest vertex key.  An exact line search along
+        e_s - e_a leaves <g, e_s> = <g, e_a> in exact arithmetic; this keeps
+        the next selection off their last bits.
         """
         vals = self._rows @ np.asarray(g, dtype=float)
-        return int(np.argmax(vals)), int(np.argmin(vals))
+        return tie_argmin(-vals), tie_argmin(vals)
 
     def vertex(self, i):
         """A copy of support row i."""

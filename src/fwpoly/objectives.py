@@ -152,10 +152,12 @@ class QuadraticEvaluation(Evaluation):
     its Qd, and ``advance`` adds eta Qd to y; the short step asks for no line
     model, so ``advance`` takes the product itself.  At the start and at each
     drop step y = Q @ x, so g there is ``Quadratic.grad`` bit for bit.  In
-    between, y drifts from Qx by rounding: max|y - Qx| stayed below
-    1.8e-14 max|Qx| over the 124,314 steps of the benchmark's certified
-    solves (seed 1), 100,000 of them FW steps with no refresh.  The tests
-    check |g - grad f(x)|_inf <= 1e-12 max(1, s) and |f - f(x)| <= 1e-12
+    between, y drifts from Qx by rounding.  FW steps never drop, so an FW
+    run is never refreshed and nothing bounds its drift in theory.  Measured:
+    max|y - Qx| stayed below 1.8e-14 max|Qx| over the 124,314 steps of the
+    benchmark's certified solves (seed 1), among them one FW run of 100,000
+    steps with no refresh, the longest measured.  The tests check
+    |g - grad f(x)|_inf <= 1e-12 max(1, s) and |f - f(x)| <= 1e-12
     max(1, s max(1, |x|_1)) at every step, s = max|Q| max(1, |x|_1) + max|c|.
     """
 

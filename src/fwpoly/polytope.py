@@ -16,7 +16,9 @@ Conventions shared across the package:
 * the data is frozen at construction: A, b, D, e are read-only private
   copies, and ``enumerate_vertices()`` is one read-only (k, n) array in a
   fixed deterministic order, so nothing cached from them can go stale,
-* LMO ties break toward the lowest vertex index,
+* LMO ties break toward the lowest vertex index; ``in_face_lmo`` counts
+  values within TIE_TOL of the best as tied (``tie_argmin``), so a tie that
+  exact arithmetic makes is not broken by the last bits of the gradient,
 * max_step returns ``inf`` for directions of norm below EPS_DIRECTION, and
   callers that need a finite cap replace it by 1.0.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from math import comb
@@ -38,6 +41,7 @@ EPS_DIRECTION = 1e-14
 FEAS_TOL = 1e-8
 ETA_CAP = 1e6
 V_MAX = 64
+TIE_TOL = 1e-12
 FACE_LATTICE_MAX = 4096
 _BASIS_ENUM_CAP = 200_000
 
@@ -76,6 +80,22 @@ def _as_vector(v, k, name):
     if v.size != k:
         raise PolytopeError(f"expected length {k}, got {v.size}")
     return _read_only(v)
+
+
+def tie_argmin(vals):
+    """The lowest index whose value is within TIE_TOL of the minimum.
+
+    The tolerance is relative to the largest |value|, the scale at which a
+    gradient's rounding moves them, so values that differ only by rounding
+    count as tied and the lowest index wins, as an exact tie does under
+    ``np.argmin``.  Nonfinite values fall back to ``np.argmin``.
+    """
+    vals = np.asarray(vals, dtype=float)
+    lo = float(vals.min())
+    cut = lo + TIE_TOL * max(-lo, float(vals.max()))
+    if not math.isfinite(cut):
+        return int(np.argmin(vals))
+    return int((vals <= cut).argmax())
 
 
 def _read_only(a):
@@ -260,7 +280,8 @@ class Polytope:
         if not on_face.any():
             raise PolytopeError("in_face_lmo: face has no vertices")
         V = self.enumerate_vertices()[on_face]
-        return V[int(np.argmin(V @ np.asarray(g, dtype=float)))].copy()
+        g = np.asarray(g, dtype=float)
+        return V[tie_argmin(V @ g)].copy()
 
     def max_step(self, x, d):
         """Largest eta >= 0 with x + eta*d still in the polytope.
@@ -365,7 +386,7 @@ class Simplex(Polytope):
         free = np.flatnonzero(x > EPS_BIND)
         g = np.asarray(g, dtype=float)
         v = np.zeros(self.n)
-        v[free[int(np.argmin(g[free]))]] = 1.0
+        v[free[tie_argmin(g[free])]] = 1.0
         return v
 
     def _enumerate_vertices_impl(self):
@@ -519,7 +540,7 @@ class L1Ball(Polytope):
         g = np.asarray(g, dtype=float)
         support = np.flatnonzero(np.abs(x) > EPS_BIND)
         vals = np.sign(x[support]) * self.radius * g[support]
-        i = support[int(np.argmin(vals))]
+        i = support[tie_argmin(vals)]
         v = np.zeros(self.n)
         v[i] = np.sign(x[i]) * self.radius
         return v

@@ -87,6 +87,27 @@ class TestSelectors:
         assert np.allclose(aset.vertex(a), aset.vertex(a2))
         assert np.allclose(aset.vertex(z), aset.vertex(z2))
 
+    def test_near_ties_break_to_the_smallest_key(self):
+        # the support's rows run e_2, e_1, e_0 in key order; values one ulp
+        # apart are tied, so the first row wins whichever way rounding fell
+        aset = simplex_set([0.3, 0.3, 0.4])
+        assert [aset.vertex(k).tolist() for k in range(3)] == \
+            [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+        up = np.nextafter(0.7, 1.0)
+        for g in ([up, 0.7, -0.2], [0.7, up, -0.2]):
+            i, _ = aset.away_and_local_fw(np.array(g))
+            assert i == 1
+        for g in ([-0.2, np.nextafter(-0.2, 0.0), 0.9], [np.nextafter(-0.2, 0.0), -0.2, 0.9]):
+            _, j = aset.away_and_local_fw(np.array(g))
+            assert j == 1
+
+    def test_values_beyond_the_tie_tolerance_are_ordered(self):
+        aset = simplex_set([0.3, 0.3, 0.4])
+        i, j = aset.away_and_local_fw(np.array([0.7 + 1e-9, 0.7, 0.0]))
+        assert aset.vertex(i).tolist() == [1.0, 0.0, 0.0]
+        i, j = aset.away_and_local_fw(np.array([0.7, 0.7 + 1e-9, 0.0]))
+        assert aset.vertex(i).tolist() == [0.0, 1.0, 0.0]
+
     def test_vertex_is_a_copy(self):
         aset = simplex_set([0.25, 0.75])
         before = aset.snapshot()

@@ -1,0 +1,136 @@
+"""Smoke tests for ``scripts/compare_pins.py``.
+
+The script compares the pinned runs of two checkouts, and it reaches into
+the pin modules and the harness for their rosters.  These tests run its
+record comparison on synthetic runs (a tie, a fork, a moved value), capture
+one small run the way its worker does, and check that every roster name the
+worker looks up still resolves, so a rename fails here rather than in the
+next comparison.
+"""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "compare_pins.py"
+
+
+def _load(name, path):
+    """The module at path, registered as name (dataclasses look it up there)."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+cp = _load("compare_pins", SCRIPT)
+
+A, B, C = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+G = np.array([0.5, 0.5, -1.0])
+
+
+def _rec(t, f, kind, case=1, step=None):
+    return (t, f, case, kind, step)
+
+
+def _run(records, reason="gap_tol", f_final=0.0):
+    return {"reason": reason, "f_final": f_final, "records": records}
+
+
+def _compare(old, new):
+    report = {"problems": [], "ties": [], "forks": []}
+    worst = cp._compare_run(old, new, report, "run")
+    return report, worst
+
+
+def test_equal_runs_report_nothing():
+    step = (G, {"FW": (-1.0, (C,)), "BPFW": (-0.5, (A, C))})
+    run = _run([_rec(0, 1.0, "FW", step=step), _rec(1, 0.5, "BPFW", step=step)])
+    report, worst = _compare(run, run)
+    assert report == {"problems": [], "ties": [], "forks": []}
+    assert worst == 0.0
+
+
+def test_label_flip_at_a_tie_is_listed_not_a_problem():
+    old = _run([_rec(0, 1.0, "FW", step=(G, {"FW": (-1.0, (C,)), "Away": (-1.0, (A,))}))])
+    new = _run([_rec(0, 1.0, "Away",
+                     step=(G, {"FW": (-1.0, (C,)), "Away": (-1.0 + 1e-15, (A,))}))])
+    report, _ = _compare(old, new)
+    assert report["problems"] == []
+    assert len(report["ties"]) == 1 and "FW/case 1 -> Away/case 1" in report["ties"][0]
+    assert report["forks"] == ["run t=0: the tie above"]
+
+
+def test_label_flip_without_a_tie_is_a_problem():
+    old = _run([_rec(0, 1.0, "FW", step=(G, {"FW": (-1.0, (C,)), "Away": (-0.5, (A,))}))])
+    new = _run([_rec(0, 1.0, "Away", step=(G, {"FW": (-1.0, (C,)), "Away": (-0.5, (A,))}))])
+    report, _ = _compare(old, new)
+    assert report["problems"] == ["run t=0: FW/case 1 -> Away/case 1"]
+
+
+def test_fork_onto_tied_vertices_is_named():
+    old = _run([_rec(0, 1.0, "BPFW", step=(G, {"BPFW": (-1.5, (A, C))}))])
+    new = _run([_rec(0, 1.0, "BPFW", step=(G, {"BPFW": (-1.5, (B, C))}))])
+    report, _ = _compare(old, new)
+    assert report["problems"] == []
+    assert report["forks"] == ["run t=0: BPFW step on other vertices, <g, v> 0.5 vs 0.5 (tie)"]
+
+
+def test_moved_values_lengths_and_reasons_are_problems():
+    old = _run([_rec(0, 1.0, "FW"), _rec(1, 0.5, "FW")], f_final=0.25)
+    new = _run([_rec(0, 1.0 + 1e-12, "FW")], reason="max_iters", f_final=0.25 + 1e-14)
+    report, worst = _compare(old, new)
+    assert report["problems"] == [
+        "run t=0: f_val 1.0 -> 1.000000000001",
+        "run: reason gap_tol -> max_iters",
+        "run: 2 -> 1 records",
+    ]
+    assert worst == pytest.approx(1e-12)
+
+
+def test_solve_capturing_records_every_candidate_set():
+    from fwpoly import instances, solvers
+
+    inst = instances.interior_quadratic()
+    build = solvers.candidates_bpfw
+    trace, steps = cp._solve_capturing(solvers, solvers.solve, inst.poly, inst.obj,
+                                       "BPFW", max_iters=50)
+    assert solvers.candidates_bpfw is build
+    assert len(steps) == len(trace.records) > 0
+    for g, cands in steps:
+        assert set(cands) == {"FW", "BPFW"}
+        inner, (away, local) = cands["BPFW"]
+        assert inner == pytest.approx(float(g @ (np.array(local) - np.array(away))))
+
+
+def _worker_lookups():
+    """(module alias, attribute) for every attribute the worker reads off a module."""
+    tree = ast.parse(SCRIPT.read_text())
+    worker = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "worker")
+    aliases = {"tp", "ep", "harness", "instances", "solvers", "workloads"}
+    return sorted({(n.value.id, n.attr) for n in ast.walk(worker)
+                   if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                   and n.value.id in aliases})
+
+
+def test_worker_lookups_resolve():
+    modules = {
+        "tp": importlib.import_module("test_trace_pins"),
+        "ep": importlib.import_module("test_envelope_pins"),
+        "harness": importlib.import_module("fwpoly.harness"),
+        "instances": importlib.import_module("fwpoly.instances"),
+        "solvers": importlib.import_module("fwpoly.solvers"),
+        "workloads": _load("benchmark_workloads", ROOT / "benchmark" / "workloads.py"),
+    }
+    lookups = _worker_lookups()
+    assert {alias for alias, _ in lookups} >= {"tp", "ep", "harness", "workloads"}
+    missing = [f"{alias}.{name}" for alias, name in lookups
+               if not hasattr(modules[alias], name)]
+    assert not missing

@@ -20,6 +20,11 @@ of the certified bounds, not noise.  The 27 FW, IFW and FWIPW runs whose
 Five run digests and the ``wolfe`` and ``interior`` bench digests were
 re-pinned when quadratic solves began to keep y = Qx along the run; the
 envelope verdicts of those runs did not change (``scripts/compare_pins.py``).
+The ``fwipw_mid`` BPFW-ls and IFW-ls digests and the ``interior`` bench
+digest were re-pinned when the support and in-face selections began to
+treat values equal to rounding as tied: both ``fwipw_mid`` runs now take a
+drop step at t = 3 and stop after 5 records, not 7, and every one of their
+envelope checks still passes.
 """
 
 import hashlib
@@ -146,7 +151,7 @@ ENVELOPE_PINS = {
     "fwipw_mid-AFW-ss":
         "4b4f83ae71b9b560d2243dbd6642454c4e9474aee3a28d99d9110e1e407626c5",
     "fwipw_mid-BPFW-ls":
-        "21ad0e74b8ecf655378b72dd88ec6eb8b2bb24ce628b789222e2a6f331be0b05",
+        "cb4b7b7e02289ccc17f71271b9aadfa1bce5c6296a428ee392442d920d4099df",
     "fwipw_mid-BPFW-ss":
         "cb4b7b7e02289ccc17f71271b9aadfa1bce5c6296a428ee392442d920d4099df",
     "fwipw_mid-FW-ls":
@@ -154,7 +159,7 @@ ENVELOPE_PINS = {
     "fwipw_mid-FW-ss":
         "166dc6e9486820102ea8909fc8e5ec5202debe458f83f2f2a75ab6039557b8b3",
     "fwipw_mid-IFW-ls":
-        "6b41bd8f86cfcdde71a9a7290b8a3643fc7a219e5a9366dfbfb857344ac00fb0",
+        "411f7dd84b5a94fceb4442fcb07a4607cf882c1ff2993a758b08942fb9971ed0",
     "fwipw_mid-IFW-ss":
         "411f7dd84b5a94fceb4442fcb07a4607cf882c1ff2993a758b08942fb9971ed0",
     "fwipw_mid-FWIPW-pow2":
@@ -181,7 +186,7 @@ ENVELOPE_PINS = {
 
 BENCH_PINS = {
     "fwipw": "af9ac9b6846364a1bcec91210cc1e08f65ca8bccccae0d145bfcca0d833ebe95",
-    "interior": "ba77b266f9eeded9c58bca568af984685870b5f7bf1e5a701d09c99426e41326",
+    "interior": "b75334bf1b204d1b3b6fe23ddcacc0a07e3b66e12007068ea6810b0aa9276f27",
     "theta-sweep": "e6e2ce188a7818de8153f773988113c1d16239564990d418c27a878d89d5d68f",
     "wolfe": "4427a82ee5fc5a8ab827e86295ae1eed863ec173efc2d09f67d0a48db39464df",
 }

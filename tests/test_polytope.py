@@ -26,6 +26,7 @@ from fwpoly.polytope import (
     VertexCapExceeded,
     load_polytope,
     simplex_like_cube,
+    tie_argmin,
 )
 
 
@@ -99,6 +100,18 @@ class TestInFaceLMO:
         v = poly.in_face_lmo([1.0, 0.0, 0.0], [10.0, -5.0, -5.0])
         assert np.allclose(v, [1, 0, 0])
 
+    def test_near_ties_break_to_the_lowest_index(self):
+        # <g, v> one ulp apart are tied: the lowest vertex index wins
+        # whichever way the rounding fell, as an exact tie does
+        up = np.nextafter(-0.5, 0.0)
+        x = np.array([0.25, 0.25, 0.5])
+        std = StdFormPolytope(np.ones((1, 3)), [1.0])
+        exact = std.in_face_lmo(x, [-0.5, -0.5, 1.0]).tolist()
+        for g in ([-0.5, up, 1.0], [up, -0.5, 1.0]):
+            assert Simplex(3).in_face_lmo(x, g).tolist() == [1.0, 0.0, 0.0]
+            assert std.in_face_lmo(x, g).tolist() == exact
+            assert L1Ball(3).in_face_lmo([0.5, 0.5, 0.0], g).tolist() == [1.0, 0.0, 0.0]
+
     def test_matches_restricted_lmo_cross_check(self):
         # in-face LMO must agree with a brute-force LMO over the vertices of
         # the minimal face, across random points and gradients
@@ -119,6 +132,24 @@ class TestInFaceLMO:
                 face_idx = poly.face_vertex_index(poly.minimal_face(x).binding)
                 brute = min((V[i] for i in face_idx), key=lambda v: g @ v)
                 assert g @ poly.in_face_lmo(x, g) <= g @ brute + 1e-10
+
+
+class TestTieArgmin:
+    def test_exact_and_rounding_ties_take_the_lowest_index(self):
+        assert tie_argmin([2.0, 1.0, 1.0]) == 1
+        assert tie_argmin([2.0, np.nextafter(1.0, 2.0), 1.0]) == 1
+        assert tie_argmin([1.0 + 1e-9, 1.0]) == 1
+
+    def test_tolerance_is_relative_to_the_largest_value(self):
+        assert tie_argmin([1e6 * (1 + 1e-13), 1e6]) == 0
+        assert tie_argmin([-1e6, 3e-7, 1e-7]) == 0
+        assert tie_argmin([1e-20 + 1e-30, 1e-20]) == 1
+        assert tie_argmin([1e-20 + 1e-33, 1e-20]) == 0
+        assert tie_argmin([1e-20 + 1e-30, 1e-20, 1.0]) == 0
+
+    def test_nonfinite_values_fall_back_to_argmin(self):
+        assert tie_argmin([1.0, np.nan, 0.5]) == 1
+        assert tie_argmin([1.0, -np.inf, 0.5]) == 1
 
 
 class TestMaxStep:

@@ -15,7 +15,10 @@ The quadratic runs whose traces moved when solves began to keep y = Qx
 along the run (21 certified runs and all 16 large runs; every ``fw_power4``
 and ``fw_segment`` pin held) were re-pinned after
 ``scripts/compare_pins.py`` compared each with the previous trace, record by
-record.
+record.  Eight certified runs and three large runs were re-pinned when the
+support and in-face selections began to treat values equal to rounding as
+tied (``polytope.tie_argmin``); each of them forks from its previous path
+only at such a tie.
 """
 
 import hashlib
@@ -58,17 +61,17 @@ PINS = {
     "interior_quadratic-AFW-ss":
         "1797986382ee2bfa1d351bb118f4c7fd2971abf417d874580186a0556d773cb4",
     "interior_quadratic-BPFW-ls":
-        "717bacd36192a14c969bb81257a757690e9286c30f7f58711e4c6efe879e2e50",
+        "8e58ea78a71783595923781742f4c48edb7ba5c98f7c039fc0aab1e4f2fef592",
     "interior_quadratic-BPFW-ss":
-        "8f4cb079eecd3d61a8b6567f482aaecabbadd750272a3dccc7641f243398ba34",
+        "e6b339d98acb58a4844243d0bfeb2ab674cb8586baef30d3c61ecb177f1bb492",
     "interior_quadratic-FW-ls":
         "bd0b8e90a0824ff881a9c0f9a2c4bb456f7f2b88e3ed8c86eb7030e994411e4d",
     "interior_quadratic-FW-ss":
         "51d48e782f9ae4ece015ecbb5ffde92399f45716ea78e1be637c43e1b69a1e27",
     "interior_quadratic-IFW-ls":
-        "4010b2f15860ba4e84100cfbdd8ec166211458e1fbec0a4f5bd480b7950533ee",
+        "4b7427af5ed93016919c3dd95e4b0da62935834470f5111c3160ab0824e892d4",
     "interior_quadratic-IFW-ss":
-        "42d54d02a11ef9fb75e8d29057c368e9ae4c4c85538c3a4b2ebf7cc5b4de04be",
+        "dd3a1fc3ecce04d6acc0f7df3e5b6340a8ab7ce1acab9c9ad3896464af99cec4",
     "fw_segment-FW-ls":
         "dfaf97dad2ab2b9f8cfd32bf6bf4c9518d92b4a44169f3ceaa9f1920732a5b94",
     "fw_segment-FW-ss":
@@ -132,7 +135,7 @@ PINS = {
     "fwipw_mid-AFW-ss":
         "c3a7aae9d2d6d851b5c8b96cb85cc875d0dce595473889f92a4648c15cb60cd6",
     "fwipw_mid-BPFW-ls":
-        "13d5a6fa9519b7b68ac8f1de327d2281c59c84ea4d953caf552d54643b771d85",
+        "b99cb32a9e73685613b7eab40a206ba851303070037f93b4514725e633c6ca9d",
     "fwipw_mid-BPFW-ss":
         "70145ee2594f5b499da46132edc5816837ba04624f381bf9bf392df6d3d7cb4d",
     "fwipw_mid-FW-ls":
@@ -140,7 +143,7 @@ PINS = {
     "fwipw_mid-FW-ss":
         "74adb633657aaef1fb204fced89e5a84c0ebc8a992dbddca32587f7737e61f5f",
     "fwipw_mid-IFW-ls":
-        "8f6bc8f900b0f6f3f7f2f539f0b73a96444e81dc6b85d002e23d375ada64bb0b",
+        "663009ed0f930b0010c18425889bc24184701da971c65204179af5d995d345b2",
     "fwipw_mid-IFW-ss":
         "aa52783e0bb11344c03ef7c499099fe9cbb751e274fbbe3d7e317b185cc89d4e",
     "fwipw_mid-FWIPW-pow2":
@@ -152,7 +155,7 @@ PINS = {
     "fwipw_simplex5-BPFW-ls":
         "6ece5e9a31312b1b849f6ac492e99b70c76d95803ce8a21544eb5a49f86c9440",
     "fwipw_simplex5-BPFW-ss":
-        "60461b0b2e040bcfc8bb94b9840a2dc4d2750f73ec6cb80e265988c8ccec4c27",
+        "e3943adfaa74d74e37e8dcea1c267ae3d9e51aac16449d34ffecd5af27a3345f",
     "fwipw_simplex5-FW-ls":
         "b229706255c6c53679266c654d0eb25ff56e7db67f9bddf7eb0a37d2b34ec973",
     "fwipw_simplex5-FW-ss":
@@ -160,7 +163,7 @@ PINS = {
     "fwipw_simplex5-IFW-ls":
         "8271e92c6acd04bef6bd0fa4fe530f98ce1b104ebc486dff774972a13c78373b",
     "fwipw_simplex5-IFW-ss":
-        "30a19c955224dcf2082733657f0fc000c96a9f749a88f9a9a5c2c5921d3fd6e1",
+        "c8b42558ced51b859f2e443bf8a91857b10752d49bab05b7fd6d22dca5758e6b",
     "fwipw_simplex5-FWIPW-pow2":
         "690e3e3eabef6e7cfccd428893047d88f0488bccbb012317b4109ebc8df8f192",
 }
@@ -241,11 +244,11 @@ LARGE_PINS = {
     "simplex60-AFW-ss":
         "1d6fe35cc266adc56e8a5948e6956327e8d744fd36485e114d96314845f10f05",
     "simplex60-BPFW-ls":
-        "b75447ec6ba23e3cef36e241240b39ef754a6b9052869b01009b9b79bf9f308c",
+        "268d7d82f4ccf690612d3199695e7328a105f239d0856653463fb35d877b7756",
     "simplex60-BPFW-ss":
         "3bab00c3f9e6c08b9160a26382d827b22c1c3095fb48224d42c1fa62c1c9a042",
     "simplex60-IFW-ls":
-        "de08aa4a3eb385799a3f68966ba37675d926bdb390538facc2189536f99645c5",
+        "d44568ecffc0a8f167341f59b1b552626643c8e4ccffd6c6f4083b836feaed21",
     "simplex60-IFW-ss":
         "ab95d0616ed0adacc5296bf8d57655816fda783c88b3f54188f3cc4d74fbf6f7",
     "box60-FW-ls":
@@ -257,7 +260,7 @@ LARGE_PINS = {
     "box60-AFW-ss":
         "c198a24380ba8b4638617b991cf62699a6f3cce3b216746742eede6a692c8fd0",
     "box60-BPFW-ls":
-        "5f27101ae449fa6cfae377c57e31734b610af6aa82344e90949dbbdbcb90d932",
+        "35fd3548a8c0589164f3e65cc56426833497cdc10163b9f70eb364ac8cc44de2",
     "box60-BPFW-ss":
         "9664311c863c98d6e34f6cded8fd962b498cfda9ed071f4baeadc7e69bddae8d",
     "box60-IFW-ls":
