@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -93,7 +92,7 @@ def tie_argmin(vals):
     vals = np.asarray(vals, dtype=float)
     lo = float(vals.min())
     cut = lo + TIE_TOL * max(-lo, float(vals.max()))
-    if not math.isfinite(cut):
+    if not isfinite(cut):
         return int(np.argmin(vals))
     return int((vals <= cut).argmax())
 
@@ -280,8 +279,7 @@ class Polytope:
         if not on_face.any():
             raise PolytopeError("in_face_lmo: face has no vertices")
         V = self.enumerate_vertices()[on_face]
-        g = np.asarray(g, dtype=float)
-        return V[tie_argmin(V @ g)].copy()
+        return V[tie_argmin(V @ np.asarray(g, dtype=float))].copy()
 
     def max_step(self, x, d):
         """Largest eta >= 0 with x + eta*d still in the polytope.
