@@ -37,6 +37,7 @@ from .polytope import (
     Face,
     PolytopeError,
     StdFormPolytope,
+    _point_in,
 )
 
 VERTEX_DIST_VMAX = 16
@@ -47,11 +48,8 @@ SUPPORT_MARGIN = 1e-10
 
 
 def _check_pair(poly, y, x):
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if not poly.contains(x) or not poly.contains(y):
-        raise PolytopeError("distance: both points must lie in the polytope")
-    return y, x
+    x = _point_in(poly, x, "distance")
+    return _point_in(poly, y, "distance"), x
 
 
 def radial_distance(poly, y, x):
@@ -291,9 +289,7 @@ def face_vertex_set(poly, face):
 
 def minimal_face_of_set(poly, points):
     """Smallest face of the polytope containing all the given points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not all(poly.contains(p) for p in points):
-        raise PolytopeError("minimal_face_of_set: a point is not in the polytope")
+    points = [_point_in(poly, p, "minimal_face_of_set") for p in np.atleast_2d(points)]
     rows = np.all([poly.binding_rows(p) for p in points], axis=0)
     binding = frozenset(np.flatnonzero(rows).tolist())
     return Face(binding, poly.face_dim(binding))
@@ -523,9 +519,7 @@ def relative_boundary_distance(poly, x):
     the relative interior.  Without inequality rows only a single point has
     no boundary; any larger polytope raises, as its boundary is not kept.
     """
-    x = np.asarray(x, dtype=float)
-    if not poly.contains(x):
-        raise PolytopeError("relative_boundary_distance: point outside polytope")
+    x = _point_in(poly, x, "relative_boundary_distance")
     if not poly.D.size:
         if poly.dim():
             raise PolytopeError(
@@ -587,9 +581,8 @@ def derive_error_bound(poly, mu, theta, xstar_points, kind, lattice=None):
     if kind == "simplex":
         if not (isinstance(poly, StdFormPolytope) and poly.is_simplex_like()):
             raise PolytopeError("simplex certificates need a 0/1 standard-form polytope")
-        if not all(poly.contains(p) for p in pts):
-            raise PolytopeError("simplex certificate: an optimal point is not in the polytope")
-        card = int(max(np.sum(p > EPS_BIND) for p in pts))
+        pts = [_point_in(poly, p, "simplex certificate") for p in pts]
+        card = int(max(np.count_nonzero(~poly.binding_rows(p)) for p in pts))
         if card == 0 or card >= poly.n:
             raise PolytopeError("simplex certificate: degenerate support size")
         expo = 1.0 / (2.0 * theta)

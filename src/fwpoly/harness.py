@@ -46,6 +46,14 @@ from .polytope import StdFormPolytope
 REL_SLACK = 1e-8
 
 
+def _check_constants(mu=1.0, theta=0.5, L=1.0, rel_slack=0.0):
+    """Raise ValueError unless mu, L > 0 and rel_slack >= 0 are finite and 0 < theta <= 1/2."""
+    if not (0.0 < mu < math.inf and 0.0 < theta <= 0.5 and 0.0 < L < math.inf
+            and 0.0 <= rel_slack < math.inf):
+        raise ValueError(f"need finite mu, L > 0, 0 < theta <= 1/2, rel_slack >= 0; got "
+                         f"mu={mu!r}, theta={theta!r}, L={L!r}, rel_slack={rel_slack!r}")
+
+
 # -- Borwein-style recursion bound -----------------------------------------------
 
 
@@ -199,8 +207,7 @@ def detect_regimes(trace, envelope_id, mu, theta, L):
     """Regime boundaries (t0, t1) per the envelope definitions, from the trace."""
     if envelope_id not in ENVELOPES:
         raise ValueError(f"unknown envelope id {envelope_id!r}")
-    if mu <= 0:
-        raise ValueError("regime detection needs a positive certified mu")
+    _check_constants(mu, theta, L)
     if envelope_id == "fwipw":
         return Regimes(_gamma_t0(trace), None)
     fam = ENVELOPES[envelope_id]
@@ -276,8 +283,7 @@ def envelope_check(trace, envelope_id, mu, theta, L, dim=None, m=None,
     objective evaluation are skipped rather than compared; by then the
     measured gap is dominated by cancellation error.
     """
-    if mu <= 0:
-        raise ValueError("envelope check needs a positive certified mu")
+    _check_constants(mu, theta, L, rel_slack)
     gaps, bounds, reg = _envelope_series(trace, envelope_id, mu, theta, L, dim, m)
     noise_floor = 1e-13 * max(1.0, abs(trace.fstar), float(gaps[0]))
     first = None
@@ -335,6 +341,7 @@ def audit_progress(trace, L, rel_slack=REL_SLACK):
     them every case is checked against the curvature majorant evaluated at
     the step actually taken: f+ <= f + eta <g,d> + eta^2 L / 2.
     """
+    _check_constants(L=L, rel_slack=rel_slack)
     failures = []
     n = 0
     for r, f_next in _steps(trace):
@@ -367,6 +374,7 @@ def audit_selection(trace, rel_slack=REL_SLACK):
     <g,d> <= <g, v-a>/2 < 0 and <g,d> <= -fw_gap; with a known optimal value
     the chain extends to <g,d> <= f* - f.
     """
+    _check_constants(rel_slack=rel_slack)
     failures = []
     n = 0
     for r in trace.records:
@@ -385,7 +393,7 @@ def audit_selection(trace, rel_slack=REL_SLACK):
     return AuditReport("selection", not failures, n, failures)
 
 
-def audit_scaling(trace, poly, xstar_points, kind, rel_slack=1e-8):
+def audit_scaling(trace, poly, xstar_points, kind, rel_slack=REL_SLACK):
     """Scaling inequalities in multiplied form: gap * distance >= f - f*.
 
     ``kind`` selects the distance and the matching gap: the plain gap for
@@ -396,6 +404,7 @@ def audit_scaling(trace, poly, xstar_points, kind, rel_slack=1e-8):
     recorded with points.  Every (len // 80)-th record is audited, so a long
     trace costs 80 to 160 checks.
     """
+    _check_constants(rel_slack=rel_slack)
     dist_fn = distance_for(kind)
     xstar_points = np.atleast_2d(np.asarray(xstar_points, dtype=float))
     recs = [r for r in trace.records if r.x is not None and r.f_gap is not None]
@@ -459,6 +468,7 @@ def audit_fwipw(trace, mu, theta, L, rel_slack=REL_SLACK):
     the cancellation floor of the objective evaluation, where the recorded
     gap overstates the true one by orders of magnitude.
     """
+    _check_constants(mu, theta, L, rel_slack)
     failures = []
     t0 = _gamma_t0(trace)
     _, gaps = trace.gap_series()

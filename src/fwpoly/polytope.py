@@ -7,12 +7,13 @@ oracle, in-face minimization, maximum feasible step, and vertex enumeration.
 Conventions shared across the package:
 
 * all points are 1-d float numpy arrays,
-* inequality rows within EPS_BIND of equality count as binding, and the
-  inequality slacks D x - e and rates D d come from ``_slack`` and ``_rate``,
-  which Simplex, Box and StdFormPolytope compute in O(n) without the dense
-  rows,
-* which rows bind at which vertex is read from one table per polytope,
-  ``vertex_slacks()``, and from nowhere else,
+* the inequality slacks D x - e and rates D d come from ``_slack`` and
+  ``_rate``, which Simplex, Box and StdFormPolytope compute in O(n) without
+  the dense rows,
+* which rows bind is decided in one place per polytope: at a point, slack
+  <= EPS_BIND in ``binding_rows(x)`` (an L1Ball, with no rows above n = 12,
+  uses ``_face_coords``), which ``face_dim_at``, ``minimal_face`` and
+  ``in_face_lmo`` read; at the vertices, the table ``vertex_slacks()``,
 * the data is frozen at construction: A, b, D, e are read-only private
   copies, and ``enumerate_vertices()`` is one read-only (k, n) array in a
   fixed deterministic order, so nothing cached from them can go stale,
@@ -95,6 +96,19 @@ def tie_argmin(vals):
     if not isfinite(cut):
         return int(np.argmin(vals))
     return int((vals <= cut).argmax())
+
+
+def _point_in(poly, x, op):
+    """x as a float array, which must lie in poly; op names the caller."""
+    x = np.asarray(x, dtype=float)
+    if not poly.contains(x):
+        raise PolytopeError(f"{op}: point is not in the polytope")
+    return x
+
+
+def _identity_rows(self, x):
+    """``_slack`` and ``_rate`` where D is the identity and e = 0: x - 0 is x bit for bit."""
+    return x
 
 
 def _read_only(a):
@@ -206,14 +220,12 @@ class Polytope:
         return True
 
     def binding_rows(self, x):
-        """Boolean mask of inequality rows binding at x."""
+        """Boolean mask of the inequality rows binding at x: slack <= EPS_BIND."""
         return self._slack(np.asarray(x, dtype=float)) <= EPS_BIND
 
     def minimal_face(self, x):
         """Smallest face of the polytope containing x."""
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise PolytopeError("minimal_face: point is not in the polytope")
+        x = _point_in(self, x, "minimal_face")
         binding = frozenset(int(i) for i in np.flatnonzero(self.binding_rows(x)))
         return Face(binding, self.face_dim(binding))
 
@@ -227,8 +239,7 @@ class Polytope:
         Here it is ``minimal_face(x).dim`` without the membership check.
         Simplex and Box give it exactly in closed form; StdFormPolytope and
         L1Ball give closed forms that can differ from the SVD of the rows
-        only where rounding decides whether a row binds, and on an L1Ball
-        with no facet rows (n > 12) only this method sees the faces.
+        only where rounding decides whether a row binds.
         """
         return self.face_dim(np.flatnonzero(self.binding_rows(x)))
 
@@ -272,9 +283,7 @@ class Polytope:
 
     def in_face_lmo(self, x, g):
         """A vertex of the minimal face of x minimizing <g, v>."""
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise PolytopeError("in_face_lmo: point is not in the polytope")
+        x = _point_in(self, x, "in_face_lmo")
         on_face = self.vertex_slacks()[1][:, self.binding_rows(x)].all(axis=1)
         if not on_face.any():
             raise PolytopeError("in_face_lmo: face has no vertices")
@@ -357,11 +366,7 @@ class Simplex(Polytope):
             n=n, name=name or f"simplex{n}",
         )
 
-    def _slack(self, x):
-        return x - self.e  # D is the identity
-
-    def _rate(self, d):
-        return d
+    _slack = _rate = _identity_rows
 
     def contains(self, x, tol=FEAS_TOL):
         # the generic test with D x - e = x and the single row sum(x) = 1
@@ -369,8 +374,8 @@ class Simplex(Polytope):
         return bool(abs((self.A @ x)[0] - 1.0) <= tol and x.min() >= -tol)
 
     def face_dim_at(self, x):
-        # each zero coordinate is a binding row; sum(x) = 1 pins one more
-        return max(int(np.count_nonzero(np.asarray(x, dtype=float) > EPS_BIND)) - 1, 0)
+        # each binding row pins a coordinate; sum(x) = 1 pins one more
+        return max(self.n - int(np.count_nonzero(self.binding_rows(x))) - 1, 0)
 
     def lmo(self, g):
         v = np.zeros(self.n)
@@ -378,10 +383,8 @@ class Simplex(Polytope):
         return v
 
     def in_face_lmo(self, x, g):
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise PolytopeError("in_face_lmo: point is not in the polytope")
-        free = np.flatnonzero(x > EPS_BIND)
+        x = _point_in(self, x, "in_face_lmo")
+        free = np.flatnonzero(~self.binding_rows(x))
         g = np.asarray(g, dtype=float)
         v = np.zeros(self.n)
         v[free[tie_argmin(g[free])]] = 1.0
@@ -435,8 +438,8 @@ class Box(Polytope):
 
     def face_dim_at(self, x):
         # a coordinate at either bound is pinned; the free ones span the face
-        x = np.asarray(x, dtype=float)
-        return int(np.count_nonzero((x - self.lo > EPS_BIND) & (self.hi - x > EPS_BIND)))
+        bind = self.binding_rows(x)
+        return self.n - int(np.count_nonzero(bind[:self.n] | bind[self.n:]))
 
     def lmo(self, g):
         g = np.asarray(g, dtype=float)
@@ -444,13 +447,11 @@ class Box(Polytope):
         return np.where(g < 0, self.hi, self.lo).astype(float)
 
     def in_face_lmo(self, x, g):
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise PolytopeError("in_face_lmo: point is not in the polytope")
+        x = _point_in(self, x, "in_face_lmo")
         g = np.asarray(g, dtype=float)
         v = np.where(g < 0, self.hi, self.lo).astype(float)
-        at_lo = x - self.lo <= EPS_BIND
-        at_hi = self.hi - x <= EPS_BIND
+        bind = self.binding_rows(x)
+        at_lo, at_hi = bind[:self.n], bind[self.n:]
         v[at_lo] = self.lo[at_lo]
         v[at_hi] = self.hi[at_hi]
         return v
@@ -494,20 +495,21 @@ class L1Ball(Polytope):
     def contains(self, x, tol=FEAS_TOL):
         return float(np.abs(_as_point(x, self.n)).sum()) <= self.radius + tol
 
-    def face_dim_at(self, x):
-        """Closed form that agrees with the facet rows where they exist.
+    def _face_coords(self, x):
+        """The ball's binding rule: a mask of the coordinates free on x's face.
 
         A facet row s binds when <s, x> >= r - EPS_BIND.  With slack
         ||x||_1 - (r - EPS_BIND) >= 0, flipping the sign of coordinate i costs
-        2|x_i|, so the rows pin exactly the coordinates with 2|x_i| <= slack
-        and the face has dimension |supp| - 1 over the rest; inside the ball
-        no row binds and the face is the whole ball.
+        2|x_i|, so the rows pin exactly the coordinates with 2|x_i| <= slack;
+        with negative slack no row binds, and None marks the interior.
         """
         a = np.abs(np.asarray(x, dtype=float))
         slack = a.sum() - (self.radius - EPS_BIND)
-        if slack < 0.0:
-            return self.n
-        return max(int(np.count_nonzero(2.0 * a > slack)) - 1, 0)
+        return None if slack < 0.0 else 2.0 * a > slack
+
+    def face_dim_at(self, x):
+        free = self._face_coords(x)
+        return self.n if free is None else max(int(np.count_nonzero(free)) - 1, 0)
 
     def minimal_face(self, x):
         """The facet-row face; above n = 12 only an interior point has one.
@@ -516,7 +518,7 @@ class L1Ball(Polytope):
         a boundary point raises instead of reporting the whole ball.
         """
         face = super().minimal_face(x)
-        if not self.D.size and np.abs(np.asarray(x, dtype=float)).sum() >= self.radius - EPS_BIND:
+        if not self.D.size and self._face_coords(x) is not None:
             raise PolytopeError(
                 f"minimal_face: {self.name} keeps no facet rows to name a boundary face")
         return face
@@ -530,13 +532,12 @@ class L1Ball(Polytope):
         return v
 
     def in_face_lmo(self, x, g):
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise PolytopeError("in_face_lmo: point is not in the polytope")
-        if np.abs(x).sum() < self.radius - EPS_BIND:
+        x = _point_in(self, x, "in_face_lmo")
+        free = self._face_coords(x)
+        if free is None:
             return self.lmo(g)
         g = np.asarray(g, dtype=float)
-        support = np.flatnonzero(np.abs(x) > EPS_BIND)
+        support = np.flatnonzero(free)
         vals = np.sign(x[support]) * self.radius * g[support]
         i = support[tie_argmin(vals)]
         v = np.zeros(self.n)
@@ -623,15 +624,11 @@ class StdFormPolytope(Polytope):
         )
         return res.status == 0 and -res.fun > 1e-9
 
-    def _slack(self, x):
-        return x - self.e  # D is the identity
-
-    def _rate(self, d):
-        return d
+    _slack = _rate = _identity_rows
 
     def face_dim_at(self, x):
-        # the binding rows x_i >= 0 pin the zero coordinates; A pins the rest
-        supp = np.asarray(x, dtype=float) > EPS_BIND
+        # the binding rows x_i >= 0 pin their coordinates; A pins the rest
+        supp = ~self.binding_rows(x)
         return int(supp.sum()) - _rank(self.A[:, supp])
 
     def _enumerate_vertices_impl(self):

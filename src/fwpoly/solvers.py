@@ -258,8 +258,8 @@ def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
     variant = variant.upper()
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
+    if not gap_tol > 0:  # NaN fails too
+        raise ValueError(f"gap_tol must be positive, got {gap_tol!r}")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     if variant == "FWIPW" and step != "pow2":

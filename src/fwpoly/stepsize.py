@@ -66,8 +66,8 @@ class StepRule:
     def __post_init__(self):
         if self.kind not in ("ls", "ss", "pow2"):
             raise ValueError(f"unknown step rule {self.kind!r}")
-        if self.kind in ("ss", "pow2") and (self.L is None or self.L <= 0):
-            raise ValueError(f"step rule {self.kind!r} needs L > 0")
+        if self.kind in ("ss", "pow2") and (self.L is None or not 0 < self.L < math.inf):
+            raise ValueError(f"step rule {self.kind!r} needs a finite L > 0, got {self.L!r}")
 
     def step(self, objective, x, g, direction):
         if self.kind == "ls":

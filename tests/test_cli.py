@@ -170,6 +170,12 @@ class TestExitCodes:
                        "entropy", "--variant", "fw",
                        "--trace", str(tmp_path / "t.csv")) == 2
 
+    def test_nan_tol_is_numerical_error(self, tmp_path):
+        # a NaN tolerance used to run silently to --max-iters and exit 0
+        assert run_cli("solve", "--polytope", "simplex3", "--objective",
+                       "wolfe1", "--variant", "fw", "--tol", "nan",
+                       "--trace", str(tmp_path / "t.csv")) == 1
+
     def test_mismatched_rule_is_numerical_error(self, tmp_path):
         # valid flags, invalid combination: pow2 outside the integer-step solver
         assert run_cli("solve", "--polytope", "simplex3", "--objective",

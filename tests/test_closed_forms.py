@@ -7,6 +7,7 @@ D d products and an SVD of the binding rows.  Points are vertices, random
 points, and points moved to within about 1e-9 of a bound, where a row's
 binding status is decided.  Simplex and Box agree exactly; the L1Ball points
 stay off the rounding tie where the closed form and the rows can differ.
+The closed-form ``in_face_lmo`` must search the face the rows bind.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from fwpoly.polytope import (
     Box,
     L1Ball,
     Polytope,
+    TIE_TOL,
     PolytopeError,
     Simplex,
     StdFormPolytope,
@@ -35,7 +37,25 @@ def generic(poly):
     return Polytope(*poly.hform(), n=poly.n)
 
 
-def assert_same_oracles(poly, x, d):
+def assert_in_face_lmo_on_generic_face(poly, x, g):
+    """in_face_lmo(x, g) is a vertex on the rows' minimal face of x whose
+    <g, v> is the face's least, to within tie_argmin's tolerance.
+
+    Values are compared, not vertices: an exact tie may go to another vertex
+    of the face.  The vertex list is the closed form's, since the generic
+    basis enumeration of an L1Ball's 2^n rows is refused above n = 4.
+    """
+    base = generic(poly)
+    rows = base.binding_rows(x)
+    V = poly.enumerate_vertices()
+    face = V[[base.binding_rows(w)[rows].all() for w in V]]
+    hit = np.flatnonzero((face == poly.in_face_lmo(x, g)).all(axis=1))
+    assert hit.size == 1
+    vals = face @ g
+    assert vals[hit[0]] <= vals.min() + TIE_TOL * np.abs(vals).max()
+
+
+def assert_same_oracles(poly, x, d, g):
     base = generic(poly)
     for tol in (1e-8, 0.0):
         assert poly.contains(x, tol) == base.contains(x, tol)
@@ -51,6 +71,7 @@ def assert_same_oracles(poly, x, d):
         dim = base.minimal_face(x).dim
         assert poly.face_dim_at(x) == dim
         assert poly.minimal_face(x).dim == dim
+        assert_in_face_lmo_on_generic_face(poly, x, g)
 
 
 def _near_bound(rng, x, lo, hi=None):
@@ -71,6 +92,12 @@ def _direction(rng, poly, x, kind):
     return np.zeros(poly.n)
 
 
+def _gradient(rng, n):
+    """Random, or with entries on a coarse grid, so exact ties come up."""
+    g = rng.standard_normal(n)
+    return np.round(g) if rng.random() < 0.5 else g
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.integers(0, 2),
        st.integers(0, 2))
@@ -84,7 +111,8 @@ def test_simplex_matches_generic(n, seed, point_kind, dir_kind):
         x = x / x.sum() if x.sum() > 0 else np.eye(n)[0]
         if point_kind == 2:
             x = _near_bound(rng, x, np.zeros(n))
-    assert_same_oracles(poly, x, _direction(rng, poly, x, dir_kind))
+    d = _direction(rng, poly, x, dir_kind)
+    assert_same_oracles(poly, x, d, _gradient(rng, n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -105,7 +133,8 @@ def test_box_matches_generic(n, seed, point_kind, dir_kind):
         x = rng.uniform(lo, hi)
         if point_kind == 2:
             x = _near_bound(rng, x, lo, hi)
-    assert_same_oracles(poly, x, _direction(rng, poly, x, dir_kind))
+    d = _direction(rng, poly, x, dir_kind)
+    assert_same_oracles(poly, x, d, _gradient(rng, n))
 
 
 STDFORMS = [
@@ -176,6 +205,22 @@ def test_l1ball_face_dim_matches_facet_rows(n, seed, at_vertex):
     want = generic(poly).minimal_face(x).dim
     assert poly.face_dim_at(x) == want
     assert poly.is_vertex(x) == (want == 0)
+    assert_in_face_lmo_on_generic_face(poly, x, _gradient(rng, n))
+
+
+@pytest.mark.parametrize("n", [3, 13])
+def test_l1ball_in_face_lmo_searches_the_reported_face(n):
+    # |x_1| < 1e-9, yet 2|x_1| = 1.6e-9 exceeds the slack ||x||_1 - (r - 1e-9)
+    # = 1e-9, so e_1 spans the face with e_0; at n = 3 the rows say so too
+    ball = L1Ball(n)
+    x = np.zeros(n)
+    x[:2] = [1.0 - 8e-10, 8e-10]
+    g = -np.eye(n)[1]
+    assert ball.face_dim_at(x) == 1
+    assert np.array_equal(ball.in_face_lmo(x, g), np.eye(n)[1])
+    if n <= 12:
+        assert generic(ball).minimal_face(x).dim == 1
+        assert_in_face_lmo_on_generic_face(ball, x, g)
 
 
 class TestL1BallBeyondFacetRows:

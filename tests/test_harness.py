@@ -133,6 +133,59 @@ class TestEnvelopes:
         assert envelope_for("BPFW", std) == "bpfw"
 
 
+# the constants each harness check takes, and out-of-range values of each
+_USES = {"envelope_check": "mu theta L rel_slack", "detect_regimes": "mu theta L",
+         "audit_progress": "L rel_slack", "audit_selection": "rel_slack",
+         "audit_scaling": "rel_slack", "audit_fwipw": "mu theta L rel_slack"}
+_BAD = {"mu": (np.nan, np.inf, -1.0), "theta": (np.nan, 0.0, 0.75),
+        "L": (np.nan, np.inf, 0.0, -1.0), "rel_slack": (np.nan, np.inf, -1e-8)}
+
+
+class TestConstantsChecked:
+    """A NaN, infinite or out-of-range constant raises ValueError.
+
+    Unchecked, a NaN bound made every comparison pass (ok=True), and L = 0
+    divided by zero.  Each function is called with the instance's certified
+    constants, one of which is replaced by a bad value.
+    """
+
+    CALLS = {
+        "envelope_check": lambda inst, tr, c: envelope_check(
+            tr, "fw", c["mu"], c["theta"], c["L"], dim=inst.poly.dim(),
+            rel_slack=c["rel_slack"]),
+        "detect_regimes": lambda inst, tr, c: detect_regimes(
+            tr, "fw", c["mu"], c["theta"], c["L"]),
+        "audit_progress": lambda inst, tr, c: audit_progress(
+            tr, c["L"], rel_slack=c["rel_slack"]),
+        "audit_selection": lambda inst, tr, c: audit_selection(
+            tr, rel_slack=c["rel_slack"]),
+        "audit_scaling": lambda inst, tr, c: audit_scaling(
+            tr, inst.poly, inst.xstar_points, "radial", rel_slack=c["rel_slack"]),
+        "audit_fwipw": lambda inst, tr, c: audit_fwipw(
+            tr, c["mu"], c["theta"], c["L"], rel_slack=c["rel_slack"]),
+    }
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        inst = interior_quadratic()
+        cert = inst.derived["radial"]
+        good = {"mu": cert.mu, "theta": cert.theta, "L": inst.L, "rel_slack": 1e-8}
+        return inst, run(inst, "FW", max_iters=300, record_points=True), good
+
+    @pytest.mark.parametrize("fn", sorted(CALLS))
+    def test_certified_constants_accepted(self, traced, fn):
+        inst, tr, good = traced
+        self.CALLS[fn](inst, tr, good)
+
+    @pytest.mark.parametrize("fn,name,bad", [
+        (fn, name, bad) for fn, names in _USES.items()
+        for name in names.split() for bad in _BAD[name]], ids=str)
+    def test_bad_constant_raises(self, traced, fn, name, bad):
+        inst, tr, good = traced
+        with pytest.raises(ValueError, match="need finite mu"):
+            self.CALLS[fn](inst, tr, {**good, name: bad})
+
+
 class TestRegimes:
     def test_fw_linear_theta_starts_immediately(self):
         inst = interior_quadratic()

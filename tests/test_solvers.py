@@ -247,10 +247,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_iters must be nonnegative"):
             solve(S3, self.OBJ, "FW", max_iters=-3)
 
-    @pytest.mark.parametrize("gap_tol", [0.0, -1e-8])
+    @pytest.mark.parametrize("gap_tol", [0.0, -1e-8, float("nan")])
     def test_nonpositive_gap_tol(self, gap_tol):
         with pytest.raises(ValueError, match="gap_tol must be positive"):
             solve(S3, self.OBJ, "FW", gap_tol=gap_tol)
+
+    @pytest.mark.parametrize("variant, step, L", [
+        ("FW", "ss", float("nan")), ("FW", "ss", float("inf")),
+        ("AFW", "ss", float("nan")), ("FWIPW", "pow2", float("nan")),
+    ])
+    def test_nonfinite_L_rejected_up_front(self, variant, step, L):
+        # NaN used to fail later as "iterate left the polytope"; inf made
+        # every short step 0 and ran on to max_iters
+        inst = fwipw_mid()
+        with pytest.raises(ValueError, match="needs a finite L > 0"):
+            solve(inst.poly, inst.obj, variant, step=step, L=L)
 
     def test_pow2_only_for_fwipw(self):
         with pytest.raises(ValueError, match="the pow2 step rule is specific to FWIPW"):
