@@ -22,11 +22,21 @@ Unmoved pins are listed by name.  For each moved run the first record where
 the two runs step on other vertices is listed under ``forks``, with the
 <g, v> values that decided it: from there a run may take another, equally
 valid path.  The exit status is 1 when a moved pin fails a check, else 0.
+
+    python scripts/compare_pins.py --geometry OLD_CHECKOUT [NEW_CHECKOUT]
+
+compares geometry values instead: the five sweeps that ``SWEEP_DIGESTS`` in
+``tests/test_geometry.py`` pins (inner, outer and phi_lower_bound of every
+proper face) and the result rows of the benchmark's ``geometry`` workload at
+seed 1.  Every moved value is listed with its distance in units in the last
+place of the old value; the exit status is 1 when a value moves by more than
+4 ulp or the rows differ in number or labels, else 0.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import subprocess
@@ -35,6 +45,7 @@ import tempfile
 
 F_TOL = 1e-13
 TIE_TOL = 1e-12
+ULP_TOL = 4
 
 
 # -- worker: runs inside one checkout --------------------------------------------
@@ -167,17 +178,49 @@ def worker(out_path):
         pickle.dump(out, fh)
 
 
+def _geometry_row(line):
+    """(label, values) of one benchmark result row: a quoted name, an index, values."""
+    name, index, *values = line.rstrip("\n").split(",")
+    label = name.strip("'") + " #" + index
+    return label, tuple(None if v == "None" else float(v) for v in values)
+
+
+def geometry_values(tg, workloads, size):
+    """Every sweep row that tg pins and the benchmark's geometry rows at seed 1."""
+    out = {}
+    for name in sorted(tg.SWEEP_DIGESTS):
+        poly = tg.sweep_polytope(name)
+        out[("sweep", name)] = [("face " + ",".join(map(str, sorted(face.vset))), tuple(vals))
+                                for face, *vals in tg.sweep(poly, tg.face_lattice(poly))]
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads.run_round("geometry", workloads.build("geometry", 1, size), tmp,
+                            workloads.Ledger())
+        with open(os.path.join(tmp, "geometry.csv")) as fh:
+            out[("benchmark", "geometry")] = [_geometry_row(line) for line in fh]
+    return out
+
+
+def geometry_worker(out_path):
+    import test_geometry as tg
+
+    sys.path.insert(0, os.path.join(os.environ["CHECKOUT"], "benchmark"))
+    import workloads
+
+    with open(out_path, "wb") as fh:
+        pickle.dump(geometry_values(tg, workloads, workloads.FULL), fh)
+
+
 # -- driver: compares two checkouts ---------------------------------------------------
 
 
-def _collect(checkout, tmp, label):
+def _collect(checkout, tmp, label, worker_flag="--worker"):
     checkout = os.path.abspath(checkout)
     out_path = os.path.join(tmp, f"{label}.pkl")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", CHECKOUT=checkout,
                PYTHONPATH=os.pathsep.join([os.path.join(checkout, "src"),
                                            os.path.join(checkout, "tests")]))
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", out_path],
+    subprocess.run([sys.executable, os.path.abspath(__file__), worker_flag, out_path],
                    check=True, env=env, cwd=tmp)
     with open(out_path, "rb") as fh:
         return pickle.load(fh)
@@ -292,9 +335,57 @@ def compare(old_tree, new_tree):
     return 1 if report["problems"] else 0
 
 
+def ulps(old, new):
+    """|new - old| in units in the last place of old."""
+    return abs(new - old) / math.ulp(old)
+
+
+def compare_values(old, new):
+    """(report lines, problems) for two geometry_values collections."""
+    lines, problems, unmoved = [], [], []
+    for key in sorted(old):
+        where = ":".join(key)
+        a, b = old[key], new.get(key, [])
+        if [label for label, _ in a] != [label for label, _ in b] or any(
+                len(va) != len(vb) for (_, va), (_, vb) in zip(a, b)):
+            problems.append(f"{where}: rows differ in number, labels or length")
+            continue
+        moved = [(label, col, x, y) for (label, va), (_, vb) in zip(a, b)
+                 for col, (x, y) in enumerate(zip(va, vb)) if x != y]
+        if not moved:
+            unmoved.append(where)
+            continue
+        total = sum(len(va) for _, va in a)
+        dists = [math.inf if None in (x, y) else ulps(x, y) for _, _, x, y in moved]
+        lines.append(f"moved  {where}  {len(moved)} of {total} values, "
+                     f"worst {max(dists):.3g} ulp")
+        for (label, col, x, y), d in zip(moved, dists):
+            lines.append(f"  {label} value {col}: {x!r} -> {y!r} ({d:.3g} ulp)")
+            if d > ULP_TOL:
+                problems.append(f"{where} {label} value {col}: {d:.3g} ulp > {ULP_TOL}")
+    lines.append(f"unmoved ({len(unmoved)}): {', '.join(unmoved)}")
+    return lines, problems
+
+
+def compare_geometry(old_tree, new_tree):
+    with tempfile.TemporaryDirectory() as tmp:
+        old = _collect(old_tree, tmp, "old", "--geometry-worker")
+        new = _collect(new_tree, tmp, "new", "--geometry-worker")
+    lines, problems = compare_values(old, new)
+    print("\n".join(lines))
+    print(f"problems ({len(problems)}):")
+    for line in problems:
+        print(f"  {line}")
+    return 1 if problems else 0
+
+
 if __name__ == "__main__":
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     if sys.argv[1:2] == ["--worker"]:
         worker(sys.argv[2])
+    elif sys.argv[1:2] == ["--geometry-worker"]:
+        geometry_worker(sys.argv[2])
+    elif sys.argv[1:2] == ["--geometry"]:
+        sys.exit(compare_geometry(sys.argv[2], sys.argv[3] if len(sys.argv) > 3 else here))
     else:
-        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         sys.exit(compare(sys.argv[1], sys.argv[2] if len(sys.argv) > 2 else here))

@@ -9,16 +9,20 @@ Three point-to-optimum distances drive the convergence analysis:
 
 They always satisfy face <= vertex <= radial <= 1 and vanish only at y = x.
 What they compute from the polytope alone (its vertex supports and gauge
-facets) is kept in tables on the polytope, filled on first use.
+facets) is kept in tables on the polytope, filled on first use, and a batched
+screen skips only the support solves that must fail, so supports are unchanged.
 
 The facial distances of a face F are the inner one (min over subfaces G of
 the distance from G to the hull of the remaining vertices) and the outer one
 (min over disjoint face pairs).  Each is a min over subfaces G of a
 separation that depends on G alone, so a FaceLattice memoises those per G:
 one lattice passed to a sweep over faces computes each subface's separation
-once.  Both distances admit computable lower bounds from the per-row slack
-profile sigma, which the lattice memoises per G the same way; those bounds
-and the resulting error-bound certificates live here too.
+once.  The outer separation of G solves only against the maximal faces
+disjoint from G, as no face is nearer to G than one containing it: the same
+min in exact arithmetic, at most an ulp or so apart in floating point.  Both
+distances admit computable lower bounds from the per-row slack profile
+sigma, which the lattice memoises per G the same way; those bounds and the
+resulting error-bound certificates live here too.
 """
 
 from __future__ import annotations
@@ -115,11 +119,12 @@ def face_distance(poly, y, x):
 
 
 def _support_table(poly):
-    """The vertices and the support table, built on first use.
+    """The vertices, the support table and its screen, built on first use.
 
     The table lists the affinely independent vertex subsets S of size at
     most dim+1, in itertools.combinations order, each with its bordered
-    matrix [V_S^T; 1].
+    matrix [V_S^T; 1].  The screen stacks those matrices, their
+    pseudo-inverses (both zero-padded to dim+1) and their condition numbers.
     """
     V = poly.enumerate_vertices(cap=VERTEX_DIST_VMAX)
     if poly._supports is None:
@@ -129,8 +134,30 @@ def _support_table(poly):
                 M = np.vstack([V[list(S)].T, np.ones(size)])
                 if _rank(M) == size:
                     table.append((S, M))
-        poly._supports = table
-    return V, poly._supports
+        Ms = np.zeros((len(table), poly.n + 1, poly.dim() + 1))
+        pinv, cond = np.zeros(Ms.transpose(0, 2, 1).shape), np.empty(len(table))
+        for i, (S, M) in enumerate(table):
+            U, s, Wt = np.linalg.svd(M, full_matrices=False)
+            Ms[i, :, :len(S)], pinv[i, :len(S)], cond[i] = M, (Wt.T / s) @ U.T, s[0] / s[-1]
+        poly._supports = table, (Ms, pinv, cond)
+    return V, *poly._supports
+
+
+def _must_reject(screen, rhs, tol):
+    """Per table row: whether the lstsq test of minimal_supports must reject it.
+
+    One product gives each row's weights lam = pinv @ rhs (padding adds zeros,
+    which decide nothing) and residual.  To first order these differ from
+    lstsq's by u*cond*|lam| and u*cond*|rhs| (Higham 2002, sections 3.5, 20.1),
+    1.1e-10 relative at cond <= 1e6: 90 times below the weight margin, and
+    below the residual margin tol while |rhs| <= 9*scale (any point of a
+    polytope in up to 80 dimensions).  A row past either margin fails lstsq.
+    """
+    Ms, pinv, cond = screen
+    lam = pinv @ rhs
+    res = np.linalg.norm((Ms @ lam[:, :, None])[:, :, 0] - rhs, axis=1)
+    negative = lam.min(axis=1) < -1e-8 * np.maximum(1.0, np.abs(lam).max(axis=1))
+    return (cond <= 1e6) & ((res > 2.0 * tol) | negative)
 
 
 def minimal_supports(poly, x):
@@ -140,18 +167,17 @@ def minimal_supports(poly, x):
     vertices and their barycentric coordinates are unique: one least-squares
     solve per candidate subset decides membership.  The candidates come
     from the support table, built on the first call and kept on the
-    polytope for as long as it lives.
+    polytope for as long as it lives; a screen skips only rows lstsq rejects.
     """
-    V, table = _support_table(poly)
-    x = np.asarray(x, dtype=float)
-    scale = max(1.0, float(np.abs(V).max()))
-    rhs = np.concatenate([x, [1.0]])
+    V, table, screen = _support_table(poly)
+    tol = 1e-9 * max(1.0, float(np.abs(V).max()))
+    rhs = np.append(np.asarray(x, dtype=float), 1.0)
     found = []
-    for S, M in table:
-        if any(set(m) <= set(S) for m in found):
+    for (S, M), rejected in zip(table, _must_reject(screen, rhs, tol)):
+        if rejected or any(set(m) <= set(S) for m in found):
             continue
         lam, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.linalg.norm(M @ lam - rhs) > 1e-9 * scale:
+        if np.linalg.norm(M @ lam - rhs) > tol:
             continue
         if lam.min() >= SUPPORT_MARGIN:
             found.append(S)
@@ -209,9 +235,9 @@ class FaceLattice(list):
     from, and memoises per subface G, keyed by vertex set, what the facial
     distances and their bound minimise: ``inner[G]`` = dist(G, hull of the
     other vertices), ``outer[G]`` = min over faces H sharing no vertex with
-    G of dist(G, H), and ``lower[G]`` = the slack-profile bound on
-    ``inner[G]``, which also depends on the rows.  Each is filled on first
-    use and lives as long as the lattice.
+    G of dist(G, H), solved for maximal such H only, and ``lower[G]`` =
+    the slack-profile bound on ``inner[G]``, which also depends on the
+    rows.  Each is filled on first use and lives as long as the lattice.
     """
 
     def __init__(self, faces, poly):
@@ -329,10 +355,18 @@ def _hull_separation(poly, lattice, G):
 
 
 def _disjoint_separation(poly, lattice, G):
+    """Min of dist(G, H) over the maximal faces H disjoint from G.
+
+    H inside H' gives dist(G, H') <= dist(G, H).  The lattice runs smallest
+    first, so walking it from the end meets every container of H before H.
+    """
     V = lattice.vertices
+    maximal = []
+    for H in reversed(lattice):
+        if not (G & H.vset or any(H.vset <= K for K in maximal)):
+            maximal.append(H.vset)
     VG = V[sorted(G)]
-    return min((hull_distance(VG, V[sorted(H.vset)]) for H in lattice if not (G & H.vset)),
-               default=np.inf)
+    return min((hull_distance(VG, V[sorted(H)]) for H in maximal), default=np.inf)
 
 
 def inner_facial_distance(poly, face, lattice=None):

@@ -501,11 +501,17 @@ class L1Ball(Polytope):
         A facet row s binds when <s, x> >= r - EPS_BIND.  With slack
         ||x||_1 - (r - EPS_BIND) >= 0, flipping the sign of coordinate i costs
         2|x_i|, so the rows pin exactly the coordinates with 2|x_i| <= slack;
-        with negative slack no row binds, and None marks the interior.
+        with negative slack no row binds, and None marks the interior.  With no
+        coordinate free (radius below EPS_BIND, or x far outside) it raises.
         """
         a = np.abs(np.asarray(x, dtype=float))
         slack = a.sum() - (self.radius - EPS_BIND)
-        return None if slack < 0.0 else 2.0 * a > slack
+        if slack < 0.0:
+            return None
+        free = 2.0 * a > slack
+        if not free.any():
+            raise PolytopeError(f"{self.name}: no coordinate is free at {x}")
+        return free
 
     def face_dim_at(self, x):
         free = self._face_coords(x)

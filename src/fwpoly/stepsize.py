@@ -31,8 +31,8 @@ def line_search(objective, x, g, d, eta_max):
 
 def short_step(g, d, L, eta_max):
     """Curvature-matched step min(-<g,d>/L, eta_max), clamped to be nonnegative."""
-    if L <= 0.0:
-        raise ValueError("short_step needs L > 0")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"short_step needs a finite L > 0, got {L!r}")
     return _clipped_step(float(g @ d), L, eta_max)
 
 

@@ -5,12 +5,14 @@ the pin modules and the harness for their rosters.  These tests run its
 record comparison on synthetic runs (a tie, a fork, a moved value), capture
 one small run the way its worker does, and check that every roster name the
 worker looks up still resolves, so a rename fails here rather than in the
-next comparison.
+next comparison.  Its geometry mode is run on a small benchmark round and
+its value comparison on synthetic rows.
 """
 
 import ast
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -134,3 +136,41 @@ def test_worker_lookups_resolve():
     missing = [f"{alias}.{name}" for alias, name in lookups
                if not hasattr(modules[alias], name)]
     assert not missing
+
+
+def test_ulps_counts_units_in_the_last_place_of_the_old_value():
+    assert cp.ulps(1.0, 1.0) == 0.0
+    assert cp.ulps(1.0, np.nextafter(1.0, 2.0)) == 1.0
+    assert cp.ulps(0.75, 0.75 - 4 * math.ulp(0.75)) == 4.0
+
+
+def test_compare_values_lists_moved_values_and_fails_above_four_ulp():
+    x = 0.7475122422746558
+    old = {("sweep", "a"): [("face 0", (x, 1.0))],
+           ("sweep", "b"): [("face 0", (x, 1.0)), ("face 1", (0.5, 2.0))],
+           ("sweep", "c"): [("face 0", (x,))],
+           ("benchmark", "geometry"): [("box2 #0", (x,))]}
+    new = {("sweep", "a"): [("face 0", (x, 1.0))],
+           ("sweep", "b"): [("face 0", (x + math.ulp(x), 1.0)), ("face 1", (0.5, 2.0))],
+           ("sweep", "c"): [("face 1", (x,))],
+           ("benchmark", "geometry"): [("box2 #0", (x + 5 * math.ulp(x),))]}
+    lines, problems = cp.compare_values(old, new)
+    assert "moved  sweep:b  1 of 4 values, worst 1 ulp" in lines
+    assert f"  face 0 value 0: {x!r} -> {x + math.ulp(x)!r} (1 ulp)" in lines
+    assert lines[-1] == "unmoved (1): sweep:a"
+    assert problems == ["benchmark:geometry box2 #0 value 0: 5 ulp > 4",
+                        "sweep:c: rows differ in number, labels or length"]
+
+
+def test_geometry_mode_collects_every_pinned_sweep_and_benchmark_row():
+    import test_geometry as tg
+
+    workloads = _load("benchmark_workloads", ROOT / "benchmark" / "workloads.py")
+    values = cp.geometry_values(tg, workloads, workloads.TINY)
+    assert sorted(values) == [("benchmark", "geometry")] + [
+        ("sweep", name) for name in sorted(tg.SWEEP_DIGESTS)]
+    assert len(values[("sweep", "cube3")]) == 26
+    assert values[("benchmark", "geometry")][0] == ("box2 #0", (math.sqrt(2) / 2, 1.0))
+    lines, problems = cp.compare_values(values, values)
+    assert problems == [] and lines == [f"unmoved ({len(values)}): " + ", ".join(
+        ":".join(key) for key in sorted(values))]

@@ -263,7 +263,7 @@ SWEEP_DIGESTS = {
     "truncsimplex": "7790571b5619100d4ca168d67c66419f2536a6da4130e182d244d22cf7db0bbd",
     "simplex5std": "95c184cc1ed2d463aedafed851d3936e52ebb73c0f134fae5c07a801d67297e3",
     "cube2std": "bd73772bd6786d276107f43b50749287ba0e06015dfaa476e782f9072ffecdd7",
-    "sphere9": "f03a3061eed27e8643ebd5c172260fafe83fc9521f5d94589b9abbef95860555",
+    "sphere9": "acc8fa5f2955ea22e3b80e6e4c3b95b59fbf6d9dd6c74b3011ac40c67e13bd4c",
 }
 
 PARENT_TABLE = Path(__file__).with_name("shared_lattice_parent.txt")
@@ -325,11 +325,15 @@ class TestSharedLattice:
         full = lattice[-1].vset
         proper = [G.vset for G in lattice if G.vset != full]
         pairs = sum(1 for G in proper for H in lattice if not (G & H.vset))
-        assert (pairs, len(proper)) == (386, 26)
+        # outer[G] solves only against the disjoint faces that no other
+        # disjoint face contains
+        maximal = sum(1 for G in proper for H in lattice if not (G & H.vset)
+                      and not any(H.vset < K.vset for K in lattice if not (G & K.vset)))
+        assert (pairs, maximal, len(proper)) == (386, 54, 26)
         sweep(poly, lattice)
-        assert len(calls) == pairs + len(proper)
+        assert len(calls) == maximal + len(proper)
         sweep(poly, lattice)  # every separation is memoised by now
-        assert len(calls) == pairs + len(proper)
+        assert len(calls) == maximal + len(proper)
 
     def test_plain_face_list_accepted(self):
         faces = list(face_lattice(BOX2))
@@ -430,6 +434,117 @@ def test_vertex_distance_builds_each_support_gauge_once(monkeypatch):
         evaluated += len(found)
         vertex_distance(poly, poly.sample_point(rng), x)
     assert len(builds) == len(supports) < evaluated
+
+
+# -- solves that cannot change a result are skipped -------------------------------------
+
+
+def sphere(seed, n):
+    """n Gaussian points on the unit sphere: every one a vertex, in general position."""
+    P = np.random.default_rng(seed).standard_normal((n, 3))
+    return VRepPolytope(P / np.linalg.norm(P, axis=1, keepdims=True), name=f"sphere{n}")
+
+
+# a flat triangular prism: a bottom vertex's maximal disjoint faces are the
+# top triangle (at height 0.5) and the far square (at 0.866), of other sizes
+PRISM = VRepPolytope([[0, 0, z] for z in (0, 0.5)] + [[1, 0, z] for z in (0, 0.5)]
+                     + [[0.5, 0.75 ** 0.5, z] for z in (0, 0.5)], name="prism")
+
+
+@pytest.mark.parametrize("poly", [named_polytope("cube3"), PRISM, sphere(0, 7),
+                                  sphere(1, 8), sphere(2, 9)], ids=lambda p: p.name)
+def test_outer_distance_equals_min_over_every_disjoint_face(poly):
+    lattice = face_lattice(poly)
+    V, full = lattice.vertices, lattice[-1].vset
+    brute = {G.vset: min(hull_distance(V[sorted(G.vset)], V[sorted(H.vset)])
+                         for H in lattice if not (G.vset & H.vset))
+             for G in lattice if G.vset != full}
+    for face in lattice:
+        if face.vset != full:
+            want = min(d for G, d in brute.items() if G <= face.vset)
+            got = outer_facial_distance(poly, face, lattice=lattice)
+            assert abs(got - want) <= 4 * math.ulp(want)
+    for G, want in brute.items():  # and each subface's memoised separation
+        assert abs(lattice.outer[G] - want) <= 4 * math.ulp(want)
+
+
+def supports_unscreened(poly, x):
+    """minimal_supports without the screen: one lstsq on every table row."""
+    _, table, *_ = geometry._support_table(poly)
+    V = poly.enumerate_vertices()
+    x = np.asarray(x, dtype=float)
+    scale = max(1.0, float(np.abs(V).max()))
+    rhs = np.concatenate([x, [1.0]])
+    found = []
+    for S, M in table:
+        if any(set(m) <= set(S) for m in found):
+            continue
+        lam, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        if np.linalg.norm(M @ lam - rhs) > 1e-9 * scale:
+            continue
+        if lam.min() >= geometry.SUPPORT_MARGIN:
+            found.append(S)
+    if not found:
+        raise PolytopeError("minimal_supports: the point has no vertex support")
+    return found
+
+
+# P = conv{0, e1, e2, e3, (1, 1, 0.3)} and its images z = A x + b, with
+# A = s U diag(1, sqrt(kappa), kappa) W; an image keeps P's vertex order
+P_ITEM1 = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0.3]], dtype=float)
+
+
+def item1_image(kappa, s):
+    rng = np.random.default_rng(0)
+    U, W = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    A = s * U @ np.diag([1.0, np.sqrt(kappa), kappa]) @ W
+    b = s * rng.standard_normal(3)
+    return VRepPolytope(P_ITEM1 @ A.T + b, name=f"item1({kappa:g},{s:g})"), A, b
+
+
+def test_ill_conditioned_image_keeps_its_supports():
+    # the float supports on the kappa = 1e3, s = 1e7 image are wrong (on P
+    # they are (0,3,4) and (0,1,2,3)); the screen must not change them
+    poly, A, b = item1_image(1e3, 1e7)
+    x = A @ np.array([0.2, 0.2, 0.2]) + b
+    assert minimal_supports(poly, x) == supports_unscreened(poly, x) == [
+        (0, 3, 4), (1, 2, 3), (1, 3, 4)]
+
+
+# polytope and the lattice whose vertex sets name its faces: an image of P
+# keeps P's vertex order, so it takes P's lattice
+SCREEN_CASES = {name: (poly, REUSED_LATTICES[name]) for name, poly in REUSED.items()}
+for seed, n in enumerate((7, 8, 9)):
+    SCREEN_CASES[f"sphere{n}_{seed}"] = sphere(seed, n), face_lattice(sphere(seed, n))
+ITEM1 = VRepPolytope(P_ITEM1, name="item1")
+SCREEN_CASES["item1"] = ITEM1, face_lattice(ITEM1)
+for kappa, s in [(1.0, 1.0), (1e3, 1.0), (1e3, 1e7)]:
+    SCREEN_CASES[f"item1({kappa:g},{s:g})"] = item1_image(kappa, s)[0], SCREEN_CASES["item1"][1]
+
+
+def _supports_or_error(fn, poly, x):
+    try:
+        return fn(poly, x)
+    except PolytopeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SCREEN_CASES)), st.integers(0, 2**32 - 1))
+def test_screened_supports_equal_unscreened(name, seed):
+    """Random, vertex, edge and facet points; lattices of images come from P."""
+    poly, lattice = SCREEN_CASES[name]
+    rng = np.random.default_rng(seed)
+    V = np.asarray(poly.enumerate_vertices())
+    top = max(face.dim for face in lattice)
+    points = [rng.dirichlet(np.ones(len(V))) @ V]
+    for dim in (0, 1, top - 1):
+        faces = [face for face in lattice if face.dim == dim]
+        face = faces[int(rng.integers(len(faces)))]
+        points.append(rng.dirichlet(np.ones(len(face.vset))) @ V[sorted(face.vset)])
+    for x in points:
+        assert (_supports_or_error(minimal_supports, poly, x)
+                == _supports_or_error(supports_unscreened, poly, x))
 
 
 # -- gauge cross-check ---------------------------------------------------------------

@@ -228,6 +228,17 @@ class TestMinimalFace:
         with pytest.raises(PolytopeError):
             Simplex(3).minimal_face([0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("oracle", [
+        lambda ball, x: ball.face_dim_at(x),
+        lambda ball, x: ball.is_vertex(x),
+        lambda ball, x: ball.in_face_lmo(x, np.array([1.0, -2.0, 0.5])),
+    ], ids=["face_dim_at", "is_vertex", "in_face_lmo"])
+    def test_l1ball_below_the_binding_tolerance_raises(self, oracle):
+        # radius 1e-10 < EPS_BIND: the centre's slack pins every coordinate,
+        # so no vertex names its face
+        with pytest.raises(PolytopeError, match="no coordinate is free"):
+            oracle(L1Ball(3, 1e-10), np.zeros(3))
+
 
 CONTAINS_POLYS = pytest.mark.parametrize("poly", [
     Simplex(3),

@@ -98,6 +98,11 @@ class TestShortStep:
         with pytest.raises(ValueError):
             short_step(np.array([1.0]), np.array([-1.0]), L=0.0, eta_max=1.0)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -1.0])
+    def test_requires_finite_positive_curvature(self, L):
+        with pytest.raises(ValueError, match="finite L > 0"):
+            short_step(np.array([1.0]), np.array([-1.0]), L=L, eta_max=1.0)
+
 
 class _Curved:
     """A model objective whose curvature along any direction is ``curv``."""
