@@ -649,17 +649,13 @@ def fit_holder_exponent(gaps, dists):
 def estimate_theta(trace, poly, xstar_points, kind="radial"):
     """Fit (mu, theta) from a recorded run with known optimal points.
 
-    The trace must have been recorded with points; distances from the
-    optimum to each iterate are measured with the requested set distance.
+    The trace must have been recorded with points and a known optimal value;
+    distances from the optimum to each row of ``trace.points`` are measured
+    with the requested set distance.
     """
     pts = np.atleast_2d(np.asarray(xstar_points, dtype=float))
     dist_fn = distance_for(kind)
-    gaps, dists = [], []
-    for rec in trace.records:
-        if rec.x is None or rec.f_gap is None:
-            continue
-        gaps.append(rec.f_gap)
-        dists.append(min(dist_fn(poly, p, rec.x) for p in pts))
-    if len(gaps) < 5:
+    if trace.points is None or trace.fstar is None or len(trace.points) < 5:
         raise ValueError("estimate_theta: trace needs points and at least 5 records")
-    return fit_holder_exponent(np.asarray(gaps), np.asarray(dists))
+    return fit_holder_exponent(trace.f_gap, [min(dist_fn(poly, p, x) for p in pts)
+                                             for x in trace.points])

@@ -36,6 +36,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -197,10 +198,8 @@ def _halving_t0(gaps, mu, theta, L, denom):
 
 def _gamma_t0(trace):
     """FWIPW: first iteration whose curvature target drops below one."""
-    for r in trace.records:
-        if r.gamma is not None and r.gamma < 1.0:
-            return r.t
-    return len(trace.records)
+    hits = () if trace.gamma is None else np.flatnonzero(trace.gamma < 1.0)
+    return int(hits[0]) if len(hits) else len(trace.f_val)
 
 
 def detect_regimes(trace, envelope_id, mu, theta, L):
@@ -216,8 +215,8 @@ def detect_regimes(trace, envelope_id, mu, theta, L):
     if fam.t1_offset is None:
         return Regimes(t0, None)
     # constant regime ends once the support or face present at t0 is worked off
-    if t0 < len(trace.records):
-        size = trace.records[t0].support_or_face_dim
+    if t0 < len(trace.f_val):
+        size = int(trace.support_or_face_dim[t0])
         return Regimes(t0, max(t0, size + t0 + fam.t1_offset))
     return Regimes(t0, t0)
 
@@ -286,21 +285,13 @@ def envelope_check(trace, envelope_id, mu, theta, L, dim=None, m=None,
     _check_constants(mu, theta, L, rel_slack)
     gaps, bounds, reg = _envelope_series(trace, envelope_id, mu, theta, L, dim, m)
     noise_floor = 1e-13 * max(1.0, abs(trace.fstar), float(gaps[0]))
-    first = None
-    worst = 0.0
-    checked = skipped = 0
-    for i, (g, b) in enumerate(zip(gaps, bounds)):
-        if g <= noise_floor:
-            skipped += 1
-            continue
-        checked += 1
-        if b > 0:
-            worst = max(worst, g / b)
-        if g > b * (1.0 + rel_slack):
-            if first is None:
-                first = i
-    return EnvelopeReport(first is None, envelope_id, reg.t0, reg.t1, first,
-                          worst, checked, skipped, bounds, gaps)
+    checked = ~(gaps <= noise_floor)  # a NaN gap is checked and fails nothing
+    ratios = np.divide(gaps, bounds, out=np.zeros_like(gaps), where=checked & (bounds > 0))
+    over = np.flatnonzero(checked & (gaps > bounds * (1.0 + rel_slack)))
+    first = int(over[0]) if over.size else None
+    worst = max(0.0, np.fmax.reduce(ratios, initial=0.0))  # np.float64 unless 0.0
+    return EnvelopeReport(first is None, envelope_id, reg.t0, reg.t1, first, worst,
+                          int(checked.sum()), int((~checked).sum()), bounds, gaps)
 
 
 # -- per-iteration audits -------------------------------------------------------------
@@ -320,11 +311,14 @@ class AuditReport:
         return self
 
 
-def _steps(trace):
-    """Yield (record, f_next) pairs: the objective value reached by each step."""
-    recs = trace.records
-    for k, r in enumerate(recs):
-        yield r, recs[k + 1].f_val if k + 1 < len(recs) else trace.f_final
+def _f_next(trace):
+    """The objective value each step reached: the next step's f_val, then f_final."""
+    return trace.f_val[1:].tolist() + [trace.f_final]
+
+
+def _listed(column):
+    """A trace column as Python scalars, or endless Nones for a missing one."""
+    return repeat(None) if column is None else column.tolist()
 
 
 def audit_progress(trace, L, rel_slack=REL_SLACK):
@@ -343,28 +337,23 @@ def audit_progress(trace, L, rel_slack=REL_SLACK):
     """
     _check_constants(L=L, rel_slack=rel_slack)
     failures = []
-    n = 0
-    for r, f_next in _steps(trace):
-        n += 1
-        scale = max(1.0, abs(r.f_val))
-        tol = rel_slack * scale
-        if r.step_kind == "PW":
-            taken = r.f_val + r.eta * r.inner + r.eta ** 2 * L / 2.0
+    for t, (f_val, f_next, inner, eta, case, kind) in enumerate(zip(
+            trace.f_val.tolist(), _f_next(trace), trace.inner.tolist(), trace.eta.tolist(),
+            trace.case.tolist(), trace.step_kind)):
+        tol = rel_slack * max(1.0, abs(f_val))
+        if kind == "PW":
+            taken = f_val + eta * inner + eta ** 2 * L / 2.0
             if f_next > taken + tol:
-                failures.append((r.t, f"pow2 majorant: {f_next!r} > {taken!r}"))
+                failures.append((t, f"pow2 majorant: {f_next!r} > {taken!r}"))
             continue
-        loose = r.f_val - r.inner ** 2 / (2 * L)
-        tight = r.f_val + r.inner / 2.0
-        if r.case == 1:
-            if f_next > loose + tol:
-                failures.append((r.t, f"case 1: {f_next!r} > {loose!r}"))
-        elif r.case == 2:
-            if f_next > tight + tol and f_next > loose + tol:
-                failures.append((r.t, f"case 2: {f_next!r} > max bound"))
-        else:
-            if f_next > r.f_val + tol:
-                failures.append((r.t, f"case 3 increased: {f_next!r} > {r.f_val!r}"))
-    return AuditReport("progress", not failures, n, failures)
+        loose = f_val - inner ** 2 / (2 * L)
+        if case == 1 and f_next > loose + tol:
+            failures.append((t, f"case 1: {f_next!r} > {loose!r}"))
+        elif case == 2 and f_next > f_val + inner / 2.0 + tol and f_next > loose + tol:
+            failures.append((t, f"case 2: {f_next!r} > max bound"))
+        elif case == 3 and f_next > f_val + tol:
+            failures.append((t, f"case 3 increased: {f_next!r} > {f_val!r}"))
+    return AuditReport("progress", not failures, len(trace.f_val), failures)
 
 
 def audit_selection(trace, rel_slack=REL_SLACK):
@@ -376,21 +365,19 @@ def audit_selection(trace, rel_slack=REL_SLACK):
     """
     _check_constants(rel_slack=rel_slack)
     failures = []
-    n = 0
-    for r in trace.records:
-        n += 1
-        scale = max(1.0, abs(r.f_val), r.fw_gap)
-        tol = rel_slack * scale
-        if r.strong_gap is not None:
-            if r.inner > -r.strong_gap / 2.0 + tol:
-                failures.append((r.t, f"<g,d>={r.inner!r} vs strong gap {r.strong_gap!r}"))
-            if r.strong_gap < r.fw_gap - tol:
-                failures.append((r.t, "strong gap below the plain gap"))
-        if r.inner > -r.fw_gap + tol:
-            failures.append((r.t, f"<g,d>={r.inner!r} above -fw_gap={-r.fw_gap!r}"))
-        if r.f_gap is not None and r.inner > -r.f_gap + tol:
-            failures.append((r.t, f"<g,d>={r.inner!r} above -(f-f*)"))
-    return AuditReport("selection", not failures, n, failures)
+    for t, (f_val, fw_gap, inner, strong_gap, f_gap) in enumerate(zip(
+            trace.f_val.tolist(), trace.fw_gap.tolist(), trace.inner.tolist(),
+            _listed(trace.strong_gap), _listed(trace.f_gap))):
+        tol = rel_slack * max(1.0, abs(f_val), fw_gap)
+        if strong_gap is not None and inner > -strong_gap / 2.0 + tol:
+            failures.append((t, f"<g,d>={inner!r} vs strong gap {strong_gap!r}"))
+        if strong_gap is not None and strong_gap < fw_gap - tol:
+            failures.append((t, "strong gap below the plain gap"))
+        if inner > -fw_gap + tol:
+            failures.append((t, f"<g,d>={inner!r} above -fw_gap={-fw_gap!r}"))
+        if f_gap is not None and inner > -f_gap + tol:
+            failures.append((t, f"<g,d>={inner!r} above -(f-f*)"))
+    return AuditReport("selection", not failures, len(trace.f_val), failures)
 
 
 def audit_scaling(trace, poly, xstar_points, kind, rel_slack=REL_SLACK):
@@ -401,29 +388,27 @@ def audit_scaling(trace, poly, xstar_points, kind, rel_slack=REL_SLACK):
     to the optimal set is evaluated as the minimum over the supplied optimal
     points; for a subset of the optimal set that minimum only overestimates
     the distance, which keeps the audited inequality valid.  Needs a trace
-    recorded with points.  Every (len // 80)-th record is audited, so a long
-    trace costs 80 to 160 checks.
+    recorded with points (row t of ``trace.points``).  Every (T // 80)-th
+    of the T steps is audited, so a long trace costs 80 to 160 checks.
     """
     _check_constants(rel_slack=rel_slack)
     dist_fn = distance_for(kind)
     xstar_points = np.atleast_2d(np.asarray(xstar_points, dtype=float))
-    recs = [r for r in trace.records if r.x is not None and r.f_gap is not None]
-    if not recs:
+    if trace.points is None or trace.fstar is None or not len(trace.points):
         raise ValueError("scaling audit needs a trace recorded with points and f*")
-    stride = max(1, len(recs) // 80)
+    gaps = trace.fw_gap if kind == "radial" else trace.strong_gap
+    if gaps is None:
+        raise ValueError(f"trace lacks the strong gap needed for {kind!r}")
+    audited = range(0, len(trace.points), max(1, len(trace.points) // 80))
     failures = []
-    n = 0
-    for r in recs[::stride]:
-        n += 1
-        gap = r.fw_gap if kind == "radial" else r.strong_gap
-        if gap is None:
-            raise ValueError(f"trace lacks the strong gap needed for {kind!r}")
-        d = min(dist_fn(poly, y, r.x) for y in xstar_points)
+    for t, gap, f_gap in zip(audited, gaps[::audited.step].tolist(),
+                             trace.f_gap[::audited.step].tolist()):
+        d = min(dist_fn(poly, y, trace.points[t]) for y in xstar_points)
         lhs = gap * d
-        tol = rel_slack * max(1.0, lhs, r.f_gap)
-        if lhs < r.f_gap - tol:
-            failures.append((r.t, f"gap*dist={lhs!r} < f-f*={r.f_gap!r} (d={d!r})"))
-    return AuditReport(f"scaling[{kind}]", not failures, n, failures)
+        tol = rel_slack * max(1.0, lhs, f_gap)
+        if lhs < f_gap - tol:
+            failures.append((t, f"gap*dist={lhs!r} < f-f*={f_gap!r} (d={d!r})"))
+    return AuditReport(f"scaling[{kind}]", not failures, len(audited), failures)
 
 
 def audit_drop_accounting(trace, initial_support=1):
@@ -431,31 +416,20 @@ def audit_drop_accounting(trace, initial_support=1):
 
     Over every prefix, #Case3 <= #Case1+#Case2 + initial support size - 1.
     """
-    failures = []
-    good = drops = 0
-    for r in trace.records:
-        if r.case == 3:
-            drops += 1
-        else:
-            good += 1
-        if drops > good + initial_support - 1:
-            failures.append((r.t, f"{drops} drops vs {good} productive steps"))
-            break
-    return AuditReport("drop-accounting", not failures, len(trace.records), failures)
+    drops = np.cumsum(trace.case == 3)
+    good = np.arange(1, len(drops) + 1) - drops
+    over = np.flatnonzero(drops > good + initial_support - 1)[:1].tolist()
+    failures = [(t, f"{drops[t]} drops vs {good[t]} productive steps") for t in over]
+    return AuditReport("drop-accounting", not failures, len(drops), failures)
 
 
 def audit_ifw_dims(trace):
     """Every in-face drop step lowers the minimal-face dimension by >= 1."""
-    failures = []
-    recs = trace.records
-    n = 0
-    for k, r in enumerate(recs[:-1]):
-        if r.case == 3:
-            n += 1
-            nxt = recs[k + 1].support_or_face_dim
-            if nxt > r.support_or_face_dim - 1:
-                failures.append((r.t, f"dim {r.support_or_face_dim} -> {nxt}"))
-    return AuditReport("ifw-dims", not failures, n, failures)
+    dims = trace.support_or_face_dim
+    drops = np.flatnonzero(trace.case[:-1] == 3)
+    failures = [(t, f"dim {dims[t]} -> {dims[t + 1]}")
+                for t in drops[dims[drops + 1] > dims[drops] - 1].tolist()]
+    return AuditReport("ifw-dims", not failures, len(drops), failures)
 
 
 def audit_fwipw(trace, mu, theta, L, rel_slack=REL_SLACK):
@@ -474,22 +448,24 @@ def audit_fwipw(trace, mu, theta, L, rel_slack=REL_SLACK):
     _, gaps = trace.gap_series()
     noise_floor = 1e-13 * max(1.0, abs(trace.fstar), float(gaps[0]))
     prev_eta = 1.0
-    for r, f_next in _steps(trace):
-        frac, _ = math.frexp(r.eta)
+    for t, (f_val, f_next, eta, gamma, f_gap) in enumerate(zip(
+            trace.f_val.tolist(), _f_next(trace), trace.eta.tolist(),
+            _listed(trace.gamma), _listed(trace.f_gap))):
+        frac, _ = math.frexp(eta)
         if frac != 0.5:  # 2^k has mantissa exactly one half
-            failures.append((r.t, f"eta={r.eta!r} is not a power of two"))
-        if r.eta > prev_eta * (1 + 1e-15):
-            failures.append((r.t, f"eta increased: {prev_eta!r} -> {r.eta!r}"))
-        if r.gamma is not None and r.eta > r.gamma * (1 + 1e-12):
-            failures.append((r.t, f"eta={r.eta!r} above target {r.gamma!r}"))
-        prev_eta = r.eta
-        if r.t >= t0 and r.f_gap is not None and r.f_gap > noise_floor:
-            floor = mu ** theta * max(r.f_gap, 0.0) ** (1 - theta) / (2 * L)
-            if r.eta < floor * (1 - rel_slack) - 1e-15:
-                failures.append((r.t, f"eta={r.eta!r} below sandwich floor {floor!r}"))
-            if f_next > r.f_val + rel_slack * max(1.0, abs(r.f_val)):
-                failures.append((r.t, "gap increased past t0"))
-    return AuditReport("fwipw", not failures, len(trace.records), failures)
+            failures.append((t, f"eta={eta!r} is not a power of two"))
+        if eta > prev_eta * (1 + 1e-15):
+            failures.append((t, f"eta increased: {prev_eta!r} -> {eta!r}"))
+        if gamma is not None and eta > gamma * (1 + 1e-12):
+            failures.append((t, f"eta={eta!r} above target {gamma!r}"))
+        prev_eta = eta
+        if t >= t0 and f_gap is not None and f_gap > noise_floor:
+            floor = mu ** theta * max(f_gap, 0.0) ** (1 - theta) / (2 * L)
+            if eta < floor * (1 - rel_slack) - 1e-15:
+                failures.append((t, f"eta={eta!r} below sandwich floor {floor!r}"))
+            if f_next > f_val + rel_slack * max(1.0, abs(f_val)):
+                failures.append((t, "gap increased past t0"))
+    return AuditReport("fwipw", not failures, len(trace.f_val), failures)
 
 
 # -- bench suites ---------------------------------------------------------------------
@@ -563,7 +539,7 @@ def bench(suite, out_dir, max_iters=20000, gap_tol=1e-10):
             "variant": variant,
             "step": step,
             "theta": inst.cert.theta,
-            "iters": len(trace.records),
+            "iters": len(trace.f_val),
             "final_gap": trace.f_final - inst.fstar,
             "regime": regime,
             "exponent": expo,

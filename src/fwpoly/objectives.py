@@ -38,6 +38,8 @@ _PD_TOL = 1e-10
 class Objective:
     """Interface: value, gradient, line model and a smoothness constant."""
 
+    n = None  # the dimension, where the objective fixes one
+
     def value(self, x):
         raise NotImplementedError
 

@@ -1,11 +1,11 @@
 """One solver loop for all five variants: FW, AFW, BPFW, IFW, and FWIPW.
 
-The loop owns the gradient, the LMO, the gap stop, the records and the
+The loop owns the gradient, the LMO, the gap stop, the trace columns and the
 feasibility check; a small per-variant state supplies the direction, the
 step, the strong gap, the support or face dimension, and the update with
-its own invariant.  The loop records one IterRecord per executed step: the
-iterate value, the optimality gaps, the selected direction kind, the step
-and its cap, and the case label used by the counting arguments:
+its own invariant.  The loop appends each executed step to typed columns:
+the iterate value, the optimality gaps, the selected direction kind, the
+step and its cap, and the case label used by the counting arguments:
 
 * Case 1: the step stayed strictly below its cap,
 * Case 2: the step hit a cap that was at least 1 (full progress available),
@@ -26,7 +26,10 @@ small that every coordinate is already a multiple of it in doubles.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .directions import (
     select,
 )
 from .objectives import curvature_constant
-from .polytope import PolytopeError, StdFormPolytope
+from .polytope import PolytopeError, StdFormPolytope, _read_only
 from .stepsize import StepRule, target_pow2
 
 CASE_TOL = 1e-12
@@ -52,7 +55,7 @@ CSV_COLUMNS = ("t", "f_val", "f_gap", "fw_gap", "case", "eta", "step_kind",
                "support_or_face_dim")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterRecord:
     t: int
     f_val: float
@@ -69,47 +72,91 @@ class IterRecord:
     x: np.ndarray | None = field(default=None, repr=False)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class _Records(Sequence):
+    """A trace's steps as IterRecords of Python scalars, each built when read."""
+
+    trace: RunTrace
+
+    def __len__(self):
+        return len(self.trace.f_val)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[t] for t in range(len(self))[k]]
+        tr, t = self.trace, range(len(self))[k]
+        f_val = tr.f_val[t].item()
+        return IterRecord(
+            t, f_val, None if tr.fstar is None else f_val - tr.fstar,
+            tr.fw_gap[t].item(), tr.case[t].item(), tr.step_kind[t], tr.eta[t].item(),
+            tr.eta_max[t].item(), tr.inner[t].item(), tr.support_or_face_dim[t].item(),
+            *(None if c is None else c[t].item() for c in (tr.strong_gap, tr.gamma)),
+            None if tr.points is None else tr.points[t])
+
+
+@dataclass(frozen=True)
 class RunTrace:
+    """A finished run: row t of each read-only column is step t.  ``strong_gap``
+    is None for FW, ``gamma`` for every variant but FWIPW, and ``points``
+    (the T x n iterates) for a run without ``record_points``."""
+
     variant: str
-    records: list
     # "gap_tol" | "max_iters" | "stationary" | "precision_floor" | "nonfinite"
     terminal_reason: str
     x_final: np.ndarray
     f_final: float
     fw_gap_final: float
-    fstar: float | None = None
+    fstar: float | None
+    f_val: np.ndarray
+    fw_gap: np.ndarray
+    case: np.ndarray
+    step_kind: tuple
+    eta: np.ndarray
+    eta_max: np.ndarray
+    inner: np.ndarray
+    support_or_face_dim: np.ndarray
+    strong_gap: np.ndarray | None = None
+    gamma: np.ndarray | None = None
+    points: np.ndarray | None = None
+
+    @property
+    def records(self):
+        """The steps as a read-only sequence of IterRecords, built on demand."""
+        return _Records(self)
+
+    @property
+    def f_gap(self):
+        """f_val - fstar per step, or None when the optimal value is unknown."""
+        return None if self.fstar is None else self.f_val - self.fstar
 
     def gap_series(self):
         """(t, f_gap) arrays over the executed iterations plus the final point."""
         if self.fstar is None:
             raise ValueError("gap_series needs a known optimal value")
-        ts = [r.t for r in self.records] + [len(self.records)]
-        gaps = [r.f_val - self.fstar for r in self.records]
-        gaps.append(self.f_final - self.fstar)
-        return np.asarray(ts, dtype=float), np.asarray(gaps, dtype=float)
+        gaps = np.append(self.f_gap, self.f_final - self.fstar)
+        return np.arange(len(gaps), dtype=float), gaps
 
     def assert_monotone(self):
-        vals = [r.f_val for r in self.records] + [self.f_final]
+        vals = self.f_val.tolist() + [self.f_final]
         for a, b in zip(vals, vals[1:]):
             if b > a + 1e-10:
                 raise AssertionError(f"objective increased: {a!r} -> {b!r}")
 
     def to_csv(self, path):
-        """Write the trace in the fixed 8-column layout, one line per record.
+        """Write the trace in the fixed 8-column layout, one line per step.
 
-        Floats are written as their ``repr`` (the shortest string that reads
-        back to the same double), an unknown ``f_gap`` as an empty field, and
-        every line ends in ``\\n``; no field is quoted, since none holds a
-        comma or a quote.  The lines are streamed, never joined in memory.
+        Floats are written as the ``repr`` of Python floats (the shortest
+        string that reads back to the same double), an unknown ``f_gap`` as
+        an empty field; lines end in ``\\n``, are unquoted and stream out.
         """
+        f_gaps = repeat("") if self.fstar is None else map(repr, self.f_gap.tolist())
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             fh.writelines(
-                f"{r.t},{r.f_val!r},{'' if r.f_gap is None else repr(r.f_gap)},"
-                f"{r.fw_gap!r},{r.case},{r.eta!r},{r.step_kind},"
-                f"{r.support_or_face_dim}\n"
-                for r in self.records)
+                f"{t},{f!r},{g},{w!r},{c},{e!r},{k},{s}\n"
+                for t, (f, g, w, c, e, k, s) in enumerate(zip(
+                    self.f_val.tolist(), f_gaps, self.fw_gap.tolist(), self.case.tolist(),
+                    self.eta.tolist(), self.step_kind, self.support_or_face_dim.tolist())))
 
 
 def _classify(eta, eta_max):
@@ -266,13 +313,19 @@ def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
         raise ValueError("FWIPW requires the pow2 step rule")
     if variant != "FWIPW" and step == "pow2":
         raise ValueError("the pow2 step rule is specific to FWIPW")
+    if obj.n is not None and obj.n != poly.n:
+        raise ValueError(f"objective has dimension {obj.n}, the polytope {poly.n}")
     if step in ("ss", "pow2") and L is None:
         L = curvature_constant(obj, poly)
     rule = StepRule(step, L)
 
     state = _STATES[variant](poly, variant, rule, x0)
     ev = obj.evaluation(state.x)
-    records = []
+    cols = {k: array("d") for k in ("f_val", "fw_gap", "eta", "eta_max", "inner",
+                                    "strong_gap", "gamma", "points")}
+    cols.update(case=array("q"), support_or_face_dim=array("q"), step_kind=[])
+    (add_f, add_gap, add_eta, add_cap, add_inner, add_strong, add_gamma, add_x, add_case,
+     add_dim, add_kind) = (c.frombytes if k == "points" else c.append for k, c in cols.items())
     reason = "max_iters"
     for t in range(max_iters):
         x = state.x
@@ -290,17 +343,29 @@ def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
         if eta is None:  # only FWIPW stops here
             reason = state.stop_reason
             break
-        f_val = ev.f_val()
-        case = _classify(eta, d.eta_max)
-        records.append(IterRecord(
-            t, f_val, None if fstar is None else f_val - fstar,
-            gap, case, d.kind, eta, d.eta_max, d.inner,
-            state.count(), strong_gap=strong, gamma=state.gamma,
-            x=x.copy() if record_points else None))
+        add_f(ev.f_val())
+        add_gap(gap)
+        add_eta(eta)
+        add_cap(d.eta_max)
+        add_inner(d.inner)
+        add_case(case := _classify(eta, d.eta_max))
+        add_dim(state.count())
+        add_kind(d.kind)
+        if strong is not None:  # every variant but FW
+            add_strong(strong)
+        if state.gamma is not None:  # FWIPW
+            add_gamma(state.gamma)
+        if record_points:
+            add_x(x.tobytes())
         state.update(d, eta, t)
         _check_feasible(poly, state.x, t + 1)
         ev.advance(state.x, d.vec, eta, refresh=case == 3)
+    cols = {k: _read_only(np.frombuffer(c, dtype=c.typecode)) if isinstance(c, array)
+            else tuple(c) for k, c in cols.items()}
+    cols["points"] = cols["points"].reshape(-1, len(state.x)) if record_points else None
+    cols["strong_gap"] = None if variant == "FW" else cols["strong_gap"]
+    cols["gamma"] = cols["gamma"] if variant == "FWIPW" else None
     x = state.x
     g = obj.grad(x)
-    return RunTrace(variant, records, reason, x, obj.value(x),
-                    float(g @ (x - poly.lmo(g))), fstar)
+    return RunTrace(variant, reason, x, obj.value(x), float(g @ (x - poly.lmo(g))), fstar,
+                    **cols)

@@ -1,6 +1,11 @@
-"""Print one PASS/FAIL line per acceptance criterion after the run."""
+"""Print one PASS/FAIL line per acceptance criterion after the run; build
+synthetic traces for the tests (``trace_of``)."""
 
 import re
+
+import numpy as np
+
+from fwpoly.solvers import RunTrace
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_c(\d\d)_(\w+)")
 
@@ -24,3 +29,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         label, ok = results[num]
         terminalreporter.write_line(
             f"criterion {num} [{label}]: {'PASS' if ok else 'FAIL'}")
+
+
+def trace_of(records, variant="FW", f_final=0.0, fw_gap_final=0.0, fstar=None,
+             reason="max_iters"):
+    """A RunTrace whose columns hold the given IterRecords, row t from record t.
+
+    Record t must have t as its ``t``.  Its ``f_gap`` is not read, since a
+    trace derives f_val - fstar; a field that is None in the first record is
+    a missing column.
+    """
+    assert [r.t for r in records] == list(range(len(records)))
+
+    def column(name, dtype=float):
+        return np.array([getattr(r, name) for r in records], dtype=dtype)
+
+    def optional(name):
+        return None if getattr(records[0], name) is None else column(name)
+
+    return RunTrace(variant, reason, None, f_final, fw_gap_final, fstar,
+                    f_val=column("f_val"), fw_gap=column("fw_gap"),
+                    case=column("case", np.int64),
+                    step_kind=tuple(r.step_kind for r in records),
+                    eta=column("eta"), eta_max=column("eta_max"), inner=column("inner"),
+                    support_or_face_dim=column("support_or_face_dim", np.int64),
+                    strong_gap=optional("strong_gap"), gamma=optional("gamma"),
+                    points=optional("x"))

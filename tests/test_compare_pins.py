@@ -106,6 +106,10 @@ def test_solve_capturing_records_every_candidate_set():
                                        "BPFW", max_iters=50)
     assert solvers.candidates_bpfw is build
     assert len(steps) == len(trace.records) > 0
+    # the worker's summary reads the columnar trace through its records view
+    assert cp._records(trace, steps) == list(zip(
+        range(len(trace.f_val)), trace.f_val.tolist(), trace.case.tolist(),
+        trace.step_kind, steps))
     for g, cands in steps:
         assert set(cands) == {"FW", "BPFW"}
         inner, (away, local) = cands["BPFW"]

@@ -1,5 +1,8 @@
 """Verification harness: recursion bounds, rate fits, envelopes, audits."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -26,13 +29,100 @@ from fwpoly.instances import (
     interior_quadratic,
     wolfe_edge,
 )
-from fwpoly.solvers import IterRecord, RunTrace, solve
+from fwpoly.solvers import IterRecord, solve
+
+from conftest import trace_of
 
 
 def run(inst, variant, step="ss", gap_tol=1e-10, max_iters=2000, **kw):
     kw.setdefault("x0", inst.x0)
     return solve(inst.poly, inst.obj, variant, step=step, L=inst.L,
                  gap_tol=gap_tol, max_iters=max_iters, fstar=inst.fstar, **kw)
+
+
+def tampered(trace, column, t, value):
+    """The trace with one entry of a column replaced, the rest untouched."""
+    data = getattr(trace, column).copy()
+    data[t] = value
+    return dataclasses.replace(trace, **{column: data})
+
+
+def reference_progress(trace, L, rel_slack=harness.REL_SLACK):
+    """audit_progress as one loop over the IterRecords."""
+    recs, failures = trace.records, []
+    for k, r in enumerate(recs):
+        f_next = recs[k + 1].f_val if k + 1 < len(recs) else trace.f_final
+        tol = rel_slack * max(1.0, abs(r.f_val))
+        if r.step_kind == "PW":
+            taken = r.f_val + r.eta * r.inner + r.eta ** 2 * L / 2.0
+            if f_next > taken + tol:
+                failures.append((r.t, f"pow2 majorant: {f_next!r} > {taken!r}"))
+            continue
+        loose = r.f_val - r.inner ** 2 / (2 * L)
+        if r.case == 1 and f_next > loose + tol:
+            failures.append((r.t, f"case 1: {f_next!r} > {loose!r}"))
+        elif r.case == 2 and f_next > r.f_val + r.inner / 2.0 + tol and f_next > loose + tol:
+            failures.append((r.t, f"case 2: {f_next!r} > max bound"))
+        elif r.case == 3 and f_next > r.f_val + tol:
+            failures.append((r.t, f"case 3 increased: {f_next!r} > {r.f_val!r}"))
+    return harness.AuditReport("progress", not failures, len(recs), failures)
+
+
+def reference_counts(trace, initial_support):
+    """audit_drop_accounting and audit_ifw_dims as one loop over the IterRecords."""
+    recs, drop_fails, dim_fails = trace.records, [], []
+    good = drops = n_dims = 0
+    for k, r in enumerate(recs):
+        drops, good = drops + (r.case == 3), good + (r.case != 3)
+        if not drop_fails and drops > good + initial_support - 1:
+            drop_fails.append((r.t, f"{drops} drops vs {good} productive steps"))
+        if r.case == 3 and k + 1 < len(recs):
+            n_dims += 1
+            nxt = recs[k + 1].support_or_face_dim
+            if nxt > r.support_or_face_dim - 1:
+                dim_fails.append((r.t, f"dim {r.support_or_face_dim} -> {nxt}"))
+    return (harness.AuditReport("drop-accounting", not drop_fails, len(recs), drop_fails),
+            harness.AuditReport("ifw-dims", not dim_fails, n_dims, dim_fails))
+
+
+def reference_envelope_verdict(rep, fstar, rel_slack=harness.REL_SLACK):
+    """(first violation, worst ratio, checked, skipped) of a report's gaps and
+    bounds, as a loop over the points computes them."""
+    noise_floor = 1e-13 * max(1.0, abs(fstar), float(rep.gaps[0]))
+    first, worst, checked, skipped = None, 0.0, 0, 0
+    for i, (g, b) in enumerate(zip(rep.gaps, rep.bounds)):
+        if g <= noise_floor:
+            skipped += 1
+            continue
+        checked += 1
+        if b > 0:
+            worst = max(worst, g / b)
+        if g > b * (1.0 + rel_slack) and first is None:
+            first = i
+    return first, worst, checked, skipped
+
+
+def reference_fwipw(trace, mu, theta, L, rel_slack=harness.REL_SLACK):
+    """audit_fwipw as one loop over the IterRecords."""
+    recs, failures, prev_eta = trace.records, [], 1.0
+    t0 = next((r.t for r in recs if r.gamma < 1.0), len(recs))
+    noise_floor = 1e-13 * max(1.0, abs(trace.fstar), recs[0].f_gap)
+    for k, r in enumerate(recs):
+        f_next = recs[k + 1].f_val if k + 1 < len(recs) else trace.f_final
+        if math.frexp(r.eta)[0] != 0.5:
+            failures.append((r.t, f"eta={r.eta!r} is not a power of two"))
+        if r.eta > prev_eta * (1 + 1e-15):
+            failures.append((r.t, f"eta increased: {prev_eta!r} -> {r.eta!r}"))
+        if r.eta > r.gamma * (1 + 1e-12):
+            failures.append((r.t, f"eta={r.eta!r} above target {r.gamma!r}"))
+        prev_eta = r.eta
+        if r.t >= t0 and r.f_gap > noise_floor:
+            floor = mu ** theta * max(r.f_gap, 0.0) ** (1 - theta) / (2 * L)
+            if r.eta < floor * (1 - rel_slack) - 1e-15:
+                failures.append((r.t, f"eta={r.eta!r} below sandwich floor {floor!r}"))
+            if f_next > r.f_val + rel_slack * max(1.0, abs(r.f_val)):
+                failures.append((r.t, "gap increased past t0"))
+    return harness.AuditReport("fwipw", not failures, len(recs), failures)
 
 
 class TestBorweinBound:
@@ -236,7 +326,7 @@ class TestAudits:
     def test_progress_catches_tampering(self):
         inst = wolfe_edge()
         tr = run(inst, "AFW")
-        tr.records[6].f_val += 1.0
+        tr = tampered(tr, "f_val", 6, tr.f_val[6] + 1.0)
         rep = audit_progress(tr, inst.L)
         assert not rep.ok
         with pytest.raises(AssertionError):
@@ -245,13 +335,14 @@ class TestAudits:
     def test_selection_catches_positive_inner(self):
         inst = wolfe_edge()
         tr = run(inst, "AFW")
-        tr.records[3].inner = 1.0
-        assert not audit_selection(tr).ok
+        assert not audit_selection(tampered(tr, "inner", 3, 1.0)).ok
 
     def test_drop_accounting_prefix_rule(self):
         rec = IterRecord(0, 1.0, None, 1.0, 3, "Away", 0.1, 0.1, -0.5, 2)
-        tr = RunTrace("AFW", [rec], "max_iters", np.zeros(2), 0.9, 0.5)
-        assert not audit_drop_accounting(tr).ok
+        tr = trace_of([rec], "AFW", f_final=0.9, fw_gap_final=0.5)
+        rep = audit_drop_accounting(tr)
+        assert (rep.ok, rep.n_checked) == (False, 1)
+        assert rep.failures == [(0, "1 drops vs 0 productive steps")]
         assert audit_drop_accounting(tr, initial_support=2).ok
 
     def test_scaling_distance_seen_through_module(self, monkeypatch):
@@ -281,8 +372,8 @@ class TestAudits:
         mk = lambda t, case, dim: IterRecord(t, 1.0 - 0.1 * t, None, 1.0, case,
                                              "InAway", 0.1, 0.1, -0.5, dim)
         recs = [mk(0, 3, 2), mk(1, 1, 2)]  # drop step, dimension unchanged
-        tr = RunTrace("IFW", recs, "max_iters", np.zeros(3), 0.8, 0.5)
-        assert not audit_ifw_dims(tr).ok
+        rep = audit_ifw_dims(trace_of(recs, "IFW", f_final=0.8, fw_gap_final=0.5))
+        assert (rep.ok, rep.n_checked, rep.failures) == (False, 1, [(0, "dim 2 -> 2")])
 
     def test_fwipw_structural(self):
         inst = fwipw_mid()
@@ -293,35 +384,58 @@ class TestAudits:
     def test_fwipw_catches_non_power_step(self):
         inst = fwipw_mid()
         tr = run(inst, "FWIPW", step="pow2", max_iters=1000)
-        tr.records[2].eta = 0.3
-        assert not audit_fwipw(tr, 1.0, 0.5, inst.L).ok
+        assert not audit_fwipw(tampered(tr, "eta", 2, 0.3), 1.0, 0.5, inst.L).ok
 
-    def test_steps_are_lazy(self):
-        inst = wolfe_edge()
+    def test_each_step_reaches_the_next_value(self):
+        tr = run(wolfe_edge(), "AFW")
+        f_next = harness._f_next(tr)
+        assert f_next == [r.f_val for r in tr.records[1:]] + [tr.f_final]
+
+    def test_column_audits_keep_record_reports(self):
+        # the same verdicts, failure tuples and messages as a loop over records
+        inst, mid = wolfe_edge(), fwipw_mid()
         tr = run(inst, "AFW")
-        steps = harness._steps(tr)
-        assert iter(steps) is steps  # an iterator, not a built list
-        assert next(steps) == (tr.records[0], tr.records[1].f_val)
-        *_, last = steps
-        assert last == (tr.records[-1], tr.f_final)
-
-    def test_lazy_steps_keep_reports(self, monkeypatch):
-        # the same verdicts, failure tuples and messages as a built list
-        def listed(trace):
-            recs = trace.records
-            return [(r, recs[k + 1].f_val if k + 1 < len(recs) else trace.f_final)
-                    for k, r in enumerate(recs)]
-
-        inst = wolfe_edge()
-        tr = run(inst, "AFW")
-        tr.records[6].f_val += 1.0
-        mid = fwipw_mid()
         tr_ipw = run(mid, "FWIPW", step="pow2", max_iters=1000)
-        tr_ipw.records[2].eta = 0.3
-        lazy = [audit_progress(tr, inst.L), audit_fwipw(tr_ipw, 1.0, 0.5, mid.L)]
-        assert [rep.ok for rep in lazy] == [False, False]
-        monkeypatch.setattr(harness, "_steps", listed)
-        assert [audit_progress(tr, inst.L), audit_fwipw(tr_ipw, 1.0, 0.5, mid.L)] == lazy
+        for trace in (tr, tampered(tr, "f_val", 6, tr.f_val[6] + 1.0)):
+            assert audit_progress(trace, inst.L) == reference_progress(trace, inst.L)
+        reports = []
+        for trace in (tr_ipw, tampered(tr_ipw, "eta", 2, 0.3)):
+            reports.append(audit_fwipw(trace, 1.0, 0.5, mid.L))
+            assert reports[-1] == reference_fwipw(trace, 1.0, 0.5, mid.L)
+            assert audit_progress(trace, mid.L) == reference_progress(trace, mid.L)
+        assert [rep.ok for rep in reports] == [True, False]
+
+    def test_counting_audits_keep_record_reports(self):
+        inst = wolfe_edge()
+        afw, ifw = run(inst, "AFW"), run(inst, "IFW")
+        drop = int(np.flatnonzero(ifw.case[:-1] == 3)[0])
+        stalled = tampered(ifw, "support_or_face_dim", drop + 1, ifw.support_or_face_dim[drop])
+        verdicts = []
+        for trace in (afw, ifw, stalled, tampered(afw, "case", 0, 3)):
+            for initial_support in (0, 1, 2):
+                drops, dims = reference_counts(trace, initial_support)
+                assert audit_drop_accounting(trace, initial_support) == drops
+                assert audit_ifw_dims(trace) == dims
+                verdicts.append((drops.ok, dims.ok))
+        assert (True, True) in verdicts and (True, False) in verdicts
+        assert not all(ok for ok, _ in verdicts)
+
+    def test_envelope_verdict_matches_a_loop_over_points(self):
+        # the worst ratio keeps its type too: the envelope pins hash its repr
+        seg, edge = fw_segment(), wolfe_edge()
+        checks = [(run(seg, "FW", max_iters=500), "fw", seg, seg.derived["radial"].mu),
+                  (run(edge, "AFW"), "afw", edge, edge.derived["vertex"].mu)]
+        seen = set()
+        for tr, envelope_id, inst, mu in checks:
+            for scale in (1.0, 10.0, 1e6):
+                rep = envelope_check(tr, envelope_id, scale * mu, 0.5, inst.L,
+                                     dim=inst.poly.dim())
+                first, worst, checked, skipped = reference_envelope_verdict(rep, tr.fstar)
+                assert (rep.ok, rep.first_violation, rep.n_checked, rep.n_skipped) == (
+                    first is None, first, checked, skipped)
+                assert repr(rep.worst_ratio) == repr(worst)
+                seen.add(rep.ok)
+        assert seen == {True, False}
 
 
 class TestBench:

@@ -1,7 +1,9 @@
 """Solver loop behavior: convergence, monotonicity, case labels, CSV traces."""
 
 import csv
+import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +26,11 @@ from fwpoly.instances import (
 )
 from fwpoly import active_set
 from fwpoly.active_set import ActiveSet
-from fwpoly.objectives import Objective, distance_squared, power_distance
+from fwpoly.objectives import Objective, Quadratic, distance_squared, power_distance
 from fwpoly.polytope import Box, PolytopeError, Simplex
-from fwpoly.solvers import CSV_COLUMNS, IterRecord, RunTrace, solve
+from fwpoly.solvers import CSV_COLUMNS, IterRecord, solve
+
+from conftest import trace_of
 
 S3 = Simplex(3)
 
@@ -136,23 +140,23 @@ class TestTraceAndCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
-        # every float edge repr, every step kind, an empty f_gap and a t
-        # past 10**6, against the csv module writing the same fields
+        # every float edge repr, every step kind, an empty and a known f_gap
+        # and integers past 10**6, against the csv module writing the same
+        # fields (t is the row index, so the large integers are counts)
         specials = (-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300,
                     -1e300, 0.1, 1 / 3, 2.0 ** -52)
         kinds = (KIND_FW, KIND_AWAY, KIND_BPFW, KIND_IN_AWAY, KIND_IN_BPFW, KIND_PW)
-        records = []
-        for i, f_val in enumerate(specials):
-            f_gap = None if i % 3 == 0 else specials[(i + 4) % len(specials)]
-            records.append(IterRecord(
-                t=i if i < 6 else 10**6 + 10**i, f_val=f_val, f_gap=f_gap,
-                fw_gap=specials[(i + 1) % len(specials)], case=1 + i % 3,
-                step_kind=kinds[i % len(kinds)], eta=specials[(i + 2) % len(specials)],
-                eta_max=1.0, inner=-1.0, support_or_face_dim=i * 1000))
-        tr = RunTrace("FW", records, "max_iters", np.zeros(3), 0.0, 0.0)
-        p = tmp_path / "trace.csv"
-        tr.to_csv(p)
-        assert p.read_bytes() == csv_writer_bytes(tr)
+        records = [IterRecord(
+            t=i, f_val=f_val, f_gap=None, fw_gap=specials[(i + 1) % len(specials)],
+            case=1 + i % 3, step_kind=kinds[i % len(kinds)],
+            eta=specials[(i + 2) % len(specials)], eta_max=1.0, inner=-1.0,
+            support_or_face_dim=i * 1000 if i < 6 else 10**6 + 10**i)
+            for i, f_val in enumerate(specials)]
+        for fstar in (None, 0.0, 0.1):
+            tr = trace_of(records, fstar=fstar)
+            p = tmp_path / "trace.csv"
+            tr.to_csv(p)
+            assert p.read_bytes() == csv_writer_bytes(tr)
 
     def test_real_trace_bytes_match_csv_writer(self, tmp_path):
         for fstar in (wolfe_edge().fstar, None):
@@ -183,6 +187,60 @@ class TestTraceAndCsv:
         assert all(r.x is not None for r in tr.records)
         tr2 = run_instance(fw_segment(), "FW", gap_tol=1e-8, max_iters=60)
         assert all(r.x is None for r in tr2.records)
+        assert tr.points.shape == (len(tr.records), 2) and tr2.points is None
+
+    @pytest.mark.parametrize("variant, step, columns", [
+        ("FW", "ls", ()), ("AFW", "ss", ("strong_gap",)),
+        ("IFW", "ss", ("strong_gap",)), ("FWIPW", "pow2", ("strong_gap", "gamma"))])
+    def test_records_view_the_columns(self, variant, step, columns):
+        inst = fwipw_mid() if variant == "FWIPW" else wolfe_edge()
+        tr = run_instance(inst, variant, step=step, max_iters=40, record_points=True)
+        recs, n = tr.records, len(tr.f_val)
+        assert 0 < len(recs) == n
+        assert [name for name in ("strong_gap", "gamma")
+                if getattr(tr, name) is not None] == list(columns)
+        bare = lambda r: dataclasses.replace(r, x=None)  # noqa: E731
+        for t, r in enumerate(recs):
+            assert bare(r) == bare(recs[t - n]) == bare(recs[t:t + 1][0])
+            assert (r.t, r.f_val, r.f_gap, r.eta, r.case, r.step_kind) == (
+                t, tr.f_val[t], tr.f_val[t] - tr.fstar, tr.eta[t], tr.case[t],
+                tr.step_kind[t])
+            assert np.array_equal(r.x, tr.points[t])
+            assert all(type(getattr(r, name)) is float
+                       for name in ("f_val", "f_gap", "fw_gap", "eta", "eta_max", "inner")
+                       + columns)
+            assert type(r.case) is type(r.support_or_face_dim) is int
+        assert [r.t for r in recs[::-3]] == list(range(n))[::-3]
+        with pytest.raises(IndexError):
+            recs[n]
+
+    def test_trace_data_is_read_only(self):
+        tr = run_instance(fwipw_mid(), "FWIPW", step="pow2", max_iters=10,
+                          record_points=True)
+        for name in ("f_val", "fw_gap", "case", "eta", "eta_max", "inner",
+                     "support_or_face_dim", "strong_gap", "gamma", "points"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(tr, name)[0] = 0
+        with pytest.raises(TypeError):
+            tr.step_kind[0] = KIND_FW
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.f_val = tr.f_val.copy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.records[0].f_val = 0.0
+
+    def test_columns_hold_about_a_fifth_of_a_record_object(self):
+        # wolfe_edge FW with points: one IterRecord object per step took 480
+        # bytes; the columns take about 90
+        inst = wolfe_edge()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tr = run_instance(inst, "FW", max_iters=5000, record_points=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tr.records) == 5000
+        assert held / 5000 <= 160
 
 
 class TestStartAndTermination:
@@ -210,7 +268,7 @@ class TestStartAndTermination:
 
         tr = solve(S3, Broken(), variant, step="ls", max_iters=50)
         assert tr.terminal_reason == "nonfinite"
-        assert tr.records == []
+        assert len(tr.records) == 0
 
     def test_fwipw_eta_powers_nonincreasing(self):
         tr = run_instance(fwipw_mid(), "FWIPW", step="pow2", gap_tol=1e-10,
@@ -262,6 +320,23 @@ class TestValidation:
         inst = fwipw_mid()
         with pytest.raises(ValueError, match="needs a finite L > 0"):
             solve(inst.poly, inst.obj, variant, step=step, L=L)
+
+    @pytest.mark.parametrize("obj", [
+        power_distance([0.5], 4), power_distance([0.5, 0.5], 2),
+        Quadratic(np.eye(2), np.zeros(2)), Quadratic(np.eye(4), np.zeros(4))])
+    @pytest.mark.parametrize("step", ["ls", "ss"])
+    def test_objective_of_another_dimension(self, obj, step):
+        # a 1-element centre broadcast over the simplex and stopped at gap_tol
+        # at the wrong point; a Quadratic raised numpy's matmul error
+        with pytest.raises(ValueError, match=f"objective has dimension {obj.n}, "
+                                             "the polytope 3"):
+            solve(S3, obj, "FW", step=step)
+
+    def test_objective_dimension_checked_before_the_curvature_constant(self):
+        # L for a power distance on this box needs 2^70 vertices
+        with pytest.raises(ValueError, match="objective has dimension 3"):
+            solve(Box(np.zeros(70), np.ones(70)), power_distance(np.zeros(3), 4), "FW",
+                  step="ss")
 
     def test_pow2_only_for_fwipw(self):
         with pytest.raises(ValueError, match="the pow2 step rule is specific to FWIPW"):
