@@ -2,9 +2,8 @@
 
 The solvers that move weight between vertices (away-step and blended
 pairwise) track the iterate as x = sum_v lam_v * v over a support of
-vertices with strictly positive weights.  The support is held in arrays:
-one row per vertex, its key, its weight, and the sequence number at which
-it joined the support.
+vertices with strictly positive weights.  The support is held in arrays,
+one row per vertex and its weight, in the order the vertices joined.
 
 A move is named by its direction kind, KIND_FW, KIND_AWAY or KIND_BPFW.
 Away steps and pairwise swaps move weight between support vertices, so they
@@ -12,24 +11,21 @@ name them by row: ``away_and_local_fw`` returns the rows (i, j), and ``cap``
 and ``apply_step`` take them back.  Only an FW step names its vertex by
 coordinates, since the LMO vertex may not be in the support yet.
 
-A vertex is identified by its exact coordinates: the key is the tuple of
-its floats, so two rows merge only when they are equal (-0.0 equals 0.0).
-No rounding is needed because every vertex comes from the polytope's own
-oracles, which return the same bits for the same vertex: ``lmo`` and
-``in_face_lmo`` build e_i, lo/hi or +-r e_i in closed form or copy a row of
-the read-only ``enumerate_vertices()`` array, and ``from_vertex`` replaces a
-caller's start point by the polytope's own coordinates for that vertex.
+A vertex is identified by its exact coordinates: two rows merge only when
+every float is equal (-0.0 equals 0.0).  No rounding is needed because
+every vertex comes from the polytope's own oracles, which return the same
+bits for the same vertex: ``lmo`` and ``in_face_lmo`` build e_i, lo/hi or
++-r e_i in closed form or copy a row of ``enumerate_vertices()``, and
+``from_vertex`` stores the polytope's own coordinates for a start vertex.
 
-Rows stay sorted by key, which is exact lexicographic order, so every
-reduction over the support runs in a fixed order: the point and the away /
-local-FW selection go in key order, the renormalising total in joining
-order.  Weights below EPS_WEIGHT are pruned after every update, and the
-cached point is recomputed from scratch each step so no drift accumulates.
+A new vertex is appended and pruning keeps the order, so every reduction
+over the support (the point, the renormalising total, the away / local-FW
+selection) runs in joining order, which depends only on the run's path and
+so is kept by any affine image of the problem.  Weights below EPS_WEIGHT
+are pruned after every update, and the point is recomputed each step.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 import numpy as np
 
@@ -46,30 +42,25 @@ class ActiveSetError(ValueError):
     """Invalid weight state or step request."""
 
 
-def _key(v):
-    return tuple(np.asarray(v, dtype=float).tolist())
-
-
 class ActiveSet:
     """Convex-combination representation of an iterate.
 
-    ``_rows`` (k x n), ``_keys``, ``_weights`` and ``_born`` describe the k
-    support vertices in key order.
+    ``_rows`` (k x n) and ``_weights`` describe the k support vertices in the
+    order they joined.
     """
 
     def __init__(self, vertices, weights):
         vertices = [np.asarray(v, dtype=float) for v in vertices]
-        self._keys = []
+        if len(weights) != len(vertices):
+            raise ActiveSetError(f"{len(vertices)} vertices but {len(weights)} weights")
         self._rows = np.zeros((0, vertices[0].size if vertices else 0))
         self._weights = np.zeros(0)
-        self._born = np.zeros(0, dtype=np.int64)
-        self._next = 0
         for v, w in zip(vertices, weights):
-            if w < -EPS_WEIGHT:
-                raise ActiveSetError(f"negative weight {w}")
+            if not w >= -EPS_WEIGHT:
+                raise ActiveSetError(f"weight {w} is negative or not a number")
             if w > EPS_WEIGHT:
                 self._add(v, float(w))
-        if not self._keys:
+        if not self._weights.size:
             raise ActiveSetError("empty support")
         total = self._total()
         if abs(total - 1.0) > 1e-9:
@@ -90,29 +81,23 @@ class ActiveSet:
 
     # -- support arrays -----------------------------------------------------
 
-    def _locate(self, k):
-        """(row, present): where the vertex with key k is, or would go, in key order."""
-        i = bisect_left(self._keys, k)
-        return i, i < len(self._keys) and self._keys[i] == k
+    def _find(self, v):
+        """The row holding vertex v, or None: every coordinate equal."""
+        rows = np.flatnonzero((self._rows == np.asarray(v, dtype=float)).all(axis=1))
+        return int(rows[0]) if rows.size else None
 
     def _add(self, v, w):
-        """Add w to the weight of v, which joins the support if absent."""
-        k = _key(v)
-        i, present = self._locate(k)
-        if present:
+        """Add w to the weight of v, which joins the support last if absent."""
+        i = self._find(v)
+        if i is not None:
             self._weights[i] += w
             return
-        self._keys.insert(i, k)
-        rows, weights, born = self._rows, self._weights, self._born
-        row = np.asarray(v, dtype=float)[None]
-        self._rows = np.concatenate((rows[:i], row, rows[i:]))
-        self._weights = np.concatenate((weights[:i], [w], weights[i:]))
-        self._born = np.concatenate((born[:i], [self._next], born[i:]))
-        self._next += 1
+        self._rows = np.vstack((self._rows, v))
+        self._weights = np.append(self._weights, w)
 
     def _total(self):
         """Sum of the weights, accumulated in the order the vertices joined."""
-        return sum(self._weights[np.argsort(self._born)].tolist())
+        return sum(self._weights.tolist())
 
     def _refresh_point(self):
         self._point = (self._weights[:, None] * self._rows).sum(axis=0)
@@ -124,15 +109,15 @@ class ActiveSet:
         return self._point.copy()
 
     def support_size(self):
-        return len(self._keys)
+        return self._weights.size
 
     def items(self):
-        """(vertex row, weight) pairs in key order."""
+        """(vertex row, weight) pairs in the order the vertices joined."""
         return zip(self._rows, self._weights.tolist())
 
     def weight_of(self, v):
-        i, present = self._locate(_key(v))
-        return float(self._weights[i]) if present else 0.0
+        i = self._find(v)
+        return 0.0 if i is None else float(self._weights[i])
 
     def snapshot(self):
         """Text snapshot of the support, stable across runs."""
@@ -148,9 +133,9 @@ class ActiveSet:
         """Rows (i, j) of the away and local FW vertices: argmax / argmin of <g, v>.
 
         Values within TIE_TOL of the best (``tie_argmin``) are tied, and
-        ties break to the smallest vertex key.  An exact line search along
-        e_s - e_a leaves <g, e_s> = <g, e_a> in exact arithmetic; this keeps
-        the next selection off their last bits.
+        ties break to the lowest row: the vertex that joined first.  An
+        exact line search along e_s - e_a leaves <g, e_s> = <g, e_a> in
+        exact arithmetic; this keeps the next selection off their last bits.
         """
         vals = self._rows @ np.asarray(g, dtype=float)
         return tie_argmin(-vals), tie_argmin(vals)
@@ -160,8 +145,8 @@ class ActiveSet:
         return self._rows[self._row(i)].copy()
 
     def _row(self, i):
-        if not 0 <= i < len(self._keys):
-            raise ActiveSetError(f"row {i} is outside the support of {len(self._keys)}")
+        if not 0 <= i < self._weights.size:
+            raise ActiveSetError(f"row {i} is outside the support of {self._weights.size}")
         return i
 
     def cap(self, kind, i):
@@ -183,8 +168,8 @@ class ActiveSet:
         payload: KIND_FW -> the LMO vertex v; KIND_AWAY and KIND_BPFW -> the
         rows (i, j) of the away and local FW vertices.
         """
-        if eta < 0:
-            raise ActiveSetError(f"negative step {eta}")
+        if not eta >= 0:
+            raise ActiveSetError(f"{kind} step {eta} is negative or not a number")
         if kind == KIND_FW:
             cap = 1.0
         else:
@@ -199,7 +184,7 @@ class ActiveSet:
                 self.__init__([payload], [1.0])
                 return self.point
             self._weights *= 1.0 - eta
-            self._add(payload, eta)  # keyed: the LMO vertex may be new to the support
+            self._add(payload, eta)  # looked up: the LMO vertex may be new to the support
         elif kind == KIND_AWAY:
             self._weights *= 1.0 + eta
             self._weights[i] -= eta
@@ -219,10 +204,8 @@ class ActiveSet:
         if not keep.any():
             raise ActiveSetError("support emptied out")
         if not keep.all():
-            self._keys = [k for k, ok in zip(self._keys, keep.tolist()) if ok]
             self._rows = self._rows[keep]
             self._weights = self._weights[keep]
-            self._born = self._born[keep]
         total = self._total()
         if abs(total - 1.0) > 1e-8:
             raise ActiveSetError(f"weights drifted to {total}")

@@ -72,6 +72,16 @@ class TestConstruction:
             with pytest.raises(ActiveSetError, match="empty support"):
                 ActiveSet(vertices, weights)
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ActiveSetError, match="weight nan is negative or not a number"):
+            ActiveSet(list(np.eye(2)), [np.nan, 1.0])
+
+    def test_one_weight_per_vertex(self):
+        with pytest.raises(ActiveSetError, match="2 vertices but 1 weights"):
+            ActiveSet(list(np.eye(2)), [1.0])
+        with pytest.raises(ActiveSetError, match="1 vertices but 2 weights"):
+            ActiveSet([np.ones(2)], [1.0, 0.0])
+
 
 class TestSelectors:
     def test_away_and_local_fw(self):
@@ -87,19 +97,21 @@ class TestSelectors:
         assert np.allclose(aset.vertex(a), aset.vertex(a2))
         assert np.allclose(aset.vertex(z), aset.vertex(z2))
 
-    def test_near_ties_break_to_the_smallest_key(self):
-        # the support's rows run e_2, e_1, e_0 in key order; values one ulp
-        # apart are tied, so the first row wins whichever way rounding fell
-        aset = simplex_set([0.3, 0.3, 0.4])
+    def test_near_ties_break_to_the_earliest_joined_row(self):
+        # e_0, e_2, e_1 join in that order, so e_0 is row 0 although e_1 has
+        # the smaller coordinates; values one ulp apart are tied, so e_0
+        # wins whichever way rounding fell
+        E = np.eye(3)
+        aset = ActiveSet([E[0], E[2], E[1]], [0.3, 0.4, 0.3])
         assert [aset.vertex(k).tolist() for k in range(3)] == \
-            [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+            [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
         up = np.nextafter(0.7, 1.0)
         for g in ([up, 0.7, -0.2], [0.7, up, -0.2]):
             i, _ = aset.away_and_local_fw(np.array(g))
-            assert i == 1
+            assert i == 0
         for g in ([-0.2, np.nextafter(-0.2, 0.0), 0.9], [np.nextafter(-0.2, 0.0), -0.2, 0.9]):
             _, j = aset.away_and_local_fw(np.array(g))
-            assert j == 1
+            assert j == 0
 
     def test_values_beyond_the_tie_tolerance_are_ordered(self):
         aset = simplex_set([0.3, 0.3, 0.4])
@@ -184,6 +196,15 @@ class TestUpdates:
             aset.apply_step(KIND_BPFW, (_row_of(aset, [1.0, 0.0]),
                                         _row_of(aset, [0.0, 1.0])), 0.5)
 
+    @pytest.mark.parametrize("kind", [KIND_FW, KIND_AWAY, KIND_BPFW])
+    def test_nan_step_rejected_by_name(self, kind):
+        aset = simplex_set([0.25, 0.75])
+        before = aset.snapshot()
+        payload = np.array([1.0, 0.0]) if kind == KIND_FW else (0, 1)
+        with pytest.raises(ActiveSetError, match=f"{kind} step nan is negative or not a number"):
+            aset.apply_step(kind, payload, np.nan)
+        assert aset.snapshot() == before
+
     def test_unknown_step_kind_rejected(self):
         aset = simplex_set([0.25, 0.75])
         with pytest.raises(ActiveSetError, match="unknown step kind 'swap'"):
@@ -232,14 +253,16 @@ def _walk_polytope(name, scale):
 def test_random_walks_keep_invariants(steps, seed, case):
     """Weights stay a convex combination and the cache matches x + eta*d.
 
-    The rows stay distinct and in strictly increasing lexicographic order at
-    every scale, down to a box whose corners differ by 1e-13.
+    The rows stay distinct and in the order the vertices joined, checked
+    against the joins the walk makes, at every scale, down to a box whose
+    corners differ by 1e-13.
     """
     rng = np.random.default_rng(seed)
     name, scale = case
     poly = _walk_polytope(name, scale)
     n = poly.n
     aset = ActiveSet([poly.lmo(rng.normal(size=n))], [1.0])
+    joined = [tuple(aset.vertex(0).tolist())]  # the support, in joining order
     for kind, frac in steps:
         x = aset.point
         g = rng.normal(size=n)
@@ -258,8 +281,16 @@ def test_random_walks_keep_invariants(steps, seed, case):
         new_point = aset.apply_step(step_kind, payload, eta)
         # convex combination over current support reproduces x + eta d
         assert np.allclose(new_point, x + eta * d, rtol=0.0, atol=1e-10 * scale)
+        if kind == "fw":
+            # a full step restarts the support; a new vertex joins last
+            if eta >= 1.0:
+                joined = []
+            if tuple(v.tolist()) not in joined:
+                joined.append(tuple(v.tolist()))
         rows = [tuple(v.tolist()) for v, _ in aset.items()]
-        assert all(r < s for r, s in zip(rows, rows[1:]))
+        assert len(set(rows)) == len(rows)
+        assert rows == [r for r in joined if r in rows]
+        joined = rows
         weights = [w for _, w in aset.items()]
         assert min(weights) > 0
         assert abs(sum(weights) - 1.0) < 1e-9
@@ -268,7 +299,7 @@ def test_random_walks_keep_invariants(steps, seed, case):
 
 # A fixed walk on the corners of the unit cube.  The gradient (1, 1, 0) ties
 # <g, v> among four corners at either end, so every selection below is a
-# tie broken by vertex key; the weights are not dyadic, so the snapshots
+# tie broken by joining order; the weights are not dyadic, so the snapshots
 # also pin the order in which the renormalising total is accumulated.
 PINNED_WALK = [("fw", 0, 0.5), ("fw", 6, 0.3), ("fw", 3, 0.2),
                ("fw", 4, 0.1), ("away", None, 0.25),
@@ -277,21 +308,21 @@ PINNED_WALK = [("fw", 0, 0.5), ("fw", 6, 0.3), ("fw", 3, 0.2),
                ("fw", 5, 0.7), ("away", None, 0.6), ("fw", 7, 0.4),
                ("bpfw", None, 0.9)]
 PINNED_SELECTIONS = [
-    ((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)),
-    ((1, 1, 0), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)),
-    ((1, 1, 0), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)), ((1, 1, 1), (0, 0, 0)),
+    ((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (0, 0, 0)), ((1, 1, 1), (0, 0, 0)),
+    ((1, 1, 1), (0, 0, 0)), ((1, 1, 1), (0, 0, 0)), ((1, 1, 1), (0, 0, 0)),
+    ((1, 1, 1), (0, 0, 0)), ((1, 1, 1), (0, 0, 0)), ((1, 1, 0), (0, 0, 0)),
     ((0, 1, 1), (0, 0, 0)), ((0, 1, 1), (0, 0, 0)), ((0, 1, 1), (0, 0, 0)),
     ((1, 1, 1), (0, 0, 0)),
 ]
 PINNED_FINAL_SNAPSHOT = """\
-0.4406105853889759 : 0.0 0.0 0.0
-0.06503850826680861 : 0.0 0.0 1.0
-0.009762264313759329 : 0.0 1.0 1.0
-0.013903640287649392 : 1.0 0.0 0.0
-0.4306850017428066 : 1.0 0.0 1.0
-0.03999999999999997 : 1.0 1.0 1.0"""
+0.43909694047955744 : 0.0 0.0 0.0
+0.009997545928238384 : 0.0 1.0 1.0
+0.0142476176230407 : 1.0 0.0 0.0
+0.06570417991389914 : 0.0 0.0 1.0
+0.4309537160552644 : 1.0 0.0 1.0
+0.03999999999999998 : 1.0 1.0 1.0"""
 PINNED_TRANSCRIPT_SHA256 = (
-    "f0720fc973658d0dbde1130b65cbadf25483c10730dbd3ab79633196bd3bb7a3")
+    "07d8395638711c8f2ac66824f910a8ba4a6df507d81a5d758e90fb2a8a2ac2b7")
 
 
 def test_pinned_walk_with_ties():

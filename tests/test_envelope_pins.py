@@ -186,7 +186,7 @@ ENVELOPE_PINS = {
 
 BENCH_PINS = {
     "fwipw": "af9ac9b6846364a1bcec91210cc1e08f65ca8bccccae0d145bfcca0d833ebe95",
-    "interior": "b75334bf1b204d1b3b6fe23ddcacc0a07e3b66e12007068ea6810b0aa9276f27",
+    "interior": "156300a7d04ec2e3cfb879850c2369df3b799f0239719cfb4fed7b486ab7d8d4",
     "theta-sweep": "e6e2ce188a7818de8153f773988113c1d16239564990d418c27a878d89d5d68f",
     "wolfe": "4427a82ee5fc5a8ab827e86295ae1eed863ec173efc2d09f67d0a48db39464df",
 }

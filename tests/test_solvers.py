@@ -24,7 +24,6 @@ from fwpoly.instances import (
     interior_quadratic,
     wolfe_edge,
 )
-from fwpoly import active_set
 from fwpoly.active_set import ActiveSet
 from fwpoly.objectives import Objective, Quadratic, distance_squared, power_distance
 from fwpoly.polytope import Box, PolytopeError, Simplex
@@ -374,8 +373,9 @@ class TestValidation:
 class TestExactVertexIdentity:
     """A vertex is its exact coordinates, at any scale and from any start.
 
-    The corners of TINY_BOX differ by 1e-13, below any fixed number of
-    decimal places a vertex key could be rounded to.
+    Support rows match only when every coordinate is equal.  The corners
+    of TINY_BOX differ by 1e-13, below any fixed number of decimal places a
+    lookup could round to.
     """
 
     TINY_BOX = Box([0.0, 0.0], [1e-13, 1e-13])
@@ -472,14 +472,15 @@ class TestOracleCounts:
     @pytest.mark.parametrize("step", ["ls", "ss"])
     @pytest.mark.parametrize("variant", ["AFW", "BPFW"])
     def test_only_fw_steps_build_a_vertex_key(self, monkeypatch, variant, step):
-        """Away steps and swaps name support rows, so no coordinates are keyed.
+        """Away steps and swaps name support rows, so no coordinates are looked up.
 
         The start vertex and the LMO vertex of each FW step are the only
-        vertices looked up by their coordinates.
+        vertices found in the support by their coordinates.
         """
         calls = []
-        key = active_set._key
-        monkeypatch.setattr(active_set, "_key", lambda v: calls.append(1) or key(v))
+        find = ActiveSet._find
+        monkeypatch.setattr(ActiveSet, "_find",
+                            lambda aset, v: calls.append(1) or find(aset, v))
         tr = run_instance(wolfe_edge(), variant, step=step, gap_tol=1e-12,
                           max_iters=2000)
         fw_steps = sum(r.step_kind == KIND_FW for r in tr.records)

@@ -61,9 +61,9 @@ PINS = {
     "interior_quadratic-AFW-ss":
         "1797986382ee2bfa1d351bb118f4c7fd2971abf417d874580186a0556d773cb4",
     "interior_quadratic-BPFW-ls":
-        "8e58ea78a71783595923781742f4c48edb7ba5c98f7c039fc0aab1e4f2fef592",
+        "f5f4fc5c09f91ffc9a8f4f7c4cc5f220d418356d2145e7e2a89bfc9b93f768f4",
     "interior_quadratic-BPFW-ss":
-        "e6b339d98acb58a4844243d0bfeb2ab674cb8586baef30d3c61ecb177f1bb492",
+        "ab42656042cb16b4334558c469195dbbbf3728f82d2b4a3d6f0167b51180d768",
     "interior_quadratic-FW-ls":
         "bd0b8e90a0824ff881a9c0f9a2c4bb456f7f2b88e3ed8c86eb7030e994411e4d",
     "interior_quadratic-FW-ss":
@@ -244,7 +244,7 @@ LARGE_PINS = {
     "simplex60-AFW-ss":
         "1d6fe35cc266adc56e8a5948e6956327e8d744fd36485e114d96314845f10f05",
     "simplex60-BPFW-ls":
-        "268d7d82f4ccf690612d3199695e7328a105f239d0856653463fb35d877b7756",
+        "5f0db602b8050bd6fd6f177cf5329e467bd62957f1872a17e02d9be871086ac8",
     "simplex60-BPFW-ss":
         "3bab00c3f9e6c08b9160a26382d827b22c1c3095fb48224d42c1fa62c1c9a042",
     "simplex60-IFW-ls":
@@ -256,13 +256,13 @@ LARGE_PINS = {
     "box60-FW-ss":
         "8bcaf3ee4bb81f0ebb7e1b75fe77dc886315a02b3e933e2220d236207cabd24d",
     "box60-AFW-ls":
-        "78239df755f6dfc93bdc86133bb395783c6d322f9d3d3d4fabcec5486c335543",
+        "697ac0b4766db49470c61996dd26415582c14c87dd6bd74585a33fb77558d4f4",
     "box60-AFW-ss":
-        "c198a24380ba8b4638617b991cf62699a6f3cce3b216746742eede6a692c8fd0",
+        "b11d06d70aa80af75c956fe5fbc37b5557a0fa2fc4382c73c586a93d62fb003a",
     "box60-BPFW-ls":
-        "35fd3548a8c0589164f3e65cc56426833497cdc10163b9f70eb364ac8cc44de2",
+        "7cc84113ed74a75bebdb05974398a9ba7849de882eaccf0b4c3bbaf00fa79c2a",
     "box60-BPFW-ss":
-        "9664311c863c98d6e34f6cded8fd962b498cfda9ed071f4baeadc7e69bddae8d",
+        "2765ec073aa09a61b2b0bbeba8604f51cf391aa2b31ef2b550524e60a280dcc4",
     "box60-IFW-ls":
         "2cb9fde1f58cf75c98cb4439e1573e1b3fdf3284e098281bf13d5b352807be16",
     "box60-IFW-ss":
