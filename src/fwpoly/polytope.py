@@ -21,7 +21,10 @@ Conventions shared across the package:
   values within TIE_TOL of the best as tied (``tie_argmin``), so a tie that
   exact arithmetic makes is not broken by the last bits of the gradient,
 * max_step returns ``inf`` for directions of norm below EPS_DIRECTION, and
-  callers that need a finite cap replace it by 1.0.
+  callers that need a finite cap replace it by 1.0,
+* StdFormPolytope and HFormPolytope prove at construction that their region
+  is bounded (``_check_bounded``): a Gordan certificate in numpy, and an LP
+  only where the certificate fails.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from math import comb, isfinite
 
 import numpy as np
 
-from ._hulls import _rank, hull_hform
+from ._hulls import _rank, _singular_rank, hull_hform
 
 EPS_BIND = 1e-9
 EPS_DIRECTION = 1e-14
@@ -139,6 +142,68 @@ def _basis_vertices(name, rows, size, solve):
     return np.array(sorted(seen.values(), key=lambda v: tuple(np.round(v, 12))))
 
 
+def _gordan_certificate(A, D):
+    """True when a y > 0 with D^T y in range(A^T) proves {d : A d = 0, D d >= 0} = {0}.
+
+    N is an orthonormal basis of null(A), its rank by ``_singular_rank``, and
+    M = D N, so the cone is {N u : M u >= 0}.  y = 1 - M lstsq(M, 1) is the
+    projection of the all-ones vector onto null(M^T), and r = M^T y is what
+    rounding leaves of zero.  For u in the cone, M u >= 0 and y > 0 give
+
+        min(y) sigma_min(M) |u| <= min(y) |M u|_1 <= y^T M u = r^T u <= |r| |u|,
+
+    so min(y) sigma_min(M) > |r| forces u = 0 (Gordan's theorem; Schrijver,
+    Theory of Linear and Integer Programming, 1986, section 7.8).  The test
+    asks for |r| plus the rounding margin 4 (n + p) eps kappa(A) |D|_F |y|,
+    with p rows in D, eps the float spacing at 1 and kappa(A) the ratio of
+    A's largest to its smallest nonzero singular value (1 without equality
+    rows): the computed N spans null(A) to within an angle of order
+    n eps kappa(A), and the rounding of M, of r and of sigma_min(M) moves
+    each side by at most order (n + p) eps |D|_F |y|.  False proves nothing:
+    some bounded regions have no such y, and the caller then asks the LP.
+    """
+    n = D.shape[1]
+    if A.size:
+        _, s, Vt = np.linalg.svd(A)
+        rank = _singular_rank(s)
+        N = Vt[rank:].T
+        kappa = s[0] / s[rank - 1] if rank else 1.0
+    else:
+        N, kappa = np.eye(n), 1.0
+    M = D @ N
+    p, k = M.shape
+    if k == 0:
+        return True  # A d = 0 only at d = 0
+    if p < k:
+        return False  # M u = 0 for some u != 0: a line
+    z, _, _, sv = np.linalg.lstsq(M, np.ones(p), rcond=None)
+    y = 1.0 - M @ z
+    eps = np.finfo(float).eps
+    margin = 4 * (n + p) * eps * kappa * np.linalg.norm(D) * np.linalg.norm(y)
+    return bool(y.min() * sv[-1] > np.linalg.norm(M.T @ y) + margin)
+
+
+def _recession_lp(A, D):
+    """True when an LP finds d != 0 with A d = 0 and D d >= 0: the region is unbounded.
+
+    It maximizes 1^T D d over A d = 0, 0 <= D d <= 1, so an optimum above
+    1e-9 is a recession direction.  With D = I this is the LP over
+    {d : A d = 0, 0 <= d <= 1}.  scipy.optimize is imported only here.
+    """
+    from scipy.optimize import linprog
+
+    p = D.shape[0]
+    res = linprog(
+        c=-D.sum(axis=0),
+        A_ub=np.vstack([-D, D]), b_ub=np.concatenate([np.zeros(p), np.ones(p)]),
+        A_eq=A if A.size else None, b_eq=np.zeros(A.shape[0]) if A.size else None,
+        bounds=(None, None), method="highs",
+    )
+    if res.status != 0:
+        raise PolytopeError(f"recession LP failed: {res.message}")
+    return -res.fun > 1e-9
+
+
 @dataclass(frozen=True)
 class Face:
     """A face of a polytope, identified by its binding inequality rows."""
@@ -187,6 +252,15 @@ class Polytope:
     def hform(self):
         """The (A, b, D, e) inequality description."""
         return self.A, self.b, self.D, self.e
+
+    def _check_bounded(self, kind):
+        """Raise unless the recession cone {d : A d = 0, D d >= 0} is {0}.
+
+        ``_gordan_certificate`` decides in numpy; ``_recession_lp`` runs only
+        where the certificate fails.
+        """
+        if not _gordan_certificate(self.A, self.D) and _recession_lp(self.A, self.D):
+            raise PolytopeError(f"{kind}: feasible region is unbounded")
 
     def dim(self):
         """Dimension of the polytope (affine dimension of its vertex set)."""
@@ -606,7 +680,17 @@ class VRepPolytope(Polytope):
 
 
 class StdFormPolytope(Polytope):
-    """Standard-form polytope {x : A x = b, x >= 0}."""
+    """Standard-form polytope {x : A x = b, x >= 0}.
+
+    Construction proves the region bounded (``_gordan_certificate`` with
+    D = I): y = A^T z with z = lstsq(A^T, 1), the projection of the all-ones
+    vector onto range(A^T), has y^T d = 0 on null(A), so if y > 0 no d >= 0
+    other than 0 solves A d = 0.  With N an orthonormal basis of null(A),
+    the test wants min(y) sigma_min(N) (1 up to rounding) above |N^T y|,
+    what rounding leaves of zero, plus the margin
+    8 n^1.5 eps kappa(A) |y|.  Where no such y exists, the LP over
+    {d : A d = 0, 0 <= d <= 1} decides.
+    """
 
     def __init__(self, A, b, name="stdform"):
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -615,20 +699,7 @@ class StdFormPolytope(Polytope):
             raise PolytopeError("stdform: A must have full row rank")
         super().__init__(A=A, b=b, D=np.eye(n), e=np.zeros(n), n=n, name=name)
         self.m = m
-        if self._has_recession_direction():
-            raise PolytopeError("stdform: feasible region is unbounded")
-
-    def _has_recession_direction(self):
-        # nonzero d >= 0 with A d = 0 certifies unboundedness
-        from scipy.optimize import linprog
-
-        res = linprog(
-            c=-np.ones(self.n),
-            A_eq=self.A, b_eq=np.zeros(self.m),
-            bounds=[(0.0, 1.0)] * self.n,
-            method="highs",
-        )
-        return res.status == 0 and -res.fun > 1e-9
+        self._check_bounded("stdform")
 
     _slack = _rate = _identity_rows
 
@@ -661,7 +732,17 @@ class StdFormPolytope(Polytope):
 
 
 class HFormPolytope(Polytope):
-    """General bounded polytope {x : A x = b, D x >= e}."""
+    """General bounded polytope {x : A x = b, D x >= e}.
+
+    Construction proves the region bounded before it checks the rows.  First
+    [A; D] must have rank n, so the region holds no line.  Then the recession
+    cone {d : A d = 0, D d >= 0} must be {0}: ``_gordan_certificate`` looks
+    for y > 0 with D^T y in range(A^T), which makes y^T D d = 0 on null(A).
+    With M = D N, N an orthonormal basis of null(A), the proof holds when
+    min(y) sigma_min(M) exceeds |M^T y| plus the rounding margin
+    4 (n + p) eps kappa(A) |D|_F |y| for p rows in D.  Where no such y
+    exists, an LP over {d : A d = 0, 0 <= D d <= 1} decides.
+    """
 
     def __init__(self, A=None, b=None, D=None, e=None, name="hform"):
         super().__init__(A=A, b=b, D=D, e=e, name=name)
@@ -670,6 +751,7 @@ class HFormPolytope(Polytope):
         rows = np.vstack([self.A, self.D]) if self.A.size else self.D
         if _rank(rows) < self.n:
             raise PolytopeError("hform: lineality space is nontrivial (unbounded)")
+        self._check_bounded("hform")
         self._validate_rows()
 
     def _validate_rows(self):

@@ -53,6 +53,7 @@ VARIANTS = ("FW", "AFW", "BPFW", "IFW", "FWIPW")
 
 CSV_COLUMNS = ("t", "f_val", "f_gap", "fw_gap", "case", "eta", "step_kind",
                "support_or_face_dim")
+CSV_CHUNK_ROWS = 4096  # steps converted to Python objects at a time by to_csv
 
 
 @dataclass(frozen=True)
@@ -147,16 +148,22 @@ class RunTrace:
 
         Floats are written as the ``repr`` of Python floats (the shortest
         string that reads back to the same double), an unknown ``f_gap`` as
-        an empty field; lines end in ``\\n``, are unquoted and stream out.
+        an empty field; lines end in ``\\n``, are unquoted and stream out,
+        CSV_CHUNK_ROWS steps at a time, so no whole column becomes a list.
         """
-        f_gaps = repeat("") if self.fstar is None else map(repr, self.f_gap.tolist())
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            fh.writelines(
-                f"{t},{f!r},{g},{w!r},{c},{e!r},{k},{s}\n"
-                for t, (f, g, w, c, e, k, s) in enumerate(zip(
-                    self.f_val.tolist(), f_gaps, self.fw_gap.tolist(), self.case.tolist(),
-                    self.eta.tolist(), self.step_kind, self.support_or_face_dim.tolist())))
+            for lo in range(0, len(self.f_val), CSV_CHUNK_ROWS):
+                rows = slice(lo, lo + CSV_CHUNK_ROWS)
+                f_val = self.f_val[rows]
+                f_gaps = (repeat("") if self.fstar is None
+                          else map(repr, (f_val - self.fstar).tolist()))
+                fh.writelines(
+                    f"{t},{f!r},{g},{w!r},{c},{e!r},{k},{s}\n"
+                    for t, (f, g, w, c, e, k, s) in enumerate(zip(
+                        f_val.tolist(), f_gaps, self.fw_gap[rows].tolist(),
+                        self.case[rows].tolist(), self.eta[rows].tolist(),
+                        self.step_kind[rows], self.support_or_face_dim[rows].tolist()), lo))
 
 
 def _classify(eta, eta_max):

@@ -1,0 +1,154 @@
+"""Standard-form and H-form polytopes are proved bounded when they are built.
+
+``_gordan_certificate`` proves the recession cone {d : A d = 0, D d >= 0}
+is {0} in numpy; ``_recession_lp`` decides only where the certificate
+fails.  The LP is the reference here: wherever the certificate says
+"bounded", the LP must find no recession direction.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fwpoly import instances
+from fwpoly._hulls import _rank, hull_hform
+from fwpoly.polytope import (
+    HFormPolytope,
+    PolytopeError,
+    StdFormPolytope,
+    _gordan_certificate,
+    _recession_lp,
+    simplex_like_cube,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# bounded, but the projection of the all-ones vector onto range(A^T) has a
+# negative entry, so only the LP can tell
+NO_CERTIFICATE = np.array([[3.0, 3.0, 0.0, 4.0, -2.0], [2.0, 3.0, 4.0, 1.0, 0.0]])
+
+
+def lp_verdict(A, D):
+    """The LP's answer (True: unbounded), checked against the certificate's."""
+    unbounded = _recession_lp(A, D)
+    assert not (_gordan_certificate(A, D) and unbounded)
+    return unbounded
+
+
+def test_unbounded_hform_rejected_before_its_rows_are_checked(monkeypatch):
+    # x, y >= 0, x + y >= 1, x <= 5 holds every (0, t) with t >= 1; it used
+    # to construct and answer contains([0, 100]) True beside lmo([0, -1]) = (0, 1)
+    def validate(self):
+        raise AssertionError("row checks ran on an unbounded region")
+
+    monkeypatch.setattr(HFormPolytope, "_validate_rows", validate)
+    with pytest.raises(PolytopeError, match="unbounded"):
+        HFormPolytope(D=[[1, 0], [0, 1], [1, 1], [-1, 0]], e=[0, 0, 1, -5])
+
+
+def test_bounded_stdform_without_certificate_is_decided_by_the_lp(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    assert not _gordan_certificate(NO_CERTIFICATE, np.eye(5))
+    poly = StdFormPolytope(NO_CERTIFICATE, NO_CERTIFICATE @ np.ones(5))
+    assert len(calls) == 1
+    assert poly.contains(np.ones(5)) and len(poly.enumerate_vertices()) >= 2
+
+
+def test_built_polytopes_need_no_lp(monkeypatch):
+    # every standard- and H-form polytope the package and its tests build
+    # has a certificate, so none of them imports scipy.optimize
+    monkeypatch.setattr("fwpoly.polytope._recession_lp", None)
+    polys = [instances.named_polytope(name)
+             for name in ("simplex3std", "simplex5std", "truncsimplex", "cube2std")]
+    polys += [simplex_like_cube(3), instances.truncated_simplex(0.5),
+              HFormPolytope(D=np.vstack([np.eye(3), -np.eye(3)]), e=[0, 0, 0, -1, -2, -1]),
+              StdFormPolytope([[1.0, 2.0, 1.0, 0.0, 3.0], [0.0, 1.0, 2.0, 1.0, 1.0]],
+                              [4.0, 3.0]),
+              StdFormPolytope([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]], [1.0, 1.0])]
+    for poly in polys:
+        assert _gordan_certificate(poly.A, poly.D), poly.name
+
+
+def test_certified_build_imports_no_lp():
+    code = ("import sys\nfrom fwpoly import instances\n"
+            "for make in instances.ALL_CERTIFIED:\n    make()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def _planted_ray(rng, n):
+    """A nonzero integer direction with a coordinate equal to 1, and that coordinate."""
+    d = rng.integers(-2, 3, n)
+    j = int(rng.integers(n))
+    d[j] = 1
+    return d.astype(float), j
+
+
+def _orthogonal_rows(rng, m, d, j):
+    """Integer rows a with a @ d == 0 exactly: coordinate j absorbs the rest."""
+    A = rng.integers(-3, 4, (m, len(d))).astype(float)
+    A[:, j] = 0.0
+    A[:, j] = -(A @ d)
+    return A
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 7))
+def test_stdform_with_a_planted_ray_is_rejected(seed, n):
+    rng = np.random.default_rng(seed)
+    d, j = _planted_ray(rng, n)
+    d = np.abs(d)  # a ray of {x >= 0}
+    m = int(rng.integers(1, n))
+    A = _orthogonal_rows(rng, m, d, j)
+    assume(_rank(A) == m)
+    assert lp_verdict(A, np.eye(n))
+    with pytest.raises(PolytopeError, match="unbounded"):
+        StdFormPolytope(A, A @ rng.integers(0, 3, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.booleans())
+def test_hform_with_a_planted_ray_is_rejected(seed, n, equality):
+    rng = np.random.default_rng(seed)
+    d, j = _planted_ray(rng, n)
+    D = rng.integers(-3, 4, (n + int(rng.integers(1, 5)), n)).astype(float)
+    D[D @ d < 0] *= -1.0  # every row now grows or stays along d
+    A = _orthogonal_rows(rng, 1, d, j) if equality else np.zeros((0, n))
+    assume(_rank(np.vstack([A, D])) == n)
+    assert lp_verdict(A, D)
+    x0 = rng.integers(-2, 3, n).astype(float)
+    with pytest.raises(PolytopeError, match="unbounded"):
+        HFormPolytope(A if equality else None, A @ x0 if equality else None,
+                      D, D @ x0 - rng.integers(1, 3, len(D)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(0, 3))
+def test_hull_facets_accepted_and_dropping_one_is_judged_by_the_lp(seed, n, extra):
+    rng = np.random.default_rng(seed)
+    hf = hull_hform(rng.standard_normal((n + 1 + extra, n)))
+    assert not lp_verdict(hf.A, hf.D)
+    HFormPolytope(D=hf.D, e=hf.e)
+    drop = int(rng.integers(len(hf.D)))
+    D, e = np.delete(hf.D, drop, axis=0), np.delete(hf.e, drop)
+    if lp_verdict(hf.A, D):
+        with pytest.raises(PolytopeError, match="unbounded"):
+            HFormPolytope(D=D, e=e)

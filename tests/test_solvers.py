@@ -27,7 +27,7 @@ from fwpoly.instances import (
 from fwpoly.active_set import ActiveSet
 from fwpoly.objectives import Objective, Quadratic, distance_squared, power_distance
 from fwpoly.polytope import Box, PolytopeError, Simplex
-from fwpoly.solvers import CSV_COLUMNS, IterRecord, solve
+from fwpoly.solvers import CSV_CHUNK_ROWS, CSV_COLUMNS, IterRecord, solve
 
 from conftest import trace_of
 
@@ -158,13 +158,16 @@ class TestTraceAndCsv:
             assert p.read_bytes() == csv_writer_bytes(tr)
 
     def test_real_trace_bytes_match_csv_writer(self, tmp_path):
-        for fstar in (wolfe_edge().fstar, None):
-            tr = run_instance(wolfe_edge(), "AFW", step="ss", gap_tol=1e-10,
-                              max_iters=2000, fstar=fstar)
-            assert len(tr.records) > 5
-            p = tmp_path / "trace.csv"
-            tr.to_csv(p)
-            assert p.read_bytes() == csv_writer_bytes(tr)
+        # the zigzagging FW run is longer than one chunk of to_csv's rows
+        for variant, step, max_iters, longer_than in (
+                ("AFW", "ss", 2000, 5), ("FW", "ls", CSV_CHUNK_ROWS + 100, CSV_CHUNK_ROWS)):
+            for fstar in (wolfe_edge().fstar, None):
+                tr = run_instance(wolfe_edge(), variant, step=step, gap_tol=1e-10,
+                                  max_iters=max_iters, fstar=fstar)
+                assert len(tr.records) > longer_than
+                p = tmp_path / "trace.csv"
+                tr.to_csv(p)
+                assert p.read_bytes() == csv_writer_bytes(tr)
 
     def test_gap_series_shape(self):
         tr = run_instance(fw_segment(), "FW", step="ss", gap_tol=1e-10,
