@@ -21,10 +21,7 @@ Conventions shared across the package:
   values within TIE_TOL of the best as tied (``tie_argmin``), so a tie that
   exact arithmetic makes is not broken by the last bits of the gradient,
 * max_step returns ``inf`` for directions of norm below EPS_DIRECTION, and
-  callers that need a finite cap replace it by 1.0,
-* StdFormPolytope and HFormPolytope prove at construction that their region
-  is bounded (``_check_bounded``): a Gordan certificate in numpy, and an LP
-  only where the certificate fails.
+  callers that need a finite cap replace it by 1.0.
 """
 
 from __future__ import annotations
@@ -254,11 +251,7 @@ class Polytope:
         return self.A, self.b, self.D, self.e
 
     def _check_bounded(self, kind):
-        """Raise unless the recession cone {d : A d = 0, D d >= 0} is {0}.
-
-        ``_gordan_certificate`` decides in numpy; ``_recession_lp`` runs only
-        where the certificate fails.
-        """
+        """Raise unless {d : A d = 0, D d >= 0} = {0}: certificate first, LP if it fails."""
         if not _gordan_certificate(self.A, self.D) and _recession_lp(self.A, self.D):
             raise PolytopeError(f"{kind}: feasible region is unbounded")
 
@@ -682,14 +675,11 @@ class VRepPolytope(Polytope):
 class StdFormPolytope(Polytope):
     """Standard-form polytope {x : A x = b, x >= 0}.
 
-    Construction proves the region bounded (``_gordan_certificate`` with
-    D = I): y = A^T z with z = lstsq(A^T, 1), the projection of the all-ones
-    vector onto range(A^T), has y^T d = 0 on null(A), so if y > 0 no d >= 0
-    other than 0 solves A d = 0.  With N an orthonormal basis of null(A),
-    the test wants min(y) sigma_min(N) (1 up to rounding) above |N^T y|,
-    what rounding leaves of zero, plus the margin
-    8 n^1.5 eps kappa(A) |y|.  Where no such y exists, the LP over
-    {d : A d = 0, 0 <= d <= 1} decides.
+    Construction proves the region bounded: y = A^T lstsq(A^T, 1) > 0 has
+    y^T d = 0 for every d in null(A), so no d >= 0 but 0 solves A d = 0.
+    The test wants min(y) above |N^T y|, N an orthonormal basis of null(A),
+    plus the rounding margin 8 n^1.5 eps kappa(A) |y|; where it fails, the
+    LP over {d : A d = 0, 0 <= d <= 1} decides (``_gordan_certificate``).
     """
 
     def __init__(self, A, b, name="stdform"):
@@ -734,14 +724,12 @@ class StdFormPolytope(Polytope):
 class HFormPolytope(Polytope):
     """General bounded polytope {x : A x = b, D x >= e}.
 
-    Construction proves the region bounded before it checks the rows.  First
-    [A; D] must have rank n, so the region holds no line.  Then the recession
-    cone {d : A d = 0, D d >= 0} must be {0}: ``_gordan_certificate`` looks
-    for y > 0 with D^T y in range(A^T), which makes y^T D d = 0 on null(A).
-    With M = D N, N an orthonormal basis of null(A), the proof holds when
-    min(y) sigma_min(M) exceeds |M^T y| plus the rounding margin
-    4 (n + p) eps kappa(A) |D|_F |y| for p rows in D.  Where no such y
-    exists, an LP over {d : A d = 0, 0 <= D d <= 1} decides.
+    Construction proves the region bounded before it checks the rows: [A; D]
+    has rank n, and a y > 0 with D^T y in range(A^T) has y^T D d = 0 for
+    every d in null(A), so no d but 0 has A d = 0 and D d >= 0.  With M = D N,
+    N an orthonormal basis of null(A), the test wants min(y) sigma_min(M)
+    above |M^T y| plus the rounding margin 4 (n + p) eps kappa(A) |D|_F |y|
+    for p rows in D; where it fails, an LP decides (``_gordan_certificate``).
     """
 
     def __init__(self, A=None, b=None, D=None, e=None, name="hform"):
