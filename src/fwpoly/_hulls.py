@@ -4,6 +4,8 @@ Everything here works on plain (N, n) arrays of points.  The three jobs are:
 
 * affine hulls (orthonormal tangent basis + normal equations),
 * inequality descriptions of convex hulls, degenerate dimensions included,
+  found in numpy by walking every d-subset of the points (at most
+  HULL_SUBSETS_MAX of them; no Qhull),
 * Euclidean projection of a point onto a convex hull of points, solved
   exactly by Wolfe's min-norm-point method on the simplex of hull
   coefficients; a result that fails the global optimality check raises
@@ -13,21 +15,28 @@ Everything here works on plain (N, n) arrays of points.  The three jobs are:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
 RANK_TOL = 1e-9
+HULL_SUBSETS_MAX = 10**6  # d-subsets hull_hform may walk
+HULL_CHUNK = 8192  # d-subsets hull_hform tests at a time
 MAX_CYCLES_PER_POINT = 10
 
 
 def _singular_rank(s):
-    """The one rank rule: singular values above RANK_TOL times max(1, the largest)."""
+    """The one rank rule: singular values above RANK_TOL * max(1, the largest), per stack row."""
+    if s.ndim > 1:
+        return np.sum(s > RANK_TOL * np.maximum(1.0, s[..., :1]), axis=-1)
     return int(np.sum(s > RANK_TOL * max(1.0, s[0]))) if s.size else 0
 
 
 def _rank(M):
-    """Numerical rank of M under _singular_rank."""
-    return _singular_rank(np.linalg.svd(M, compute_uv=False)) if M.size else 0
+    """Numerical rank of M under _singular_rank (one per matrix of a stack)."""
+    return _singular_rank(np.linalg.svd(M, compute_uv=False)) if M.size or M.ndim > 2 else 0
 
 
 def affine_hull(points):
@@ -62,14 +71,35 @@ class HullHForm:
     vertex_index: list
 
 
+@lru_cache(maxsize=4)
+def _subsets(m, d):
+    """Every d-subset of range(m) as a row, in combinations order (the cap keeps m < 2**15).
+    The cache hands every caller the same array, so none may write to it."""
+    return np.fromiter(chain.from_iterable(combinations(range(m), d)), np.int16).reshape(-1, d)
+
+
+def _cofactor_normals(E):
+    """Generalised cross products: E[k, j, s] is coordinate k of edge j of subset s."""
+    if len(E) == 3:
+        (a0, b0), (a1, b1), (a2, b2) = E
+        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return np.array([(-1) ** k * np.linalg.det(np.delete(E, k, axis=0).T) for k in range(len(E))])
+
+
 def hull_hform(points):
     """Facet description of conv(points), handling flat (low-dim) hulls.
 
-    Points are projected onto their affine hull first, so Qhull only ever
-    sees full-dimensional input.  Hulls of affine dimension 0 and 1 are
-    handled directly.
+    Points are projected onto their affine hull (dimension d) first; a single
+    point (d = 0) is handled directly.  Otherwise every d-subset of the distinct
+    points spans a plane (cofactor normal about its first point), kept when all
+    points lie on one side of it within RANK_TOL times their spread.  Kept planes
+    through the same points make one facet, one unit row from the subset with
+    the largest normal, if that subset is independent.  A point is a vertex when
+    the normals of its facets have rank d.  Over HULL_SUBSETS_MAX subsets raise
+    PolytopeError before any is built; the largest hulls that the package, its
+    tests and its benchmark build (81 points, 73 distinct, in R^3) have 62,196.
     """
-    from scipy.spatial import ConvexHull
+    from .polytope import PolytopeError
 
     P = np.atleast_2d(np.asarray(points, dtype=float))
     n = P.shape[1]
@@ -82,25 +112,35 @@ def hull_hform(points):
         return HullHForm(A, b, np.zeros((0, n)), np.zeros(0), [0])
 
     Y = (P - x0) @ B
-    if d == 1:
-        y = Y[:, 0]
-        i_lo, i_hi = int(np.argmin(y)), int(np.argmax(y))
-        r = B[:, 0]
-        D = np.vstack([r, -r])
-        e = np.array([y[i_lo] + r @ x0, -(y[i_hi] + r @ x0)])
-        return HullHForm(A, b, D, e, sorted({i_lo, i_hi}))
-
-    hull = ConvexHull(Y)
-    # Qhull equations are normal @ y + offset <= 0; map back to ambient
-    # coordinates as rows of D @ x >= e, normalized to unit length.
-    normals = hull.equations[:, :-1]
-    offsets = hull.equations[:, -1]
-    D = -(normals @ B.T)
-    e = offsets + D @ x0
-    norms = np.linalg.norm(D, axis=1)
-    keep = norms > RANK_TOL
-    D, e = D[keep] / norms[keep, None], e[keep] / norms[keep]
-    return HullHForm(A, b, D, e, sorted(int(i) for i in hull.vertices))
+    first = np.sort(np.unique((Y + 0.0).view(f"V{8 * d}"), return_index=True)[1])  # -0.0 is 0.0
+    Q, count = Y[first], comb(len(first), d)
+    if count > HULL_SUBSETS_MAX:
+        raise PolytopeError(f"hull_hform: {count} {d}-subsets exceed {HULL_SUBSETS_MAX}")
+    tol = RANK_TOL * np.linalg.norm(Q, axis=1).max()  # Q[0] = Y[0] = 0
+    QT, probe = Q.T.copy(), Q[np.r_[Q.argmin(0), Q.argmax(0)]]  # probe: extreme points
+    kept = []  # per chunk: first points, normal sizes, unit inward normals, incidence
+    for lo in range(0, count, HULL_CHUNK):
+        S = _subsets(len(Q), d)[lo:lo + HULL_CHUNK]
+        G = np.take(QT, S.T, axis=1)  # G[k, j, s]: coordinate k of point j of subset s
+        normals = _cofactor_normals(G[:, 1:] - G[:, :1])
+        offset, size = np.einsum("ks,ks->s", G[:, 0], normals), np.linalg.norm(normals, axis=0)
+        t, dist = tol * size, probe @ normals - offset  # the probe rejects most subsets cheaply
+        live = np.flatnonzero(((dist.min(0) >= -t) | (dist.max(0) <= t)) & (size > 0))
+        t, dist = t[live], Q @ np.take(normals, live, axis=1) - offset[live]
+        above = dist.min(0) >= -t
+        on = np.flatnonzero(above | (dist.max(0) <= t))
+        live = live[on]
+        unit = np.take(normals, live, axis=1) * (np.where(above[on], 1.0, -1.0) / size[live])
+        kept.append((S[live], size[live], unit.T, np.abs(dist[:, on]).T <= t[on, None]))
+    S, size, U, inc = (np.concatenate(col) for col in zip(*kept))
+    order = np.argsort(-size, kind="stable")  # a group's first subset has its largest normal
+    packed = np.packbits(inc[order], axis=1)
+    best = np.sort(order[np.unique(packed.view(f"V{packed.shape[1]}"), return_index=True)[1]])
+    G = np.take(QT, S[best].T, axis=1)
+    best = best[_rank(np.transpose(G[:, 1:] - G[:, :1])) == d - 1]  # independent: a facet
+    U, inc, D = U[best], inc[best], U[best] @ B.T
+    vertex = first[_rank(inc.T[:, :, None] * U) == d]
+    return HullHForm(A, b, D, np.sum(Q[S[best, 0]] * U, axis=1) + D @ x0, vertex.tolist())
 
 
 def _affine_lsq(M, support, w):

@@ -337,22 +337,23 @@ def audit_progress(trace, L, rel_slack=REL_SLACK):
     """
     _check_constants(L=L, rel_slack=rel_slack)
     failures = []
-    for t, (f_val, f_next, inner, eta, case, kind) in enumerate(zip(
-            trace.f_val.tolist(), _f_next(trace), trace.inner.tolist(), trace.eta.tolist(),
-            trace.case.tolist(), trace.step_kind)):
-        tol = rel_slack * max(1.0, abs(f_val))
-        if kind == "PW":
-            taken = f_val + eta * inner + eta ** 2 * L / 2.0
-            if f_next > taken + tol:
-                failures.append((t, f"pow2 majorant: {f_next!r} > {taken!r}"))
-            continue
-        loose = f_val - inner ** 2 / (2 * L)
-        if case == 1 and f_next > loose + tol:
-            failures.append((t, f"case 1: {f_next!r} > {loose!r}"))
-        elif case == 2 and f_next > f_val + inner / 2.0 + tol and f_next > loose + tol:
-            failures.append((t, f"case 2: {f_next!r} > max bound"))
-        elif case == 3 and f_next > f_val + tol:
-            failures.append((t, f"case 3 increased: {f_next!r} > {f_val!r}"))
+    for lo, part in trace.chunks():
+        for t, (f_val, f_next, inner, eta, case, kind) in enumerate(zip(
+                part.f_val.tolist(), _f_next(part), part.inner.tolist(), part.eta.tolist(),
+                part.case.tolist(), part.step_kind), lo):
+            tol = rel_slack * max(1.0, abs(f_val))
+            if kind == "PW":
+                taken = f_val + eta * inner + eta ** 2 * L / 2.0
+                if f_next > taken + tol:
+                    failures.append((t, f"pow2 majorant: {f_next!r} > {taken!r}"))
+                continue
+            loose = f_val - inner ** 2 / (2 * L)
+            if case == 1 and f_next > loose + tol:
+                failures.append((t, f"case 1: {f_next!r} > {loose!r}"))
+            elif case == 2 and f_next > f_val + inner / 2.0 + tol and f_next > loose + tol:
+                failures.append((t, f"case 2: {f_next!r} > max bound"))
+            elif case == 3 and f_next > f_val + tol:
+                failures.append((t, f"case 3 increased: {f_next!r} > {f_val!r}"))
     return AuditReport("progress", not failures, len(trace.f_val), failures)
 
 
@@ -365,18 +366,19 @@ def audit_selection(trace, rel_slack=REL_SLACK):
     """
     _check_constants(rel_slack=rel_slack)
     failures = []
-    for t, (f_val, fw_gap, inner, strong_gap, f_gap) in enumerate(zip(
-            trace.f_val.tolist(), trace.fw_gap.tolist(), trace.inner.tolist(),
-            _listed(trace.strong_gap), _listed(trace.f_gap))):
-        tol = rel_slack * max(1.0, abs(f_val), fw_gap)
-        if strong_gap is not None and inner > -strong_gap / 2.0 + tol:
-            failures.append((t, f"<g,d>={inner!r} vs strong gap {strong_gap!r}"))
-        if strong_gap is not None and strong_gap < fw_gap - tol:
-            failures.append((t, "strong gap below the plain gap"))
-        if inner > -fw_gap + tol:
-            failures.append((t, f"<g,d>={inner!r} above -fw_gap={-fw_gap!r}"))
-        if f_gap is not None and inner > -f_gap + tol:
-            failures.append((t, f"<g,d>={inner!r} above -(f-f*)"))
+    for lo, part in trace.chunks():
+        for t, (f_val, fw_gap, inner, strong_gap, f_gap) in enumerate(zip(
+                part.f_val.tolist(), part.fw_gap.tolist(), part.inner.tolist(),
+                _listed(part.strong_gap), _listed(part.f_gap)), lo):
+            tol = rel_slack * max(1.0, abs(f_val), fw_gap)
+            if strong_gap is not None and inner > -strong_gap / 2.0 + tol:
+                failures.append((t, f"<g,d>={inner!r} vs strong gap {strong_gap!r}"))
+            if strong_gap is not None and strong_gap < fw_gap - tol:
+                failures.append((t, "strong gap below the plain gap"))
+            if inner > -fw_gap + tol:
+                failures.append((t, f"<g,d>={inner!r} above -fw_gap={-fw_gap!r}"))
+            if f_gap is not None and inner > -f_gap + tol:
+                failures.append((t, f"<g,d>={inner!r} above -(f-f*)"))
     return AuditReport("selection", not failures, len(trace.f_val), failures)
 
 
@@ -448,23 +450,24 @@ def audit_fwipw(trace, mu, theta, L, rel_slack=REL_SLACK):
     _, gaps = trace.gap_series()
     noise_floor = 1e-13 * max(1.0, abs(trace.fstar), float(gaps[0]))
     prev_eta = 1.0
-    for t, (f_val, f_next, eta, gamma, f_gap) in enumerate(zip(
-            trace.f_val.tolist(), _f_next(trace), trace.eta.tolist(),
-            _listed(trace.gamma), _listed(trace.f_gap))):
-        frac, _ = math.frexp(eta)
-        if frac != 0.5:  # 2^k has mantissa exactly one half
-            failures.append((t, f"eta={eta!r} is not a power of two"))
-        if eta > prev_eta * (1 + 1e-15):
-            failures.append((t, f"eta increased: {prev_eta!r} -> {eta!r}"))
-        if gamma is not None and eta > gamma * (1 + 1e-12):
-            failures.append((t, f"eta={eta!r} above target {gamma!r}"))
-        prev_eta = eta
-        if t >= t0 and f_gap is not None and f_gap > noise_floor:
-            floor = mu ** theta * max(f_gap, 0.0) ** (1 - theta) / (2 * L)
-            if eta < floor * (1 - rel_slack) - 1e-15:
-                failures.append((t, f"eta={eta!r} below sandwich floor {floor!r}"))
-            if f_next > f_val + rel_slack * max(1.0, abs(f_val)):
-                failures.append((t, "gap increased past t0"))
+    for lo, part in trace.chunks():
+        for t, (f_val, f_next, eta, gamma, f_gap) in enumerate(zip(
+                part.f_val.tolist(), _f_next(part), part.eta.tolist(),
+                _listed(part.gamma), _listed(part.f_gap)), lo):
+            frac, _ = math.frexp(eta)
+            if frac != 0.5:  # 2^k has mantissa exactly one half
+                failures.append((t, f"eta={eta!r} is not a power of two"))
+            if eta > prev_eta * (1 + 1e-15):
+                failures.append((t, f"eta increased: {prev_eta!r} -> {eta!r}"))
+            if gamma is not None and eta > gamma * (1 + 1e-12):
+                failures.append((t, f"eta={eta!r} above target {gamma!r}"))
+            prev_eta = eta
+            if t >= t0 and f_gap is not None and f_gap > noise_floor:
+                floor = mu ** theta * max(f_gap, 0.0) ** (1 - theta) / (2 * L)
+                if eta < floor * (1 - rel_slack) - 1e-15:
+                    failures.append((t, f"eta={eta!r} below sandwich floor {floor!r}"))
+                if f_next > f_val + rel_slack * max(1.0, abs(f_val)):
+                    failures.append((t, "gap increased past t0"))
     return AuditReport("fwipw", not failures, len(trace.f_val), failures)
 
 

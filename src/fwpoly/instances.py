@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._hulls import hull_hform
 from .geometry import derive_error_bound
 from .objectives import (
     HolderCertificate,
@@ -216,7 +217,5 @@ def named_objective(name):
 def random_vrep(rng, n_points=8, dim=2):
     """Random V-rep polytope for property tests: hull of Gaussian points."""
     pts = rng.standard_normal((n_points, dim))
-    from ._hulls import hull_hform
-
     hf = hull_hform(pts)
     return VRepPolytope(pts[sorted(hf.vertex_index)])

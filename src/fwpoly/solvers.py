@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
@@ -53,7 +53,7 @@ VARIANTS = ("FW", "AFW", "BPFW", "IFW", "FWIPW")
 
 CSV_COLUMNS = ("t", "f_val", "f_gap", "fw_gap", "case", "eta", "step_kind",
                "support_or_face_dim")
-CSV_CHUNK_ROWS = 4096  # steps converted to Python objects at a time by to_csv
+CSV_CHUNK_ROWS = 4096  # steps converted to Python objects at a time (RunTrace.chunks)
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,17 @@ class RunTrace:
         gaps = np.append(self.f_gap, self.f_final - self.fstar)
         return np.arange(len(gaps), dtype=float), gaps
 
+    def chunks(self):
+        """(first step, sub-trace) for every CSV_CHUNK_ROWS steps.  A sub-trace holds
+        views of its steps' columns and ends at the value its last step reached, so
+        whatever walks a trace's columns can walk them one chunk at a time."""
+        for lo in range(0, len(self.f_val), CSV_CHUNK_ROWS):
+            hi = lo + CSV_CHUNK_ROWS
+            cut = {k: v[lo:hi] for k, v in vars(self).items()
+                   if isinstance(v, (np.ndarray, tuple)) and k != "x_final"}
+            f_end = self.f_final if hi >= len(self.f_val) else self.f_val[hi].item()
+            yield lo, replace(self, f_final=f_end, **cut)
+
     def assert_monotone(self):
         vals = self.f_val.tolist() + [self.f_final]
         for a, b in zip(vals, vals[1:]):
@@ -148,22 +159,18 @@ class RunTrace:
 
         Floats are written as the ``repr`` of Python floats (the shortest
         string that reads back to the same double), an unknown ``f_gap`` as
-        an empty field; lines end in ``\\n``, are unquoted and stream out,
-        CSV_CHUNK_ROWS steps at a time, so no whole column becomes a list.
+        an empty field; lines end in ``\\n``, are unquoted and stream out a chunk
+        at a time (``chunks``), so no whole column becomes a list.
         """
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for lo in range(0, len(self.f_val), CSV_CHUNK_ROWS):
-                rows = slice(lo, lo + CSV_CHUNK_ROWS)
-                f_val = self.f_val[rows]
-                f_gaps = (repeat("") if self.fstar is None
-                          else map(repr, (f_val - self.fstar).tolist()))
+            for lo, part in self.chunks():
+                f_gaps = repeat("") if part.fstar is None else map(repr, part.f_gap.tolist())
                 fh.writelines(
                     f"{t},{f!r},{g},{w!r},{c},{e!r},{k},{s}\n"
                     for t, (f, g, w, c, e, k, s) in enumerate(zip(
-                        f_val.tolist(), f_gaps, self.fw_gap[rows].tolist(),
-                        self.case[rows].tolist(), self.eta[rows].tolist(),
-                        self.step_kind[rows], self.support_or_face_dim[rows].tolist()), lo))
+                        part.f_val.tolist(), f_gaps, part.fw_gap.tolist(), part.case.tolist(),
+                        part.eta.tolist(), part.step_kind, part.support_or_face_dim.tolist()), lo))
 
 
 def _classify(eta, eta_max):

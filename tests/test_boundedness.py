@@ -27,6 +27,8 @@ from fwpoly.polytope import (
     simplex_like_cube,
 )
 
+from test_geometry import SPHERE9
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # bounded, but the projection of the all-ones vector onto range(A^T) has a
@@ -85,9 +87,15 @@ def test_built_polytopes_need_no_lp(monkeypatch):
 
 
 def test_certified_build_imports_no_lp():
-    code = ("import sys\nfrom fwpoly import instances\n"
+    # nor does a V-rep polytope and its gauges load scipy: facets come from numpy
+    code = ("import sys\nimport numpy as np\nfrom fwpoly import geometry, instances\n"
+            "from fwpoly.polytope import VRepPolytope\n"
             "for make in instances.ALL_CERTIFIED:\n    make()\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+            f"poly = VRepPolytope({SPHERE9!r})\n"
+            "V = poly.enumerate_vertices()\n"
+            "x, y = V.mean(axis=0), 0.5 * (V[0] + V[1])\n"
+            "geometry.vertex_distance(poly, y, x)\ngeometry.face_distance(poly, y, x)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)

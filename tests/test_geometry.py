@@ -257,13 +257,14 @@ SPHERE9 = [[0.166, -0.427, 0.889], [-0.668, 0.33, 0.667], [0.86, 0.25, 0.444],
 # SHA-256 of the reprs of (inner, outer, phi_lower_bound), one line per
 # proper face in lattice order, generated before the facial distances were
 # memoised on the lattice; simplex5std and sphere9 re-pinned when Wolfe's
-# method replaced the gradient projection (within 3 ulp of PARENT_TABLE)
+# method replaced the gradient projection (within 3 ulp of PARENT_TABLE), and
+# sphere9 again when numpy facet enumeration replaced Qhull (within 4 ulp)
 SWEEP_DIGESTS = {
     "cube3": "c5525a15ea75ba62c0653fe8d82690ca02b1ee572c11c25e11a8dfb78f877275",
     "truncsimplex": "7790571b5619100d4ca168d67c66419f2536a6da4130e182d244d22cf7db0bbd",
     "simplex5std": "95c184cc1ed2d463aedafed851d3936e52ebb73c0f134fae5c07a801d67297e3",
     "cube2std": "bd73772bd6786d276107f43b50749287ba0e06015dfaa476e782f9072ffecdd7",
-    "sphere9": "acc8fa5f2955ea22e3b80e6e4c3b95b59fbf6d9dd6c74b3011ac40c67e13bd4c",
+    "sphere9": "7b8621d465861c45616b2fcd0c35561b4a4e467dd1eaae82527e98079d11616d",
 }
 
 PARENT_TABLE = Path(__file__).with_name("shared_lattice_parent.txt")

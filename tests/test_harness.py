@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from fwpoly.instances import (
     interior_quadratic,
     wolfe_edge,
 )
-from fwpoly.solvers import IterRecord, solve
+from fwpoly.solvers import CSV_CHUNK_ROWS, IterRecord, solve
 
 from conftest import trace_of
 
@@ -66,6 +67,40 @@ def reference_progress(trace, L, rel_slack=harness.REL_SLACK):
         elif r.case == 3 and f_next > r.f_val + tol:
             failures.append((r.t, f"case 3 increased: {f_next!r} > {r.f_val!r}"))
     return harness.AuditReport("progress", not failures, len(recs), failures)
+
+
+def whole_column_reports(trace, L, rel_slack=harness.REL_SLACK):
+    """audit_progress and audit_selection as loops over whole columns, each
+    converted to one list up front."""
+    f_val, inner, fw_gap = trace.f_val.tolist(), trace.inner.tolist(), trace.fw_gap.tolist()
+    f_next = f_val[1:] + [trace.f_final]
+    strong = [None] * len(f_val) if trace.strong_gap is None else trace.strong_gap.tolist()
+    f_gap = [None] * len(f_val) if trace.fstar is None else trace.f_gap.tolist()
+    progress, selection = [], []
+    for t, case in enumerate(trace.case.tolist()):
+        f, nxt, g, tol = f_val[t], f_next[t], inner[t], rel_slack * max(1.0, abs(f_val[t]))
+        loose = f - g ** 2 / (2 * L)
+        if trace.step_kind[t] == "PW":
+            taken = f + trace.eta[t].item() * g + trace.eta[t].item() ** 2 * L / 2.0
+            if nxt > taken + tol:
+                progress.append((t, f"pow2 majorant: {nxt!r} > {taken!r}"))
+        elif case == 1 and nxt > loose + tol:
+            progress.append((t, f"case 1: {nxt!r} > {loose!r}"))
+        elif case == 2 and nxt > f + g / 2.0 + tol and nxt > loose + tol:
+            progress.append((t, f"case 2: {nxt!r} > max bound"))
+        elif case == 3 and nxt > f + tol:
+            progress.append((t, f"case 3 increased: {nxt!r} > {f!r}"))
+        tol = rel_slack * max(1.0, abs(f), fw_gap[t])
+        if strong[t] is not None and g > -strong[t] / 2.0 + tol:
+            selection.append((t, f"<g,d>={g!r} vs strong gap {strong[t]!r}"))
+        if strong[t] is not None and strong[t] < fw_gap[t] - tol:
+            selection.append((t, "strong gap below the plain gap"))
+        if g > -fw_gap[t] + tol:
+            selection.append((t, f"<g,d>={g!r} above -fw_gap={-fw_gap[t]!r}"))
+        if f_gap[t] is not None and g > -f_gap[t] + tol:
+            selection.append((t, f"<g,d>={g!r} above -(f-f*)"))
+    return (harness.AuditReport("progress", not progress, len(f_val), progress),
+            harness.AuditReport("selection", not selection, len(f_val), selection))
 
 
 def reference_counts(trace, initial_support):
@@ -404,6 +439,32 @@ class TestAudits:
             assert reports[-1] == reference_fwipw(trace, 1.0, 0.5, mid.L)
             assert audit_progress(trace, mid.L) == reference_progress(trace, mid.L)
         assert [rep.ok for rep in reports] == [True, False]
+
+    def test_audits_stream_a_long_trace_by_chunks(self):
+        # three chunks and a bit: converted whole, the columns of the two
+        # audits would take about 1.6 MiB of Python floats; a chunk at a time,
+        # under 1 MiB, with the whole-column reports across chunk edges too
+        inst = wolfe_edge()
+        tr = run(inst, "FW", step="ls", gap_tol=1e-12, max_iters=3 * CSV_CHUNK_ROWS + 100)
+        parts = list(tr.chunks())
+        assert [lo for lo, _ in parts] == [k * CSV_CHUNK_ROWS for k in range(4)]
+        assert np.array_equal(np.concatenate([part.f_val for _, part in parts]), tr.f_val)
+        assert [part.f_final for _, part in parts] == (
+            [tr.f_val[lo].item() for lo, _ in parts[1:]] + [tr.f_final])
+        for audit in (lambda: audit_progress(tr, inst.L), lambda: audit_selection(tr)):
+            tracemalloc.start()
+            try:
+                report = audit()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.ok and report.n_checked == len(tr.f_val) > 3 * CSV_CHUNK_ROWS
+            assert peak < 2 ** 20
+        edge = CSV_CHUNK_ROWS  # step edge - 1 reaches the first value of the next chunk
+        bad = tampered(tampered(tr, "f_val", edge, tr.f_val[edge] + 1.0), "inner", 7, 1.0)
+        progress, selection = audit_progress(bad, inst.L), audit_selection(bad)
+        assert (progress, selection) == whole_column_reports(bad, inst.L)
+        assert [t for t, _ in progress.failures] == [7, edge - 1]
 
     def test_counting_audits_keep_record_reports(self):
         inst = wolfe_edge()

@@ -1,20 +1,27 @@
-"""Euclidean projection onto the convex hull of points (Wolfe's method).
+"""Facet descriptions and Euclidean projection onto convex hulls of points.
 
-Every result must be a point of the coefficient simplex that no coefficient
-direction improves, and on small hulls its distance must match a
-brute-force oracle over every support.
+``hull_hform`` must find the facets Qhull finds, one row per distinct plane;
+Qhull is the oracle here, and this is the only module that imports
+``scipy.spatial``.  Every projection (Wolfe's method) must be a point of the
+coefficient simplex that no coefficient direction improves, and on small
+hulls its distance must match a brute-force oracle over every support.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from fwpoly import _hulls
-from fwpoly._hulls import project_to_hull
-from fwpoly.polytope import PolytopeError
+from fwpoly._hulls import hull_hform, project_to_hull
+from fwpoly.instances import named_polytope
+from fwpoly.polytope import PolytopeError, VRepPolytope
+
+from test_geometry import PRISM, SPHERE9
 
 SHAPES = ("generic", "duplicated", "collinear", "coplanar")
 
@@ -117,3 +124,134 @@ def test_rejected_check_raises(monkeypatch):
 def test_single_point():
     dist, lam = project_to_hull([[3.0, 4.0]], [0.0, 0.0])
     assert (dist, lam.tolist()) == (5.0, [1.0])
+
+
+# -- facet enumeration against Qhull --------------------------------------------------
+
+
+def qhull_hform(P):
+    """Qhull's distinct facet planes (D, e) and vertex indices of conv(P).
+
+    Qhull runs on the affine-hull coordinates, as hull_hform's enumeration
+    does; a triangulated facet's pieces are one plane, and a repeated point
+    is counted at its first index.
+    """
+    x0, B, _ = _hulls.affine_hull(P)
+    hull = ConvexHull((P - x0) @ B)
+    D = -(hull.equations[:, :-1] @ B.T)
+    e = hull.equations[:, -1] + D @ x0
+    norms = np.linalg.norm(D, axis=1)
+    planes = []
+    for row in np.column_stack([D, e]) / norms[:, None]:
+        if not any(np.abs(row - q).max() <= 1e-9 for q in planes):
+            planes.append(row)
+    first = {}
+    for i, p in enumerate(map(tuple, P.tolist())):
+        first.setdefault(p, i)
+    return np.array(planes), sorted({first[tuple(P[i].tolist())] for i in hull.vertices})
+
+
+def lattice_with_boundary(rng):
+    """Corners of an integer box, some edge midpoints and face centres, and one
+    interior point: every coordinate exact, so a point on a facet is on it."""
+    hi = 2.0 * rng.integers(1, 4, 3)
+    corners = np.array(list(itertools.product(*[(0.0, h) for h in hi])))
+    mids = [(a + b) / 2 for a, b in itertools.combinations(corners, 2)
+            if np.count_nonzero(a != b) in (1, 2)]
+    pick = rng.permutation(len(mids))[:int(rng.integers(1, 8))]
+    P = np.vstack([corners, np.array(mids)[pick], hi / 2])
+    return P[rng.permutation(len(P))]
+
+
+def difference_body(V):
+    V = np.asarray(V, dtype=float)
+    return (V[:, None, :] - V[None, :, :]).reshape(-1, V.shape[1])
+
+
+CROSS4 = np.vstack([np.eye(4), -np.eye(4)])
+FIXED = {"cube3 - cube3": difference_body(named_polytope("cube3").enumerate_vertices()),
+         "sphere9 - sphere9": difference_body(SPHERE9),
+         "prism": np.asarray(PRISM.enumerate_vertices()),
+         # each edge of the 4-D cross-polytope lies on 4 facets, so the
+         # midpoints have as many facets as a vertex, of rank 3
+         "cross4 and edge midpoints": np.vstack(
+             [CROSS4, [(a + b) / 2 for a, b in itertools.combinations(CROSS4, 2) if a @ b == 0]])}
+
+
+def random_points(kind, seed, n, N):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.standard_normal((N, n))
+    if kind == "flat in R^4":  # a 2- or 3-dimensional slice of R^4
+        k = 2 + n % 2
+        return rng.standard_normal(4) + rng.standard_normal((N, k)) @ rng.standard_normal((k, 4))
+    if kind == "duplicated":
+        P = rng.standard_normal((N, n))
+        return np.vstack([P, P[rng.integers(0, N, 3)]])[rng.permutation(N + 3)]
+    return lattice_with_boundary(rng)
+
+
+def assert_matches_qhull(P):
+    planes, vertices = qhull_hform(P)
+    hf = hull_hform(P)
+    spread = float(np.abs(P).max())
+    mine = np.column_stack([hf.D, hf.e / spread])
+    theirs = planes / np.r_[np.ones(planes.shape[1] - 1), spread]
+    assert len(mine) == len(theirs)  # one row per facet, not one per Qhull simplex
+    for row in mine:
+        assert np.abs(theirs - row).max(axis=1).min() <= 1e-12
+    assert hf.vertex_index == vertices
+    assert np.allclose(hf.A @ P.T, hf.b[:, None], atol=1e-12 * spread)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["gaussian", "flat in R^4", "duplicated", "lattice"]),
+       st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 12))
+def test_random_point_sets_match_qhull(kind, seed, n, extra):
+    assert_matches_qhull(random_points(kind, seed, n, n + 2 + extra))
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_fixed_point_sets_match_qhull(name):
+    assert_matches_qhull(FIXED[name])
+
+
+@pytest.mark.parametrize("k", [-20, 23])
+def test_rescaled_points_give_the_same_facets(k):
+    # exact powers of two; 2**-43 is left out because affine_hull floors its
+    # rank scale at 1, a tolerance ROADMAP item 1 is to make scale with the points
+    P = np.random.default_rng(k + 100).standard_normal((30, 3))
+    hf, scaled = hull_hform(P), hull_hform(P * 2.0 ** k)
+    assert scaled.vertex_index == hf.vertex_index
+    assert np.abs(scaled.D - hf.D).max() <= 1e-14
+    assert np.abs(scaled.e - 2.0 ** k * hf.e).max() <= 1e-14 * 2.0 ** k * np.abs(hf.e).max()
+
+
+def test_cube_has_one_row_per_facet():
+    cube = VRepPolytope(list(itertools.product((0.0, 1.0), repeat=3)))
+    assert cube.D.shape == (6, 3)  # Qhull's triangulation gave 12
+
+
+def test_collinear_points_give_the_two_end_rows():
+    # affine dimension 1 goes through the same walk: 1-subsets are points
+    rng = np.random.default_rng(5)
+    P = rng.standard_normal(3) + np.outer([0.3, -1.2, 2.0, 0.3, 0.5], rng.standard_normal(3))
+    hf = hull_hform(P)
+    assert hf.vertex_index == [1, 2] and hf.D.shape == (2, 3)
+    slack = P @ hf.D.T - hf.e
+    assert slack.min() >= -1e-12 and sorted(np.argmin(slack, axis=0).tolist()) == [1, 2]
+    assert np.allclose(hf.D[0], -hf.D[1], atol=1e-15)
+
+
+def test_subset_cap_raises_before_enumerating(monkeypatch):
+    def enumerate_subsets(m, d):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(_hulls, "_subsets", enumerate_subsets)
+    P = np.random.default_rng(0).standard_normal((200, 4))
+    with pytest.raises(PolytopeError, match=str(comb(200, 4))):
+        hull_hform(P)
+    monkeypatch.undo()
+    # repeated points do not count: 4 distinct points, 4 triples
+    hf = hull_hform(np.tile(np.vstack([np.zeros(3), np.eye(3)]), (500, 1)))
+    assert (hf.vertex_index, hf.D.shape) == ([0, 1, 2, 3], (4, 3))
