@@ -4,8 +4,8 @@ Everything here works on plain (N, n) arrays of points.  The three jobs are:
 
 * affine hulls (orthonormal tangent basis + normal equations),
 * inequality descriptions of convex hulls, degenerate dimensions included,
-  found in numpy by walking every d-subset of the points (at most
-  HULL_SUBSETS_MAX of them; no Qhull),
+  found in numpy (no Qhull): by walking every d-subset of the points, or
+  by gift wrapping from facet to facet when the subsets are too many,
 * Euclidean projection of a point onto a convex hull of points, solved
   exactly by Wolfe's min-norm-point method on the simplex of hull
   coefficients; a result that fails the global optimality check raises
@@ -15,15 +15,13 @@ Everything here works on plain (N, n) arrays of points.  The three jobs are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations
 from math import comb
 
 import numpy as np
 
 RANK_TOL = 1e-9
-HULL_SUBSETS_MAX = 10**6  # d-subsets hull_hform may walk
-HULL_CHUNK = 8192  # d-subsets hull_hform tests at a time
+HULL_WALK_MAX = 2**16  # d-subsets past which hull_hform wraps instead of walking
+HULL_CHUNK = 8192  # d-subsets _walk tests at a time
 MAX_CYCLES_PER_POINT = 10
 
 
@@ -49,7 +47,7 @@ def affine_hull(points):
     P = np.atleast_2d(np.asarray(points, dtype=float))
     x0 = P[0]
     R = P - x0
-    _, s, Vt = np.linalg.svd(R, full_matrices=True)
+    _, s, Vt = np.linalg.svd(R, full_matrices=len(R) < R.shape[1])  # Vt n x n, U no larger than R
     d = _singular_rank(s)
     B = Vt[:d].T
     N = Vt[d:]
@@ -71,11 +69,16 @@ class HullHForm:
     vertex_index: list
 
 
-@lru_cache(maxsize=4)
 def _subsets(m, d):
-    """Every d-subset of range(m) as a row, in combinations order (the cap keeps m < 2**15).
-    The cache hands every caller the same array, so none may write to it."""
-    return np.fromiter(chain.from_iterable(combinations(range(m), d)), np.int16).reshape(-1, d)
+    """Every d-subset of range(m) as a row, in itertools.combinations order."""
+    S = np.arange(m)[:, None]
+    for _ in range(d - 1):  # put i before each row whose first entry exceeds i
+        start = np.searchsorted(S[:, 0], np.arange(1, m + 1))
+        count = len(S) - start
+        ends = np.cumsum(count)
+        rows = np.arange(ends[-1]) + np.repeat(start - ends + count, count)
+        S = np.column_stack([np.repeat(np.arange(m), count), S[rows]])
+    return S
 
 
 def _cofactor_normals(E):
@@ -86,41 +89,19 @@ def _cofactor_normals(E):
     return np.array([(-1) ** k * np.linalg.det(np.delete(E, k, axis=0).T) for k in range(len(E))])
 
 
-def hull_hform(points):
-    """Facet description of conv(points), handling flat (low-dim) hulls.
+def _walk(Q, tol):
+    """Facets of conv(Q) (m distinct points spanning R^d) from every d-subset.
 
-    Points are projected onto their affine hull (dimension d) first; a single
-    point (d = 0) is handled directly.  Otherwise every d-subset of the distinct
-    points spans a plane (cofactor normal about its first point), kept when all
-    points lie on one side of it within RANK_TOL times their spread.  Kept planes
-    through the same points make one facet, one unit row from the subset with
-    the largest normal, if that subset is independent.  A point is a vertex when
-    the normals of its facets have rank d.  Over HULL_SUBSETS_MAX subsets raise
-    PolytopeError before any is built; the largest hulls that the package, its
-    tests and its benchmark build (81 points, 73 distinct, in R^3) have 62,196.
+    A subset's plane (cofactor normal about its first point) is kept when all
+    points lie on one side of it within tol.  Kept planes through the same
+    points make one facet, one row from the subset with the largest normal,
+    if that subset is independent.  Returns unit inward normals, offsets and
+    the facet-by-point incidence.
     """
-    from .polytope import PolytopeError
-
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    n = P.shape[1]
-    x0, B, N = affine_hull(P)
-    d = B.shape[1]
-    A = N
-    b = N @ x0 if N.size else np.zeros(0)
-
-    if d == 0:
-        return HullHForm(A, b, np.zeros((0, n)), np.zeros(0), [0])
-
-    Y = (P - x0) @ B
-    first = np.sort(np.unique((Y + 0.0).view(f"V{8 * d}"), return_index=True)[1])  # -0.0 is 0.0
-    Q, count = Y[first], comb(len(first), d)
-    if count > HULL_SUBSETS_MAX:
-        raise PolytopeError(f"hull_hform: {count} {d}-subsets exceed {HULL_SUBSETS_MAX}")
-    tol = RANK_TOL * np.linalg.norm(Q, axis=1).max()  # Q[0] = Y[0] = 0
     QT, probe = Q.T.copy(), Q[np.r_[Q.argmin(0), Q.argmax(0)]]  # probe: extreme points
-    kept = []  # per chunk: first points, normal sizes, unit inward normals, incidence
-    for lo in range(0, count, HULL_CHUNK):
-        S = _subsets(len(Q), d)[lo:lo + HULL_CHUNK]
+    S_all, kept = _subsets(*Q.shape), []  # kept, per chunk: subsets, sizes, normals, incidence
+    for lo in range(0, len(S_all), HULL_CHUNK):
+        S = S_all[lo:lo + HULL_CHUNK]
         G = np.take(QT, S.T, axis=1)  # G[k, j, s]: coordinate k of point j of subset s
         normals = _cofactor_normals(G[:, 1:] - G[:, :1])
         offset, size = np.einsum("ks,ks->s", G[:, 0], normals), np.linalg.norm(normals, axis=0)
@@ -137,10 +118,91 @@ def hull_hform(points):
     packed = np.packbits(inc[order], axis=1)
     best = np.sort(order[np.unique(packed.view(f"V{packed.shape[1]}"), return_index=True)[1]])
     G = np.take(QT, S[best].T, axis=1)
-    best = best[_rank(np.transpose(G[:, 1:] - G[:, :1])) == d - 1]  # independent: a facet
-    U, inc, D = U[best], inc[best], U[best] @ B.T
+    best = best[_rank(np.transpose(G[:, 1:] - G[:, :1])) == Q.shape[1] - 1]  # independent: a facet
+    return U[best], np.sum(Q[S[best, 0]] * U[best], axis=1), inc[best]
+
+
+def _turn(Q, c, n, w, tol):
+    """Turn the supporting plane {x : n.(x - c) = 0} about the flat through c
+    normal to n and w, away from w, until it meets the next point."""
+    a, b = (Q - c) @ n, (Q - c) @ w
+    up = np.flatnonzero(a > tol)
+    j = up[np.argmin(b[up] / a[up])]
+    v = a[j] * w - b[j] * n
+    return v / np.linalg.norm(v)
+
+
+def _wrap(Q, tol):
+    """Facets of conv(Q) (m distinct points spanning R^d, d >= 2) by gift wrapping.
+
+    The plane x_0 = min turns about its contact set until that set spans a
+    facet.  From each facet, hull_hform of its points gives the facet's own
+    plane (fitted to all of them) and its ridges; turning the facet's plane
+    about each ridge, away from the facet, finds the neighbour across it.  The
+    cost follows the facets, not the C(m, d) subsets.  Returns what _walk does.
+    """
+    from .polytope import PolytopeError
+
+    n, c, spread = np.eye(Q.shape[1])[0], Q[Q[:, 0].argmin()], np.abs(Q).max()
+    for _ in range(Q.shape[1]):  # each turn adds a dimension to the contact set
+        W = affine_hull(np.vstack([Q[np.abs((Q - c) @ n) <= tol], c + spread * n]))[2]
+        if not len(W):  # W: directions normal to n and to the contact set
+            break
+        n = _turn(Q, c, n, W[0], tol)
+    todo, seen, U, off = [(n, c)], set(), [], []
+    while todo:
+        n, c = todo.pop()
+        on = np.abs((Q - c) @ n) <= tol
+        if on.tobytes() in seen:
+            continue
+        F = hull_hform(Q[on])  # F.A: the facet's plane; F.D, F.e: its ridges
+        if len(F.A) != 1:
+            raise PolytopeError(f"hull_hform: {on.sum()} points on a facet span no hyperplane")
+        sign = np.sign(F.A[0] @ n)
+        U.append(sign * F.A[0])
+        off.append(sign * F.b[0])
+        seen.add(on.tobytes())
+        ridge_points = Q[on][np.argmin(Q[on] @ F.D.T - F.e, axis=0)]
+        todo += [(_turn(Q, r, U[-1], w, tol), r) for w, r in zip(F.D, ridge_points)]
+    U, off = np.array(U), np.array(off)
+    inc = np.abs(U @ Q.T - off[:, None]) <= tol
+    # a facet met through two different point sets was fitted twice: keep one
+    keep = np.sort(np.unique(np.packbits(inc, axis=1), axis=0, return_index=True)[1])
+    return U[keep], off[keep], inc[keep]
+
+
+def hull_hform(points):
+    """Facet description of conv(points), handling flat (low-dim) hulls.
+
+    Points are projected onto their affine hull (dimension d) first; a single
+    point (d = 0) is handled directly.  Exact duplicates are dropped (each maps
+    to its first index) and the facets of the m distinct points are found in
+    numpy, points within RANK_TOL times their spread of a plane counting as on
+    it: by _walk over the C(m, d) subsets when there are at most HULL_WALK_MAX
+    of them (every hull the package, its tests and its benchmark build; the
+    largest, 73 distinct points in R^3, has 62,196), else by gift wrapping
+    (_wrap), whose cost follows the facets.  A point is a vertex when the
+    normals of its facets have rank d.
+    """
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    n = P.shape[1]
+    x0, B, N = affine_hull(P)
+    d = B.shape[1]
+    A = N
+    b = N @ x0 if N.size else np.zeros(0)
+
+    if d == 0:
+        return HullHForm(A, b, np.zeros((0, n)), np.zeros(0), [0])
+
+    Y = (P - x0) @ B
+    first = np.sort(np.unique((Y + 0.0).view(f"V{8 * d}"), return_index=True)[1])  # -0.0 is 0.0
+    Q = Y[first]
+    tol = RANK_TOL * np.linalg.norm(Q, axis=1).max()  # Q[0] = Y[0] = 0
+    walk = d == 1 or comb(len(Q), d) <= HULL_WALK_MAX
+    U, off, inc = (_walk if walk else _wrap)(Q, tol)
+    D = U @ B.T
     vertex = first[_rank(inc.T[:, :, None] * U) == d]
-    return HullHForm(A, b, D, np.sum(Q[S[best, 0]] * U, axis=1) + D @ x0, vertex.tolist())
+    return HullHForm(A, b, D, off + D @ x0, vertex.tolist())
 
 
 def _affine_lsq(M, support, w):

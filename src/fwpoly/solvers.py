@@ -53,6 +53,9 @@ VARIANTS = ("FW", "AFW", "BPFW", "IFW", "FWIPW")
 
 CSV_COLUMNS = ("t", "f_val", "f_gap", "fw_gap", "case", "eta", "step_kind",
                "support_or_face_dim")
+# RunTrace's per-step fields, the ones RunTrace.chunks slices
+STEP_COLUMNS = ("f_val", "fw_gap", "case", "step_kind", "eta", "eta_max", "inner",
+                "support_or_face_dim", "strong_gap", "gamma", "points")
 CSV_CHUNK_ROWS = 4096  # steps converted to Python objects at a time (RunTrace.chunks)
 
 
@@ -143,8 +146,7 @@ class RunTrace:
         whatever walks a trace's columns can walk them one chunk at a time."""
         for lo in range(0, len(self.f_val), CSV_CHUNK_ROWS):
             hi = lo + CSV_CHUNK_ROWS
-            cut = {k: v[lo:hi] for k, v in vars(self).items()
-                   if isinstance(v, (np.ndarray, tuple)) and k != "x_final"}
+            cut = {k: v[lo:hi] for k in STEP_COLUMNS if (v := getattr(self, k)) is not None}
             f_end = self.f_final if hi >= len(self.f_val) else self.f_val[hi].item()
             yield lo, replace(self, f_final=f_end, **cut)
 

@@ -30,7 +30,7 @@ from fwpoly.instances import (
     interior_quadratic,
     wolfe_edge,
 )
-from fwpoly.solvers import CSV_CHUNK_ROWS, IterRecord, solve
+from fwpoly.solvers import CSV_CHUNK_ROWS, STEP_COLUMNS, IterRecord, solve
 
 from conftest import trace_of
 
@@ -465,6 +465,26 @@ class TestAudits:
         progress, selection = audit_progress(bad, inst.L), audit_selection(bad)
         assert (progress, selection) == whole_column_reports(bad, inst.L)
         assert [t for t, _ in progress.failures] == [7, edge - 1]
+
+    def test_chunks_slice_the_step_columns_only(self):
+        # a per-step field left out of STEP_COLUMNS would reach the audits whole
+        for inst, variant, step in ((wolfe_edge(), "FW", "ss"), (wolfe_edge(), "AFW", "ss"),
+                                    (fwipw_mid(), "FWIPW", "pow2")):
+            tr = run(inst, variant, step, gap_tol=1e-14, max_iters=CSV_CHUNK_ROWS + 10,
+                     record_points=True)
+            T = len(tr.f_val)
+            assert T != len(tr.x_final)  # FW's run crosses a chunk edge
+            per_step = {f.name for f in dataclasses.fields(tr)
+                        if np.shape(getattr(tr, f.name))[:1] == (T,)}
+            assert per_step <= set(STEP_COLUMNS)
+            for lo, part in tr.chunks():
+                for f in dataclasses.fields(tr):
+                    mine, whole = getattr(part, f.name), getattr(tr, f.name)
+                    if f.name in STEP_COLUMNS and whole is not None:
+                        cut = whole[lo:lo + CSV_CHUNK_ROWS]
+                        assert np.array_equal(np.asarray(mine), np.asarray(cut))
+                    elif f.name != "f_final":
+                        assert mine is whole
 
     def test_counting_audits_keep_record_reports(self):
         inst = wolfe_edge()

@@ -1,10 +1,11 @@
 """Facet descriptions and Euclidean projection onto convex hulls of points.
 
-``hull_hform`` must find the facets Qhull finds, one row per distinct plane;
-Qhull is the oracle here, and this is the only module that imports
-``scipy.spatial``.  Every projection (Wolfe's method) must be a point of the
-coefficient simplex that no coefficient direction improves, and on small
-hulls its distance must match a brute-force oracle over every support.
+``hull_hform`` must find the facets Qhull finds, one row per distinct plane,
+whether it walks the point subsets or wraps from facet to facet; Qhull is
+the oracle here, and this is the only module that imports ``scipy.spatial``.
+Every projection (Wolfe's method) must be a point of the coefficient simplex
+that no coefficient direction improves, and on small hulls its distance must
+match a brute-force oracle over every support.
 """
 
 import itertools
@@ -16,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from fwpoly import _hulls
+from fwpoly import _hulls, geometry
 from fwpoly._hulls import hull_hform, project_to_hull
 from fwpoly.instances import named_polytope
-from fwpoly.polytope import PolytopeError, VRepPolytope
+from fwpoly.polytope import Box, PolytopeError, VRepPolytope
 
 from test_geometry import PRISM, SPHERE9
 
@@ -206,13 +207,18 @@ def assert_matches_qhull(P):
 
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(["gaussian", "flat in R^4", "duplicated", "lattice"]),
-       st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 12))
-def test_random_point_sets_match_qhull(kind, seed, n, extra):
-    assert_matches_qhull(random_points(kind, seed, n, n + 2 + extra))
+       st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 12), st.booleans())
+def test_random_point_sets_match_qhull(kind, seed, n, extra, wrap):
+    with pytest.MonkeyPatch.context() as mp:
+        if wrap:  # gift wrapping all the way down, facets' ridges included
+            mp.setattr(_hulls, "HULL_WALK_MAX", 0)
+        assert_matches_qhull(random_points(kind, seed, n, n + 2 + extra))
 
 
+@pytest.mark.parametrize("walk_max", [_hulls.HULL_WALK_MAX, 0], ids=["walk", "wrap"])
 @pytest.mark.parametrize("name", sorted(FIXED))
-def test_fixed_point_sets_match_qhull(name):
+def test_fixed_point_sets_match_qhull(name, walk_max, monkeypatch):
+    monkeypatch.setattr(_hulls, "HULL_WALK_MAX", walk_max)
     assert_matches_qhull(FIXED[name])
 
 
@@ -243,15 +249,32 @@ def test_collinear_points_give_the_two_end_rows():
     assert np.allclose(hf.D[0], -hf.D[1], atol=1e-15)
 
 
-def test_subset_cap_raises_before_enumerating(monkeypatch):
-    def enumerate_subsets(m, d):
-        raise AssertionError("enumerated past the cap")
+def test_many_subsets_are_wrapped_not_walked(monkeypatch):
+    walk = _hulls._walk
 
-    monkeypatch.setattr(_hulls, "_subsets", enumerate_subsets)
-    P = np.random.default_rng(0).standard_normal((200, 4))
-    with pytest.raises(PolytopeError, match=str(comb(200, 4))):
-        hull_hform(P)
-    monkeypatch.undo()
+    def small_walk(Q, tol):  # the facets' own hulls may still be walked
+        assert comb(*Q.shape) <= _hulls.HULL_WALK_MAX
+        return walk(Q, tol)
+
+    monkeypatch.setattr(_hulls, "_walk", small_walk)
+    P = np.random.default_rng(0).standard_normal((60, 4))
+    assert comb(60, 4) > _hulls.HULL_WALK_MAX
+    assert_matches_qhull(P)
     # repeated points do not count: 4 distinct points, 4 triples
     hf = hull_hform(np.tile(np.vstack([np.zeros(3), np.eye(3)]), (500, 1)))
     assert (hf.vertex_index, hf.D.shape) == ([0, 1, 2, 3], (4, 3))
+
+
+def test_face_distance_at_the_centre_of_a_4_cube():
+    # the gauge body is {-1, 0, 1}^4: 81 points, C(81, 4) = 1,663,740 subsets
+    box = Box(np.zeros(4), np.ones(4))
+    x, w = np.full(4, 0.5), np.array([0.3, -0.1, 0.2, 0.05])
+    assert geometry.face_distance(box, x + w, x) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_many_collinear_points_give_the_two_end_rows():
+    # more than an int16 index holds; a row per end, whatever the count
+    P = 0.5 + np.outer(np.linspace(-1.0, 1.0, 40_000), [1.0, 2.0, -1.0])
+    hf = hull_hform(P[::-1])
+    assert hf.vertex_index == [0, 39_999] and hf.D.shape == (2, 3)
+    assert (P @ hf.D.T - hf.e).min() >= -1e-12
