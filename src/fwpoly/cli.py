@@ -113,10 +113,11 @@ def _cmd_solve(args):
     if obj.n != poly.n:
         raise UsageError(f"objective has dimension {obj.n}, the polytope {poly.n}")
     x0 = _parse_point(args.x0, "--x0", poly.n) if args.x0 else None
-    trace = solve(poly, obj, args.variant.upper(), step=args.step,
+    step = args.step or ("pow2" if args.variant == "fwipw" else "ss")
+    trace = solve(poly, obj, args.variant.upper(), step=step,
                   max_iters=args.max_iters, gap_tol=args.tol, x0=x0)
     trace.to_csv(args.trace)
-    print(f"{poly.name} {args.variant} {args.step}: {len(trace.records)} iterations, "
+    print(f"{poly.name} {args.variant} {step}: {len(trace.records)} iterations, "
           f"final f={trace.f_final:.12g}, fw_gap={trace.fw_gap_final:.6g}, "
           f"stopped on {trace.terminal_reason}; trace -> {args.trace}")
     return 0
@@ -168,7 +169,8 @@ def build_parser():
     sp.add_argument("--objective", required=True)
     sp.add_argument("--variant", required=True,
                     choices=["fw", "afw", "bpfw", "ifw", "fwipw"])
-    sp.add_argument("--step", default="ss", choices=["ls", "ss", "pow2"])
+    sp.add_argument("--step", choices=["ls", "ss", "pow2"],
+                    help="step rule (default: pow2 for fwipw, ss otherwise)")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--max-iters", type=int, default=1000)
     sp.add_argument("--x0", default=None,

@@ -58,24 +58,6 @@ def _check_constants(mu=1.0, theta=0.5, L=1.0, rel_slack=0.0):
 # -- Borwein-style recursion bound -----------------------------------------------
 
 
-def borwein_bound(beta0, p, sigmas):
-    """Upper envelope for beta_{t+1} <= (1 - sigma_t * beta_t^p) * beta_t.
-
-    Returns the sequence b_0..b_T (T = len(sigmas)) with
-    b_t = (beta0^{-p} + p * sum_{i<t} sigma_i)^{-1/p}.  A zero beta0
-    propagates as the all-zero bound.
-    """
-    sigmas = np.asarray(sigmas, dtype=float)
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if beta0 < 0 or np.any(sigmas < 0):
-        raise ValueError("beta0 and sigmas must be nonnegative")
-    if beta0 == 0.0:
-        return np.zeros(len(sigmas) + 1)
-    acc = np.concatenate([[0.0], np.cumsum(sigmas)])
-    return (beta0 ** (-p) + p * acc) ** (-1.0 / p)
-
-
 def _tail_value(anchor_gap, theta, sigma_sum):
     """Closed-form Borwein tail (p = 1 - 2*theta) from a measured anchor gap."""
     if anchor_gap <= 0.0:
@@ -445,10 +427,12 @@ def audit_fwipw(trace, mu, theta, L, rel_slack=REL_SLACK):
     gap overstates the true one by orders of magnitude.
     """
     _check_constants(mu, theta, L, rel_slack)
+    if trace.fstar is None:
+        raise ValueError("audit_fwipw needs a known optimal value")
     failures = []
     t0 = _gamma_t0(trace)
-    _, gaps = trace.gap_series()
-    noise_floor = 1e-13 * max(1.0, abs(trace.fstar), float(gaps[0]))
+    first = trace.f_val[0] if len(trace.f_val) else trace.f_final
+    noise_floor = 1e-13 * max(1.0, abs(trace.fstar), float(first - trace.fstar))
     prev_eta = 1.0
     for lo, part in trace.chunks():
         for t, (f_val, f_next, eta, gamma, f_gap) in enumerate(zip(

@@ -54,13 +54,15 @@ class VertexCapExceeded(PolytopeError):
     """Vertex enumeration would exceed the configured cap."""
 
 
-def _as_matrix(M, n):
-    """M as a read-only private float copy with n columns; None gives no rows."""
+def _as_matrix(M, n, name):
+    """M as a read-only private finite float copy with n columns; None gives no rows."""
     M = np.zeros((0, n)) if M is None else np.atleast_2d(np.array(M, dtype=float))
     if M.size == 0:
         M = np.zeros((0, n))
     if M.shape[1] != n:
         raise PolytopeError(f"expected {n} columns, got {M.shape[1]}")
+    if not np.isfinite(M).all():
+        raise PolytopeError(f"{name} has a nonfinite entry")
     return _read_only(M)
 
 
@@ -73,12 +75,14 @@ def _as_point(x, n):
 
 
 def _as_vector(v, k, name):
-    """v as a read-only private float copy of length k."""
+    """v as a read-only private finite float copy of length k."""
     if v is None and k:
         raise PolytopeError(f"missing {name}: {k} rows need a right-hand side")
     v = np.atleast_1d(np.array([] if v is None else v, dtype=float))
     if v.size != k:
         raise PolytopeError(f"expected length {k}, got {v.size}")
+    if not np.isfinite(v).all():
+        raise PolytopeError(f"{name} has a nonfinite entry")
     return _read_only(v)
 
 
@@ -122,9 +126,9 @@ def _basis_vertices(name, rows, size, solve):
 
     ``solve`` maps a subset, a list of row indices in combinations order, to
     a vertex or None.  Both basis enumerations share this: the subset-count
-    cap, the dedup at 9 decimals (the first point found is kept), the order
-    by coordinates rounded to 12 decimals into the rows of one array, and the
-    empty-set error.
+    cap, the dedup at 9 decimals (the first point found is kept), and the
+    order by coordinates rounded to 12 decimals into the rows of one array,
+    empty when no subset gives a vertex.
     """
     count = comb(rows, size)
     if count > _BASIS_ENUM_CAP:
@@ -134,9 +138,16 @@ def _basis_vertices(name, rows, size, solve):
         x = solve(list(subset))
         if x is not None:
             seen.setdefault(tuple(np.round(x, 9) + 0.0), x)
-    if not seen:
-        raise PolytopeError(f"{name}: no vertices found (empty polytope?)")
     return np.array(sorted(seen.values(), key=lambda v: tuple(np.round(v, 12))))
+
+
+def _null_basis(A, n):
+    """(N, kappa(A)) for n columns, both as ``_gordan_certificate`` defines them."""
+    if not A.size:
+        return np.eye(n), 1.0
+    _, s, Vt = np.linalg.svd(A)
+    rank = _singular_rank(s)
+    return Vt[rank:].T, (s[0] / s[rank - 1] if rank else 1.0)
 
 
 def _gordan_certificate(A, D):
@@ -157,16 +168,10 @@ def _gordan_certificate(A, D):
     rows): the computed N spans null(A) to within an angle of order
     n eps kappa(A), and the rounding of M, of r and of sigma_min(M) moves
     each side by at most order (n + p) eps |D|_F |y|.  False proves nothing:
-    some bounded regions have no such y, and the caller then asks the LP.
+    some bounded regions have no such y (``_recession_ray`` decides them).
     """
     n = D.shape[1]
-    if A.size:
-        _, s, Vt = np.linalg.svd(A)
-        rank = _singular_rank(s)
-        N = Vt[rank:].T
-        kappa = s[0] / s[rank - 1] if rank else 1.0
-    else:
-        N, kappa = np.eye(n), 1.0
+    N, kappa = _null_basis(A, n)
     M = D @ N
     p, k = M.shape
     if k == 0:
@@ -180,25 +185,28 @@ def _gordan_certificate(A, D):
     return bool(y.min() * sv[-1] > np.linalg.norm(M.T @ y) + margin)
 
 
-def _recession_lp(A, D):
-    """True when an LP finds d != 0 with A d = 0 and D d >= 0: the region is unbounded.
+def _recession_ray(A, D):
+    """True when {d : A d = 0, D d >= 0} holds a d != 0: the region is unbounded.
 
-    It maximizes 1^T D d over A d = 0, 0 <= D d <= 1, so an optimum above
-    1e-9 is a recession direction.  With D = I this is the LP over
-    {d : A d = 0, 0 <= d <= 1}.  scipy.optimize is imported only here.
+    With N and M = D N as in ``_gordan_certificate``, the cone is
+    {N u : M u >= 0}.  If M has rank below its k columns, the cone holds a
+    line.  Otherwise it is pointed, 1^T M u > 0 on every u != 0 in it, and
+    it is {0} exactly when its cut {u : M u >= 0, 1^T M u = 1} is empty: the
+    cut is a polytope whose vertices are the cone's extreme rays
+    (Minkowski-Weyl; Schrijver, Theory of Linear and Integer Programming,
+    1986, section 8).  The basis enumeration looks for them over the
+    C(p, k - 1) subsets of the p rows of M.  Where 1^T M vanishes the cut
+    is empty without enumerating.
     """
-    from scipy.optimize import linprog
-
-    p = D.shape[0]
-    res = linprog(
-        c=-D.sum(axis=0),
-        A_ub=np.vstack([-D, D]), b_ub=np.concatenate([np.zeros(p), np.ones(p)]),
-        A_eq=A if A.size else None, b_eq=np.zeros(A.shape[0]) if A.size else None,
-        bounds=(None, None), method="highs",
-    )
-    if res.status != 0:
-        raise PolytopeError(f"recession LP failed: {res.message}")
-    return -res.fun > 1e-9
+    M = D @ _null_basis(A, D.shape[1])[0]
+    p, k = M.shape
+    if _rank(M) < k:
+        return True
+    c = M.sum(axis=0)[None]
+    if not _rank(c):
+        return False
+    cut = Polytope(A=c, b=[1.0], D=M, e=np.zeros(p), n=k, name="recession cone")
+    return len(cut._enumerate_vertices_impl()) > 0
 
 
 @dataclass(frozen=True)
@@ -233,9 +241,9 @@ class Polytope:
         if n is None:
             raise PolytopeError("cannot infer the ambient dimension")
         self.n = int(n)
-        self.A = _as_matrix(A, self.n)
+        self.A = _as_matrix(A, self.n, "A")
         self.b = _as_vector(b, self.A.shape[0], "b")
-        self.D = _as_matrix(D, self.n)
+        self.D = _as_matrix(D, self.n, "D")
         self.e = _as_vector(e, self.D.shape[0], "e")
         self.name = name
         self._vertices = None
@@ -251,8 +259,12 @@ class Polytope:
         return self.A, self.b, self.D, self.e
 
     def _check_bounded(self, kind):
-        """Raise unless {d : A d = 0, D d >= 0} = {0}: certificate first, LP if it fails."""
-        if not _gordan_certificate(self.A, self.D) and _recession_lp(self.A, self.D):
+        """The boundedness rule: raise unless {d : A d = 0, D d >= 0} = {0}.
+
+        ``_gordan_certificate`` proves it with a rounding margin; where it
+        finds no certificate, ``_recession_ray`` looks for an extreme ray.
+        """
+        if not _gordan_certificate(self.A, self.D) and _recession_ray(self.A, self.D):
             raise PolytopeError(f"{kind}: feasible region is unbounded")
 
     def dim(self):
@@ -385,7 +397,10 @@ class Polytope:
     def enumerate_vertices(self, cap=V_MAX):
         """All vertices as one read-only (k, n) array, in a fixed order (cached)."""
         if self._vertices is None:
-            self._vertices = _read_only(self._enumerate_vertices_impl())
+            V = self._enumerate_vertices_impl()
+            if not len(V):
+                raise PolytopeError(f"{self.name}: no vertices found (empty polytope?)")
+            self._vertices = _read_only(V)
         if len(self._vertices) > cap:
             raise VertexCapExceeded(
                 f"{self.name}: {len(self._vertices)} vertices exceed cap {cap}"
@@ -549,8 +564,8 @@ class L1Ball(Polytope):
     _HFORM_MAX_N = 12
 
     def __init__(self, n, radius=1.0, name=None):
-        if n < 1 or radius <= 0:
-            raise PolytopeError("l1 ball needs n >= 1 and radius > 0")
+        if n < 1 or not 0 < radius < np.inf:
+            raise PolytopeError("l1 ball needs n >= 1 and a finite radius > 0")
         if n <= self._HFORM_MAX_N:
             signs = np.array(list(itertools.product([1.0, -1.0], repeat=n)))
             D, e = -signs, np.full(2**n, -radius)
@@ -662,6 +677,8 @@ class VRepPolytope(Polytope):
         V = np.atleast_2d(np.asarray(vertices, dtype=float))
         if V.shape[0] < 1:
             raise PolytopeError("vrep needs at least one point")
+        if not np.isfinite(V).all():
+            raise PolytopeError("vrep: a point has a nonfinite coordinate")
         hf = hull_hform(V)
         if len(hf.vertex_index) != V.shape[0]:
             inner = sorted(set(range(V.shape[0])) - set(hf.vertex_index))
@@ -675,20 +692,16 @@ class VRepPolytope(Polytope):
 class StdFormPolytope(Polytope):
     """Standard-form polytope {x : A x = b, x >= 0}.
 
-    Construction proves the region bounded: y = A^T lstsq(A^T, 1) > 0 has
-    y^T d = 0 for every d in null(A), so no d >= 0 but 0 solves A d = 0.
-    The test wants min(y) above |N^T y|, N an orthonormal basis of null(A),
-    plus the rounding margin 8 n^1.5 eps kappa(A) |y|; where it fails, the
-    LP over {d : A d = 0, 0 <= d <= 1} decides (``_gordan_certificate``).
+    A must have full row rank, and construction proves the region bounded
+    (``Polytope._check_bounded`` with D = I).
     """
 
     def __init__(self, A, b, name="stdform"):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        m, n = A.shape
-        if _rank(A) < m:
-            raise PolytopeError("stdform: A must have full row rank")
+        n = np.atleast_2d(np.asarray(A, dtype=float)).shape[1]
         super().__init__(A=A, b=b, D=np.eye(n), e=np.zeros(n), n=n, name=name)
-        self.m = m
+        self.m = self.A.shape[0]
+        if _rank(self.A) < self.m:
+            raise PolytopeError("stdform: A must have full row rank")
         self._check_bounded("stdform")
 
     _slack = _rate = _identity_rows
@@ -724,12 +737,9 @@ class StdFormPolytope(Polytope):
 class HFormPolytope(Polytope):
     """General bounded polytope {x : A x = b, D x >= e}.
 
-    Construction proves the region bounded before it checks the rows: [A; D]
-    has rank n, and a y > 0 with D^T y in range(A^T) has y^T D d = 0 for
-    every d in null(A), so no d but 0 has A d = 0 and D d >= 0.  With M = D N,
-    N an orthonormal basis of null(A), the test wants min(y) sigma_min(M)
-    above |M^T y| plus the rounding margin 4 (n + p) eps kappa(A) |D|_F |y|
-    for p rows in D; where it fails, an LP decides (``_gordan_certificate``).
+    Construction proves the region bounded (``Polytope._check_bounded``)
+    before it checks the rows: A must have full row rank, and no row of D
+    may be redundant or an implicit equality.
     """
 
     def __init__(self, A=None, b=None, D=None, e=None, name="hform"):
@@ -740,6 +750,8 @@ class HFormPolytope(Polytope):
         if _rank(rows) < self.n:
             raise PolytopeError("hform: lineality space is nontrivial (unbounded)")
         self._check_bounded("hform")
+        if _rank(self.A) < self.A.shape[0]:
+            raise PolytopeError("hform: A must have full row rank")
         self._validate_rows()
 
     def _validate_rows(self):

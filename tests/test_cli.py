@@ -93,6 +93,7 @@ class TestGeometryCommand:
         pytest.param(b"box 0\n", id="box-n0"),
         pytest.param(b"l1ball 0\n", id="l1ball-n0"),
         pytest.param(b"box\nlo nan 0\nhi 1 1\n", id="box-nan"),
+        pytest.param(b"l1ball 3 nan\n", id="l1ball-nan"),
     ])
     def test_garbled_file_is_usage_error(self, tmp_path, data):
         p = tmp_path / "bad.poly"
@@ -126,11 +127,16 @@ class TestSolveCommand:
         assert outs[0] == outs[1]
 
     def test_fwipw_end_to_end(self, tmp_path):
-        trace = tmp_path / "ipw.csv"
-        code = run_cli("solve", "--polytope", "simplex3std", "--objective",
-                       "interior1", "--variant", "fwipw", "--step", "pow2",
-                       "--tol", "1e-9", "--trace", str(trace))
-        assert code == 0
+        # without --step, fwipw takes its own rule, pow2, bit for bit
+        outs = []
+        for name, step in (("ipw.csv", ["--step", "pow2"]), ("default.csv", [])):
+            trace = tmp_path / name
+            code = run_cli("solve", "--polytope", "simplex3std", "--objective",
+                           "interior1", "--variant", "fwipw", *step,
+                           "--tol", "1e-9", "--trace", str(trace))
+            assert code == 0
+            outs.append(trace.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_line_search_needs_no_curvature_constant(self, tmp_path):
         # L = smoothness * diam^2 needs the vertices of box 8 (256 of them,

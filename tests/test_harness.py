@@ -16,7 +16,6 @@ from fwpoly.harness import (
     audit_scaling,
     audit_selection,
     bench,
-    borwein_bound,
     check_instance_run,
     detect_regimes,
     envelope_check,
@@ -161,29 +160,30 @@ def reference_fwipw(trace, mu, theta, L, rel_slack=harness.REL_SLACK):
 
 
 class TestBorweinBound:
+    """``_tail_value`` bounds beta_{t+1} <= (1 - sigma_t beta_t^p) beta_t, p = 1 - 2 theta."""
+
+    @staticmethod
+    def bound(beta0, theta, sigmas):
+        acc = np.concatenate([[0.0], np.cumsum(sigmas)])
+        return np.array([harness._tail_value(beta0, theta, s) for s in acc])
+
     def test_harmonic_closed_form(self):
-        # p=1, unit sigmas, beta0=1/2: bound is exactly 1/(2+t)
-        b = borwein_bound(0.5, 1.0, np.ones(50))
+        # p = 1 (theta = 0), unit sigmas, beta0 = 1/2: the bound is exactly 1/(2+t)
+        b = self.bound(0.5, 0.0, np.ones(50))
         assert np.allclose(b, 1.0 / (2.0 + np.arange(51)))
 
     def test_dominates_simulated_recursion(self):
         rng = np.random.default_rng(7)
-        for p in (0.5, 1.0):
+        for theta, p in ((0.25, 0.5), (0.0, 1.0)):
             sig = rng.uniform(0.0, 1.0, size=200)
             beta = 0.8
-            bound = borwein_bound(beta, p, sig)
+            bound = self.bound(beta, theta, sig)
             for t, s in enumerate(sig):
                 beta = (1.0 - s * beta ** p) * beta
                 assert beta <= bound[t + 1] * (1 + 1e-12)
 
     def test_zero_start(self):
-        assert np.all(borwein_bound(0.0, 1.0, np.ones(5)) == 0.0)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            borwein_bound(0.5, 0.0, np.ones(3))
-        with pytest.raises(ValueError):
-            borwein_bound(-0.1, 1.0, np.ones(3))
+        assert np.all(self.bound(0.0, 0.0, np.ones(5)) == 0.0)
 
 
 class TestFitRate:
@@ -415,6 +415,11 @@ class TestAudits:
         tr = run(inst, "FWIPW", step="pow2", max_iters=1000)
         rep = audit_fwipw(tr, 1.0, 0.5, inst.L)
         assert rep.ok
+        with pytest.raises(ValueError, match="known optimal value"):
+            audit_fwipw(dataclasses.replace(tr, fstar=None), 1.0, 0.5, inst.L)
+        # with no step, the noise floor reads the final value
+        assert audit_fwipw(run(inst, "FWIPW", step="pow2", max_iters=0), 1.0, 0.5,
+                           inst.L) == harness.AuditReport("fwipw", True, 0, [])
 
     def test_fwipw_catches_non_power_step(self):
         inst = fwipw_mid()

@@ -316,6 +316,36 @@ class TestVertexEnumeration:
         with pytest.raises(PolytopeError, match="finite"):
             Box(lo, hi)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda bad: L1Ball(3, bad), "finite radius", id="l1ball"),
+        pytest.param(lambda bad: L1Ball(13, bad), "finite radius", id="l1ball-no-rows"),
+        pytest.param(lambda bad: StdFormPolytope([[1, 1, 1]], [bad]), "b has",
+                     id="stdform-b"),
+        pytest.param(lambda bad: StdFormPolytope([[1, bad, 1]], [1]), "A has",
+                     id="stdform-A"),
+        pytest.param(lambda bad: HFormPolytope(D=np.eye(2), e=[0, bad]), "e has",
+                     id="hform-e"),
+        pytest.param(lambda bad: HFormPolytope(D=[[1, 0], [bad, 1]], e=[0, 0]), "D has",
+                     id="hform-D"),
+        pytest.param(lambda bad: VRepPolytope([[0, 0], [1, bad], [0, 1]]),
+                     "nonfinite coordinate", id="vrep"),
+    ])
+    def test_nonfinite_data_rejected_by_name(self, make, message, bad):
+        # a NaN or infinite radius built a ball whose lmo returned NaN or -inf,
+        # a NaN right-hand side a standard form with NaN vertices, and the
+        # H-form and V-form failed later with unrelated messages
+        with pytest.raises(PolytopeError, match=message):
+            make(bad)
+
+    def test_hform_dependent_equality_row_rejected(self):
+        # the simplex with its equality written twice: the standard form's rule
+        with pytest.raises(PolytopeError, match="A must have full row rank"):
+            HFormPolytope(A=[[1, 1, 1], [2, 2, 2]], b=[1, 2], D=np.eye(3), e=np.zeros(3))
+        # x1 = x2 >= 0 written twice is still named unbounded first
+        with pytest.raises(PolytopeError, match="unbounded"):
+            HFormPolytope(A=[[1, -1], [2, -2]], b=[0, 0], D=np.eye(2), e=np.zeros(2))
+
     def test_unbounded_stdform_rejected(self):
         # x1 - x2 = 0, x >= 0 is an unbounded ray
         with pytest.raises(PolytopeError):
