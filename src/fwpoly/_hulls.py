@@ -309,7 +309,11 @@ def hull_distance(points_a, points_b):
     """
     Pa = np.atleast_2d(np.asarray(points_a, dtype=float))
     Pb = np.atleast_2d(np.asarray(points_b, dtype=float))
-    diffs = (Pa[:, None, :] - Pb[None, :, :]).reshape(-1, Pa.shape[1])
-    dist, _ = project_to_hull(diffs, np.zeros(Pa.shape[1]))
+    dist, _ = project_to_hull(_differences(Pa, Pb), np.zeros(Pa.shape[1]))
     return dist
+
+
+def _differences(P, Q):
+    """The rows p - q of every pair, p from P outermost: len(P) * len(Q) points."""
+    return (P[:, None, :] - Q[None, :, :]).reshape(-1, P.shape[1])
 

@@ -33,7 +33,7 @@ from math import comb
 
 import numpy as np
 
-from ._hulls import _rank, _singular_rank, hull_distance, hull_hform
+from ._hulls import _differences, _rank, hull_distance, hull_hform
 from .polytope import (
     EPS_BIND,
     EPS_DIRECTION,
@@ -41,6 +41,7 @@ from .polytope import (
     Face,
     PolytopeError,
     StdFormPolytope,
+    _null_basis,
     _point_in,
 )
 
@@ -82,8 +83,7 @@ def _difference_hform(poly, idx):
     hf = poly._gauges.get(idx)
     if hf is None:
         V = poly.enumerate_vertices()
-        diffs = (V[:, None, :] - V[list(idx)][None, :, :]).reshape(-1, poly.n)
-        hf = poly._gauges[idx] = hull_hform(diffs)
+        hf = poly._gauges[idx] = hull_hform(_differences(V, V[list(idx)]))
     return hf
 
 
@@ -471,19 +471,12 @@ def _slack_bound(poly, lattice, G):
     return _one_sided_bound(poly, poly.face_rows(G), frozenset(), sigma_profile(poly))
 
 
-def _inv_sigma_bound(poly, rows, sigma):
-    """1 / ||sigma^-1 on rows||: the standard-form bound of one row set."""
-    v = np.zeros(poly.n)
-    v[rows] = 1.0 / sigma[rows]
-    return 1.0 / float(np.linalg.norm(v))
-
-
 def phi_lower_bound_std(poly, face):
-    """Standard-form closed form of the face separation bound.
+    """The face separation bound facial_lower_bound(poly, face), in standard form.
 
-    Equals facial_lower_bound(poly, face): in standard form the binding
-    rows are coordinate axes, so the one maximal independent row set is
-    all of I_F.  Bounds the distance from the face to the hull of the
+    The binding rows are coordinate axes, so the one maximal independent row
+    set is all of I_F and the slack-profile bound is 1/||sigma^-1 on I_F||.
+    Bounds the distance from the face to the hull of the
     remaining vertices.  Note the subface-minimized inner facial distance
     can sit below this value on faces of dimension >= 1 (a balanced
     vertex split of a large face separates less than the face itself);
@@ -493,10 +486,10 @@ def phi_lower_bound_std(poly, face):
         raise PolytopeError("phi_lower_bound_std needs a standard-form polytope")
     sigma = sigma_profile(poly)
     fset = face_vertex_set(poly, face)
-    I_F = sorted(poly.face_rows(fset))
+    I_F = poly.face_rows(fset)
     if not I_F:
         raise PolytopeError("phi_lower_bound_std: face equals the polytope")
-    return _inv_sigma_bound(poly, I_F, sigma)
+    return _one_sided_bound(poly, I_F, frozenset(), sigma)
 
 
 def phibar_lower_bound_std(poly, face):
@@ -527,16 +520,15 @@ def phibar_lower_bound_std(poly, face):
     vals = []
     vert_vals = []
     for j in sorted(fset):
-        I_v = sorted(poly.face_rows([j]))
+        I_v = poly.face_rows([j])
         if not I_v:
             continue
-        vert_vals.append(_inv_sigma_bound(poly, I_v, sigma))
+        vert_vals.append(_one_sided_bound(poly, I_v, frozenset(), sigma))
     if vert_vals:
         vals.append(min(vert_vals))
-    I_F = poly.face_rows(fset)
-    comp = sorted(set(range(poly.n)) - set(I_F))
+    comp = frozenset(range(poly.n)) - poly.face_rows(fset)
     if comp:
-        vals.append(_inv_sigma_bound(poly, comp, sigma))
+        vals.append(_one_sided_bound(poly, comp, frozenset(), sigma))
     if not vals:
         raise PolytopeError("phibar_lower_bound_std: degenerate face")
     return max(vals)
@@ -559,12 +551,7 @@ def relative_boundary_distance(poly, x):
             raise PolytopeError(
                 f"relative_boundary_distance: {poly.name} keeps no facet rows")
         return np.inf
-    if poly.A.size:
-        _, s, Vt = np.linalg.svd(poly.A, full_matrices=True)
-        m = _singular_rank(s)
-        Tan = Vt[m:].T  # n x (n-m) orthonormal tangent basis
-    else:
-        Tan = np.eye(poly.n)
+    Tan, _ = _null_basis(poly.A, poly.n)  # orthonormal tangent basis of the affine hull
     slack = poly.D @ x - poly.e
     best = np.inf
     for i in range(poly.D.shape[0]):

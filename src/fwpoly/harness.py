@@ -36,7 +36,6 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -186,13 +185,18 @@ def _gamma_t0(trace):
 
 def detect_regimes(trace, envelope_id, mu, theta, L):
     """Regime boundaries (t0, t1) per the envelope definitions, from the trace."""
+    _check_constants(mu, theta, L)
+    gaps = None if envelope_id == "fwipw" else trace.gap_series()[1]
+    return _regimes(trace, envelope_id, gaps, mu, theta, L)
+
+
+def _regimes(trace, envelope_id, gaps, mu, theta, L):
+    """detect_regimes on checked constants and the trace's gap series (unread by fwipw)."""
     if envelope_id not in ENVELOPES:
         raise ValueError(f"unknown envelope id {envelope_id!r}")
-    _check_constants(mu, theta, L)
     if envelope_id == "fwipw":
         return Regimes(_gamma_t0(trace), None)
     fam = ENVELOPES[envelope_id]
-    _, gaps = trace.gap_series()
     t0 = _halving_t0(gaps, mu, theta, L, fam.c)
     if fam.t1_offset is None:
         return Regimes(t0, None)
@@ -223,7 +227,7 @@ class EnvelopeReport:
 def _envelope_series(trace, envelope_id, mu, theta, L, dim, m):
     _, gaps = trace.gap_series()
     t = np.arange(len(gaps))
-    reg = detect_regimes(trace, envelope_id, mu, theta, L)
+    reg = _regimes(trace, envelope_id, gaps, mu, theta, L)
     fam = ENVELOPES[envelope_id]
     k = {"dim": dim, "m": m}.get(fam.epoch, fam.epoch)
     if k is None or k < 1:
@@ -293,16 +297,6 @@ class AuditReport:
         return self
 
 
-def _f_next(trace):
-    """The objective value each step reached: the next step's f_val, then f_final."""
-    return trace.f_val[1:].tolist() + [trace.f_final]
-
-
-def _listed(column):
-    """A trace column as Python scalars, or endless Nones for a missing one."""
-    return repeat(None) if column is None else column.tolist()
-
-
 def audit_progress(trace, L, rel_slack=REL_SLACK):
     """Per-step progress bounds, by case label.
 
@@ -319,23 +313,21 @@ def audit_progress(trace, L, rel_slack=REL_SLACK):
     """
     _check_constants(L=L, rel_slack=rel_slack)
     failures = []
-    for lo, part in trace.chunks():
-        for t, (f_val, f_next, inner, eta, case, kind) in enumerate(zip(
-                part.f_val.tolist(), _f_next(part), part.inner.tolist(), part.eta.tolist(),
-                part.case.tolist(), part.step_kind), lo):
-            tol = rel_slack * max(1.0, abs(f_val))
-            if kind == "PW":
-                taken = f_val + eta * inner + eta ** 2 * L / 2.0
-                if f_next > taken + tol:
-                    failures.append((t, f"pow2 majorant: {f_next!r} > {taken!r}"))
-                continue
-            loose = f_val - inner ** 2 / (2 * L)
-            if case == 1 and f_next > loose + tol:
-                failures.append((t, f"case 1: {f_next!r} > {loose!r}"))
-            elif case == 2 and f_next > f_val + inner / 2.0 + tol and f_next > loose + tol:
-                failures.append((t, f"case 2: {f_next!r} > max bound"))
-            elif case == 3 and f_next > f_val + tol:
-                failures.append((t, f"case 3 increased: {f_next!r} > {f_val!r}"))
+    for t, f_val, f_next, inner, eta, case, kind in trace.steps(
+            "f_val", "f_next", "inner", "eta", "case", "step_kind"):
+        tol = rel_slack * max(1.0, abs(f_val))
+        if kind == "PW":
+            taken = f_val + eta * inner + eta ** 2 * L / 2.0
+            if f_next > taken + tol:
+                failures.append((t, f"pow2 majorant: {f_next!r} > {taken!r}"))
+            continue
+        loose = f_val - inner ** 2 / (2 * L)
+        if case == 1 and f_next > loose + tol:
+            failures.append((t, f"case 1: {f_next!r} > {loose!r}"))
+        elif case == 2 and f_next > f_val + inner / 2.0 + tol and f_next > loose + tol:
+            failures.append((t, f"case 2: {f_next!r} > max bound"))
+        elif case == 3 and f_next > f_val + tol:
+            failures.append((t, f"case 3 increased: {f_next!r} > {f_val!r}"))
     return AuditReport("progress", not failures, len(trace.f_val), failures)
 
 
@@ -348,19 +340,17 @@ def audit_selection(trace, rel_slack=REL_SLACK):
     """
     _check_constants(rel_slack=rel_slack)
     failures = []
-    for lo, part in trace.chunks():
-        for t, (f_val, fw_gap, inner, strong_gap, f_gap) in enumerate(zip(
-                part.f_val.tolist(), part.fw_gap.tolist(), part.inner.tolist(),
-                _listed(part.strong_gap), _listed(part.f_gap)), lo):
-            tol = rel_slack * max(1.0, abs(f_val), fw_gap)
-            if strong_gap is not None and inner > -strong_gap / 2.0 + tol:
-                failures.append((t, f"<g,d>={inner!r} vs strong gap {strong_gap!r}"))
-            if strong_gap is not None and strong_gap < fw_gap - tol:
-                failures.append((t, "strong gap below the plain gap"))
-            if inner > -fw_gap + tol:
-                failures.append((t, f"<g,d>={inner!r} above -fw_gap={-fw_gap!r}"))
-            if f_gap is not None and inner > -f_gap + tol:
-                failures.append((t, f"<g,d>={inner!r} above -(f-f*)"))
+    for t, f_val, fw_gap, inner, strong_gap, f_gap in trace.steps(
+            "f_val", "fw_gap", "inner", "strong_gap", "f_gap"):
+        tol = rel_slack * max(1.0, abs(f_val), fw_gap)
+        if strong_gap is not None and inner > -strong_gap / 2.0 + tol:
+            failures.append((t, f"<g,d>={inner!r} vs strong gap {strong_gap!r}"))
+        if strong_gap is not None and strong_gap < fw_gap - tol:
+            failures.append((t, "strong gap below the plain gap"))
+        if inner > -fw_gap + tol:
+            failures.append((t, f"<g,d>={inner!r} above -fw_gap={-fw_gap!r}"))
+        if f_gap is not None and inner > -f_gap + tol:
+            failures.append((t, f"<g,d>={inner!r} above -(f-f*)"))
     return AuditReport("selection", not failures, len(trace.f_val), failures)
 
 
@@ -434,24 +424,22 @@ def audit_fwipw(trace, mu, theta, L, rel_slack=REL_SLACK):
     first = trace.f_val[0] if len(trace.f_val) else trace.f_final
     noise_floor = 1e-13 * max(1.0, abs(trace.fstar), float(first - trace.fstar))
     prev_eta = 1.0
-    for lo, part in trace.chunks():
-        for t, (f_val, f_next, eta, gamma, f_gap) in enumerate(zip(
-                part.f_val.tolist(), _f_next(part), part.eta.tolist(),
-                _listed(part.gamma), _listed(part.f_gap)), lo):
-            frac, _ = math.frexp(eta)
-            if frac != 0.5:  # 2^k has mantissa exactly one half
-                failures.append((t, f"eta={eta!r} is not a power of two"))
-            if eta > prev_eta * (1 + 1e-15):
-                failures.append((t, f"eta increased: {prev_eta!r} -> {eta!r}"))
-            if gamma is not None and eta > gamma * (1 + 1e-12):
-                failures.append((t, f"eta={eta!r} above target {gamma!r}"))
-            prev_eta = eta
-            if t >= t0 and f_gap is not None and f_gap > noise_floor:
-                floor = mu ** theta * max(f_gap, 0.0) ** (1 - theta) / (2 * L)
-                if eta < floor * (1 - rel_slack) - 1e-15:
-                    failures.append((t, f"eta={eta!r} below sandwich floor {floor!r}"))
-                if f_next > f_val + rel_slack * max(1.0, abs(f_val)):
-                    failures.append((t, "gap increased past t0"))
+    for t, f_val, f_next, eta, gamma, f_gap in trace.steps(
+            "f_val", "f_next", "eta", "gamma", "f_gap"):
+        frac, _ = math.frexp(eta)
+        if frac != 0.5:  # 2^k has mantissa exactly one half
+            failures.append((t, f"eta={eta!r} is not a power of two"))
+        if eta > prev_eta * (1 + 1e-15):
+            failures.append((t, f"eta increased: {prev_eta!r} -> {eta!r}"))
+        if gamma is not None and eta > gamma * (1 + 1e-12):
+            failures.append((t, f"eta={eta!r} above target {gamma!r}"))
+        prev_eta = eta
+        if t >= t0 and f_gap is not None and f_gap > noise_floor:
+            floor = mu ** theta * max(f_gap, 0.0) ** (1 - theta) / (2 * L)
+            if eta < floor * (1 - rel_slack) - 1e-15:
+                failures.append((t, f"eta={eta!r} below sandwich floor {floor!r}"))
+            if f_next > f_val + rel_slack * max(1.0, abs(f_val)):
+                failures.append((t, "gap increased past t0"))
     return AuditReport("fwipw", not failures, len(trace.f_val), failures)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._hulls import project_to_hull
 from .geometry import face_lattice
-from .polytope import PolytopeError, _read_only
+from .polytope import PolytopeError, _distinct, _read_only
 
 _PD_TOL = 1e-10
 
@@ -226,8 +226,6 @@ class PowerDistance(Objective):
     def smoothness_on(self, poly):
         V = poly.enumerate_vertices()
         R = float(np.linalg.norm(V - self.center, axis=1).max())
-        if self.p == 2.0:
-            return 2.0
         return self.p * (self.p - 1.0) * R ** (self.p - 2.0)
 
     def __repr__(self):
@@ -342,14 +340,7 @@ def minimize_quadratic(obj, poly):
         raise PolytopeError("minimize_quadratic: no feasible stationary point found")
     fstar = min(v for v, _ in cands)
     span = max(1.0, abs(fstar))
-    pts, seen = [], set()
-    for v, x in cands:
-        if v <= fstar + 1e-8 * span:
-            key = tuple(np.round(x, 9) + 0.0)
-            if key not in seen:
-                seen.add(key)
-                pts.append(x)
-    return MinimizeResult(fstar, pts)
+    return MinimizeResult(fstar, _distinct(x for v, x in cands if v <= fstar + 1e-8 * span))
 
 
 def minimize_power_distance(obj, poly):

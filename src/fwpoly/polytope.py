@@ -34,7 +34,7 @@ from math import comb, isfinite
 
 import numpy as np
 
-from ._hulls import _rank, _singular_rank, hull_hform
+from ._hulls import _differences, _rank, _singular_rank, hull_hform
 
 EPS_BIND = 1e-9
 EPS_DIRECTION = 1e-14
@@ -126,19 +126,23 @@ def _basis_vertices(name, rows, size, solve):
 
     ``solve`` maps a subset, a list of row indices in combinations order, to
     a vertex or None.  Both basis enumerations share this: the subset-count
-    cap, the dedup at 9 decimals (the first point found is kept), and the
-    order by coordinates rounded to 12 decimals into the rows of one array,
-    empty when no subset gives a vertex.
+    cap, the dedup by ``_distinct``, and the order by coordinates rounded to
+    12 decimals into the rows of one array, empty when no subset gives a vertex.
     """
     count = comb(rows, size)
     if count > _BASIS_ENUM_CAP:
         raise VertexCapExceeded(f"{name}: basis enumeration over {count} subsets refused")
+    found = (solve(list(subset)) for subset in itertools.combinations(range(rows), size))
+    return np.array(sorted(_distinct(x for x in found if x is not None),
+                           key=lambda v: tuple(np.round(v, 12))))
+
+
+def _distinct(points):
+    """The points in order, keeping the first of those equal at 9 decimals."""
     seen = {}
-    for subset in itertools.combinations(range(rows), size):
-        x = solve(list(subset))
-        if x is not None:
-            seen.setdefault(tuple(np.round(x, 9) + 0.0), x)
-    return np.array(sorted(seen.values(), key=lambda v: tuple(np.round(v, 12))))
+    for x in points:
+        seen.setdefault(tuple(np.round(x, 9) + 0.0), x)
+    return list(seen.values())
 
 
 def _null_basis(A, n):
@@ -258,14 +262,18 @@ class Polytope:
         """The (A, b, D, e) inequality description."""
         return self.A, self.b, self.D, self.e
 
-    def _check_bounded(self, kind):
-        """The boundedness rule: raise unless {d : A d = 0, D d >= 0} = {0}.
+    def _check_hform(self, kind):
+        """The H-form construction rule: raise unless {d : A d = 0, D d >= 0} = {0},
+        then unless A has full row rank.
 
-        ``_gordan_certificate`` proves it with a rounding margin; where it
-        finds no certificate, ``_recession_ray`` looks for an extreme ray.
+        ``_gordan_certificate`` proves boundedness with a rounding margin; where
+        it finds no certificate, ``_recession_ray`` looks for an extreme ray, and
+        a line (a lineality space) is such a ray too.
         """
         if not _gordan_certificate(self.A, self.D) and _recession_ray(self.A, self.D):
             raise PolytopeError(f"{kind}: feasible region is unbounded")
+        if _rank(self.A) < self.A.shape[0]:
+            raise PolytopeError(f"{kind}: A must have full row rank")
 
     def dim(self):
         """Dimension of the polytope (affine dimension of its vertex set)."""
@@ -276,8 +284,7 @@ class Polytope:
 
     def diameter(self):
         V = self.enumerate_vertices()
-        d2 = np.sum((V[:, None, :] - V[None, :, :]) ** 2, axis=-1)
-        return float(np.sqrt(d2.max()))
+        return float(np.sqrt(np.sum(_differences(V, V) ** 2, axis=-1).max()))
 
     # -- membership and faces -------------------------------------------
 
@@ -530,8 +537,7 @@ class Box(Polytope):
 
     def in_face_lmo(self, x, g):
         x = _point_in(self, x, "in_face_lmo")
-        g = np.asarray(g, dtype=float)
-        v = np.where(g < 0, self.hi, self.lo).astype(float)
+        v = self.lmo(g)
         bind = self.binding_rows(x)
         at_lo, at_hi = bind[:self.n], bind[self.n:]
         v[at_lo] = self.lo[at_lo]
@@ -692,17 +698,15 @@ class VRepPolytope(Polytope):
 class StdFormPolytope(Polytope):
     """Standard-form polytope {x : A x = b, x >= 0}.
 
-    A must have full row rank, and construction proves the region bounded
-    (``Polytope._check_bounded`` with D = I).
+    Construction proves the region bounded and A of full row rank
+    (``Polytope._check_hform`` with D = I).
     """
 
     def __init__(self, A, b, name="stdform"):
         n = np.atleast_2d(np.asarray(A, dtype=float)).shape[1]
         super().__init__(A=A, b=b, D=np.eye(n), e=np.zeros(n), n=n, name=name)
         self.m = self.A.shape[0]
-        if _rank(self.A) < self.m:
-            raise PolytopeError("stdform: A must have full row rank")
-        self._check_bounded("stdform")
+        self._check_hform("stdform")
 
     _slack = _rate = _identity_rows
 
@@ -737,21 +741,16 @@ class StdFormPolytope(Polytope):
 class HFormPolytope(Polytope):
     """General bounded polytope {x : A x = b, D x >= e}.
 
-    Construction proves the region bounded (``Polytope._check_bounded``)
-    before it checks the rows: A must have full row rank, and no row of D
-    may be redundant or an implicit equality.
+    Construction proves the region bounded and A of full row rank
+    (``Polytope._check_hform``) before it checks the rows of D: none may be
+    redundant or an implicit equality.
     """
 
     def __init__(self, A=None, b=None, D=None, e=None, name="hform"):
         super().__init__(A=A, b=b, D=D, e=e, name=name)
         if not self.D.size:
             raise PolytopeError("hform needs at least one inequality row")
-        rows = np.vstack([self.A, self.D]) if self.A.size else self.D
-        if _rank(rows) < self.n:
-            raise PolytopeError("hform: lineality space is nontrivial (unbounded)")
-        self._check_bounded("hform")
-        if _rank(self.A) < self.A.shape[0]:
-            raise PolytopeError("hform: A must have full row rank")
+        self._check_hform("hform")
         self._validate_rows()
 
     def _validate_rows(self):

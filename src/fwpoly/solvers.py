@@ -150,9 +150,21 @@ class RunTrace:
             f_end = self.f_final if hi >= len(self.f_val) else self.f_val[hi].item()
             yield lo, replace(self, f_final=f_end, **cut)
 
+    def steps(self, *names):
+        """(t, value per name) for every step, as Python scalars converted a chunk at
+        a time (``chunks``).  A name is a step column, "f_gap", or "f_next" for the
+        value the step reached; a column the trace lacks gives None."""
+        def listed(part, k):
+            if k == "f_next":
+                return part.f_val[1:].tolist() + [part.f_final]
+            col = getattr(part, k)
+            return repeat(None) if col is None else col if k == "step_kind" else col.tolist()
+
+        for lo, part in self.chunks():
+            yield from zip(range(lo, lo + len(part.f_val)), *(listed(part, k) for k in names))
+
     def assert_monotone(self):
-        vals = self.f_val.tolist() + [self.f_final]
-        for a, b in zip(vals, vals[1:]):
+        for _, a, b in self.steps("f_val", "f_next"):
             if b > a + 1e-10:
                 raise AssertionError(f"objective increased: {a!r} -> {b!r}")
 
@@ -161,18 +173,14 @@ class RunTrace:
 
         Floats are written as the ``repr`` of Python floats (the shortest
         string that reads back to the same double), an unknown ``f_gap`` as
-        an empty field; lines end in ``\\n``, are unquoted and stream out a chunk
-        at a time (``chunks``), so no whole column becomes a list.
+        an empty field; lines end in ``\\n``, are unquoted and stream out a step
+        at a time (``steps``), so no whole column becomes a list.
         """
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for lo, part in self.chunks():
-                f_gaps = repeat("") if part.fstar is None else map(repr, part.f_gap.tolist())
-                fh.writelines(
-                    f"{t},{f!r},{g},{w!r},{c},{e!r},{k},{s}\n"
-                    for t, (f, g, w, c, e, k, s) in enumerate(zip(
-                        part.f_val.tolist(), f_gaps, part.fw_gap.tolist(), part.case.tolist(),
-                        part.eta.tolist(), part.step_kind, part.support_or_face_dim.tolist()), lo))
+            fh.writelines(
+                f"{t},{f!r},{'' if g is None else repr(g)},{w!r},{c},{e!r},{k},{s}\n"
+                for t, f, g, w, c, e, k, s in self.steps(*CSV_COLUMNS[1:]))
 
 
 def _classify(eta, eta_max):

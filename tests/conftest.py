@@ -1,5 +1,6 @@
 """Print one PASS/FAIL line per acceptance criterion after the run; build
-synthetic traces for the tests (``trace_of``)."""
+synthetic traces for the tests (``trace_of``); give the standard-form
+corollary's closed form (``inv_sigma_bound``)."""
 
 import re
 
@@ -55,3 +56,15 @@ def trace_of(records, variant="FW", f_final=0.0, fw_gap_final=0.0, fstar=None,
                     support_or_face_dim=column("support_or_face_dim", np.int64),
                     strong_gap=optional("strong_gap"), gamma=optional("gamma"),
                     points=optional("x"))
+
+
+def inv_sigma_bound(poly, vset):
+    """1 / ||sigma^-1 on I_F|| for the face of a standard form with vertex indices vset.
+
+    Read off the vertex coordinates alone: row i is x_i >= 0, sigma_i is the
+    least positive x_i over the vertices, and I_F holds the rows zero on the face.
+    """
+    V = np.asarray(poly.enumerate_vertices())
+    zero = V <= 1e-9
+    sigma = np.where(zero, np.inf, V).min(axis=0)
+    return 1.0 / np.linalg.norm(1.0 / sigma[zero[sorted(vset)].all(axis=0)])

@@ -49,6 +49,8 @@ from fwpoly.instances import (
 from fwpoly.polytope import Box, Simplex, StdFormPolytope, simplex_like_cube
 from fwpoly.solvers import solve
 
+from conftest import inv_sigma_bound
+
 # pinned acceptance tolerances
 TOL_PHI = 1e-9          # facial distance worked examples
 TOL_LB = 1e-9           # lower bound soundness slack
@@ -171,6 +173,7 @@ def test_c02_lower_bound_soundness():
             gen = facial_lower_bound(poly, face)
             shc = phi_lower_bound_std(poly, face)
             assert shc == pytest.approx(gen, rel=1e-9, abs=1e-12)
+            assert shc == pytest.approx(inv_sigma_bound(poly, face.vset), rel=1e-12)
             assert phibar_lower_bound_std(poly, face) <= \
                 outer_facial_distance(poly, face, lattice=lattice) + TOL_LB
     assert n_std >= 5

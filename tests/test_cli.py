@@ -6,6 +6,7 @@ import json
 import pytest
 
 from fwpoly.cli import parse_and_dispatch
+from fwpoly.polytope import PolytopeError, load_polytope
 from fwpoly.solvers import CSV_COLUMNS
 
 
@@ -85,20 +86,30 @@ class TestGeometryCommand:
         assert float(capsys.readouterr().out.strip()) == pytest.approx(
             0.7071067811865476, abs=1e-12)
 
-    @pytest.mark.parametrize("data", [
-        pytest.param(b"dodecahedron\nv 1 2 3\n", id="keyword"),
-        pytest.param(json.dumps({"D": [[1, 0]]}).encode(), id="json"),
-        pytest.param(b"box\nlo 0 x\nhi 1 1\n", id="non-numeric"),
-        pytest.param(b"box\nlo 0 \xff\nhi 1 1\n", id="non-utf8"),
-        pytest.param(b"box 0\n", id="box-n0"),
-        pytest.param(b"l1ball 0\n", id="l1ball-n0"),
-        pytest.param(b"box\nlo nan 0\nhi 1 1\n", id="box-nan"),
-        pytest.param(b"l1ball 3 nan\n", id="l1ball-nan"),
+    @pytest.mark.parametrize("data, message", [
+        pytest.param(b"dodecahedron\nv 1 2 3\n", None, id="keyword"),
+        pytest.param(json.dumps({"D": [[1, 0]]}).encode(), None, id="json"),
+        pytest.param(b"box\nlo 0 x\nhi 1 1\n", None, id="non-numeric"),
+        pytest.param(b"box\nlo 0 \xff\nhi 1 1\n", None, id="non-utf8"),
+        pytest.param(b"box 0\n", None, id="box-n0"),
+        pytest.param(b"l1ball 0\n", None, id="l1ball-n0"),
+        pytest.param(b"box\nlo nan 0\nhi 1 1\n", None, id="box-nan"),
+        pytest.param(b"l1ball 3 nan\n", None, id="l1ball-nan"),
+        pytest.param(b"# comments only\n\n", "empty polytope file", id="empty"),
+        pytest.param(b"simplex\n", "missing 'n'", id="simplex-no-n"),
+        pytest.param(b"vrep\n", "vrep needs 'v' rows", id="vrep-no-rows"),
+        pytest.param(b"stdform\nA 1 1\n", "stdform needs 'A' rows and a 'b' row",
+                     id="stdform-no-b"),
+        pytest.param(b"hform\nD 1 0\n", "hform needs 'D' rows and an 'e' row",
+                     id="hform-no-e"),
     ])
-    def test_garbled_file_is_usage_error(self, tmp_path, data):
+    def test_garbled_file_is_usage_error(self, tmp_path, data, message):
         p = tmp_path / "bad.poly"
         p.write_bytes(data)
         assert run_cli("geometry", "--polytope", str(p), "--op", "sigma") == 2
+        if message is not None:
+            with pytest.raises(PolytopeError, match=message):
+                load_polytope(p)
 
 
 class TestSolveCommand:

@@ -43,6 +43,8 @@ from fwpoly.polytope import (
     VRepPolytope,
 )
 
+from conftest import inv_sigma_bound
+
 S3 = Simplex(3)
 CENTROID = np.array([1.0, 1.0, 1.0]) / 3.0
 BOX2 = Box(np.zeros(2), np.ones(2))
@@ -240,6 +242,7 @@ class TestSigmaAndLowerBounds:
                 gen = facial_lower_bound(poly, face)
                 shc = phi_lower_bound_std(poly, face)
                 assert shc == pytest.approx(gen, rel=1e-9)
+                assert shc == pytest.approx(inv_sigma_bound(poly, face.vset), rel=1e-12)
 
     def test_phibar_bound_sound_std(self):
         lb = phibar_lower_bound_std(STD3, [0, 1])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -428,22 +429,37 @@ class TestAudits:
 
     def test_each_step_reaches_the_next_value(self):
         tr = run(wolfe_edge(), "AFW")
-        f_next = harness._f_next(tr)
+        f_next = [f for _, f in tr.steps("f_next")]
         assert f_next == [r.f_val for r in tr.records[1:]] + [tr.f_final]
+        assert list(tr.steps("gamma")) == [(t, None) for t in range(len(tr.f_val))]
 
     def test_column_audits_keep_record_reports(self):
         # the same verdicts, failure tuples and messages as a loop over records
         inst, mid = wolfe_edge(), fwipw_mid()
         tr = run(inst, "AFW")
         tr_ipw = run(mid, "FWIPW", step="pow2", max_iters=1000)
-        for trace in (tr, tampered(tr, "f_val", 6, tr.f_val[6] + 1.0)):
-            assert audit_progress(trace, inst.L) == reference_progress(trace, inst.L)
+        case2 = tampered(tr, "case", 10, 2)
+        seen = set()
+        for trace in (tr, tampered(tr, "f_val", 6, tr.f_val[6] + 1.0),
+                      tampered(case2, "f_val", 11, tr.f_val[11] + 1.0),  # case 2
+                      tampered(tr, "f_val", 7, tr.f_val[7] + 1.0)):  # after the case-3 step 6
+            report = audit_progress(trace, inst.L)
+            assert report == reference_progress(trace, inst.L)
+            seen |= {msg.split(":")[0] for _, msg in report.failures}
+        assert seen == {"case 1", "case 2", "case 3 increased"}
+        below = tampered(tr, "strong_gap", 3, tr.fw_gap[3] / 2.0)
+        assert audit_selection(below) == whole_column_reports(below, inst.L)[1]
+        assert (3, "strong gap below the plain gap") in audit_selection(below).failures
         reports = []
-        for trace in (tr_ipw, tampered(tr_ipw, "eta", 2, 0.3)):
+        for trace in (tr_ipw, tampered(tr_ipw, "eta", 2, 0.3),
+                      tampered(tr_ipw, "eta", 5, tr_ipw.eta[5] / 2.0 ** 20),
+                      tampered(tr_ipw, "f_val", 6, tr_ipw.f_val[6] + 1.0)):
             reports.append(audit_fwipw(trace, 1.0, 0.5, mid.L))
             assert reports[-1] == reference_fwipw(trace, 1.0, 0.5, mid.L)
             assert audit_progress(trace, mid.L) == reference_progress(trace, mid.L)
-        assert [rep.ok for rep in reports] == [True, False]
+        assert [rep.ok for rep in reports] == [True, False, False, False]
+        assert "below sandwich floor" in reports[2].failures[0][1]
+        assert (5, "gap increased past t0") in reports[3].failures
 
     def test_audits_stream_a_long_trace_by_chunks(self):
         # three chunks and a bit: converted whole, the columns of the two
@@ -470,6 +486,13 @@ class TestAudits:
         progress, selection = audit_progress(bad, inst.L), audit_selection(bad)
         assert (progress, selection) == whole_column_reports(bad, inst.L)
         assert [t for t, _ in progress.failures] == [7, edge - 1]
+        tr.assert_monotone()
+        a, b = tr.f_val[edge - 1].item(), tr.f_val[edge].item() + 1.0
+        with pytest.raises(AssertionError, match=re.escape(f"increased: {a!r} -> {b!r}")):
+            bad.assert_monotone()
+        low = tr.f_final - 1.0  # a last step below the value it reached
+        with pytest.raises(AssertionError, match=re.escape(f"{low!r} -> {tr.f_final!r}")):
+            tampered(tr, "f_val", len(tr.f_val) - 1, low).assert_monotone()
 
     def test_chunks_slice_the_step_columns_only(self):
         # a per-step field left out of STEP_COLUMNS would reach the audits whole

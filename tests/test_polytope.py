@@ -342,9 +342,16 @@ class TestVertexEnumeration:
         # the simplex with its equality written twice: the standard form's rule
         with pytest.raises(PolytopeError, match="A must have full row rank"):
             HFormPolytope(A=[[1, 1, 1], [2, 2, 2]], b=[1, 2], D=np.eye(3), e=np.zeros(3))
-        # x1 = x2 >= 0 written twice is still named unbounded first
+        # x1 = x2 >= 0 written twice is still named unbounded first, in both forms
         with pytest.raises(PolytopeError, match="unbounded"):
             HFormPolytope(A=[[1, -1], [2, -2]], b=[0, 0], D=np.eye(2), e=np.zeros(2))
+        with pytest.raises(PolytopeError, match="stdform: feasible region is unbounded"):
+            StdFormPolytope([[1, -1], [2, -2]], [0, 0])
+        with pytest.raises(PolytopeError, match="stdform: A must have full row rank"):
+            StdFormPolytope([[1, 1, 1], [2, 2, 2]], [1, 2])
+        # a lineality space (the x3 axis) is an unbounded region too
+        with pytest.raises(PolytopeError, match="hform: feasible region is unbounded"):
+            HFormPolytope(D=[[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], e=[0, -1, 0, -1])
 
     def test_unbounded_stdform_rejected(self):
         # x1 - x2 = 0, x >= 0 is an unbounded ray

@@ -11,6 +11,9 @@ no others.  Which rows bind at a point, for one, is decided in
 ``binding_rows`` (an L1Ball's ``_face_coords``) and at the vertices in
 ``vertex_slacks``; the radial certificate compares a boundary distance, not
 a slack, against EPS_BIND.
+
+A trace's steps become Python scalars in ``RunTrace.steps`` alone: no other
+function in the package walks ``RunTrace.chunks``.
 """
 
 import ast
@@ -95,6 +98,12 @@ def test_tolerance_read_only_in_its_homes(name):
     reads = {f"{path.name}:{where}" for path in SRC
              for _, where in _reads(ast.parse(path.read_text(), filename=str(path)), {name})}
     assert reads == HOMES[name]
+
+
+def test_chunks_read_only_by_the_step_reader():
+    reads = {f"{path.name}:{where}" for path in SRC
+             for _, where in _reads(ast.parse(path.read_text(), filename=str(path)), {"chunks"})}
+    assert reads == {"solvers.py:RunTrace.steps"}
 
 
 def test_guard_catches_a_stray_read():
