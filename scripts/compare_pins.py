@@ -19,9 +19,15 @@ script is in.  For every pin whose digest differs, the script checks
   apart from the final gap, the fitted exponent and r2.
 
 Unmoved pins are listed by name.  For each moved run the first record where
-the two runs step on other vertices is listed under ``forks``, with the
-<g, v> values that decided it: from there a run may take another, equally
-valid path.  The exit status is 1 when a moved pin fails a check, else 0.
+the two runs take another step (another kind, or other vertices) is listed
+under ``forks``, with the <g, v> values that decided it.  A fork where the
+kinds' <g, d> or every differing pair's <g, v> tie starts a tie path: from
+there a run may take another, equally valid path, so the f and label
+differences after the fork, a different number of records and a moved
+f_final are listed under ``tie paths``, not as problems.  A changed terminal
+reason or envelope verdict, and any difference before the fork or after a
+fork that is not a tie, stay problems.  The exit status is 1 when a moved
+pin has a problem, else 0.
 
     python scripts/compare_pins.py --geometry OLD_CHECKOUT [NEW_CHECKOUT]
 
@@ -236,56 +242,81 @@ def _choice(step, kind):
     return None if step is None else step[1].get(kind)
 
 
-def _fork(old_rec, new_rec):
-    """Where the runs first choose other vertices for the same kind of step.
+def _kind_tie(step, kind0, kind1):
+    """The two kinds' <g, d> in this step when they differ but tie, else None."""
+    a, b = _choice(step, kind0), _choice(step, kind1)
+    if kind0 != kind1 and a is not None and b is not None and _tie(a[0], b[0]):
+        return a[0], b[0]
+    return None
 
-    Returns a text naming the vertex pairs and their <g, v> values under the
-    new run's gradient, or None when the named vertices agree.
+
+def _fork(old_rec, new_rec):
+    """(text, tie) when the runs take another step at this record, else None.
+
+    Another step is one of another kind, or of the same kind on other
+    vertices; for those the text names the vertex pairs and their <g, v>
+    values under the new run's gradient.  tie says whether the two kinds'
+    <g, d>, or every pair's <g, v>, agree to TIE_TOL.
     """
-    c0, c1 = _choice(old_rec[4], old_rec[3]), _choice(new_rec[4], new_rec[3])
-    if c0 is None or c1 is None or old_rec[3] != new_rec[3] or c0[1] == c1[1]:
+    t, kind0, kind1 = old_rec[0], old_rec[3], new_rec[3]
+    if kind0 != kind1:
+        tie = _kind_tie(new_rec[4], kind0, kind1) is not None
+        return f"t={t}: " + ("the tie above" if tie else f"{kind0} -> {kind1}, no tie"), tie
+    c0, c1 = _choice(old_rec[4], kind0), _choice(new_rec[4], kind1)
+    if c0 is None or c1 is None or c0[1] == c1[1]:
         return None
     g = new_rec[4][0]
     vals = [(float(g @ v0), float(g @ v1))
             for v0, v1 in zip(c0[1], c1[1]) if v0 != v1]
-    return (f"t={old_rec[0]}: {old_rec[3]} step on other vertices, <g, v> "
+    return (f"t={t}: {kind0} step on other vertices, <g, v> "
             + "; ".join(f"{a:.17g} vs {b:.17g} ({'tie' if _tie(a, b) else 'no tie'})"
-                        for a, b in vals))
+                        for a, b in vals)), all(_tie(a, b) for a, b in vals)
 
 
 def _compare_run(old, new, report, where):
-    """Compare two runs of one pin; returns the worst relative f difference."""
-    problems = report["problems"]
+    """Compare two runs of one pin; returns the worst relative f difference.
+
+    A fork decided by a tie starts a tie path: the f and label differences
+    after it, a different record count and f_final are listed under
+    "tie paths", not as problems.  A changed terminal reason stays a problem.
+    """
+    problems, paths = report["problems"], []
     worst = 0.0
-    fork = None
+    fork = tie_path = None
     for old_rec, new_rec in zip(old["records"], new["records"]):
-        t, f0, case0, kind0, step0 = old_rec
+        t, f0, case0, kind0, _ = old_rec
         _, f1, case1, kind1, step1 = new_rec
+        on_path = tie_path is not None and t > tie_path
+        listed = paths if on_path else problems
         rel = abs(f0 - f1) / max(1.0, abs(f0))
         worst = max(worst, rel)
         if rel > F_TOL:
-            problems.append(f"{where} t={t}: f_val {f0!r} -> {f1!r}")
+            listed.append(f"{where} t={t}: f_val {f0!r} -> {f1!r}")
         if fork is None:
             fork = _fork(old_rec, new_rec)
+            if fork is not None and fork[1]:
+                tie_path = t
         if (case0, kind0) == (case1, kind1):
             continue
         text = f"{where} t={t}: {kind0}/case {case0} -> {kind1}/case {case1}"
-        a, b = _choice(step1, kind0), _choice(step1, kind1)
-        if kind0 != kind1 and a is not None and b is not None and _tie(a[0], b[0]):
-            report["ties"].append(f"{text}, <g, d> {a[0]!r} vs {b[0]!r}")
-            fork = fork or f"t={t}: the tie above"
+        inner = _kind_tie(step1, kind0, kind1)
+        if inner is not None and not on_path:
+            report["ties"].append(f"{text}, <g, d> {inner[0]!r} vs {inner[1]!r}")
         else:
-            problems.append(text)
+            listed.append(text)
     if old["reason"] != new["reason"]:
         problems.append(f"{where}: reason {old['reason']} -> {new['reason']}")
+    listed = problems if tie_path is None else paths
     if len(old["records"]) != len(new["records"]):
-        problems.append(f"{where}: {len(old['records'])} -> {len(new['records'])} records")
+        listed.append(f"{where}: {len(old['records'])} -> {len(new['records'])} records")
     rel = abs(old["f_final"] - new["f_final"]) / max(1.0, abs(old["f_final"]))
     worst = max(worst, rel)
     if rel > F_TOL:
-        problems.append(f"{where}: f_final {old['f_final']!r} -> {new['f_final']!r}")
+        listed.append(f"{where}: f_final {old['f_final']!r} -> {new['f_final']!r}")
     if fork is not None:
-        report["forks"].append(f"{where} {fork}")
+        report["forks"].append(f"{where} {fork[0]}")
+    if paths:
+        report.setdefault("tie paths", []).extend(paths)
     return worst
 
 
@@ -293,7 +324,7 @@ def compare(old_tree, new_tree):
     with tempfile.TemporaryDirectory() as tmp:
         old = _collect(old_tree, tmp, "old")
         new = _collect(new_tree, tmp, "new")
-    report = {"problems": [], "ties": [], "forks": []}
+    report = {"problems": [], "ties": [], "forks": [], "tie paths": []}
     unmoved = []
     for key in sorted(old):
         kind, name = key
@@ -328,7 +359,7 @@ def compare(old_tree, new_tree):
                     "envelope verdicts equal"
         print(line)
     print(f"unmoved ({len(unmoved)}): {', '.join(unmoved)}")
-    for section in ("ties", "forks", "problems"):
+    for section in ("ties", "forks", "tie paths", "problems"):
         print(f"{section} ({len(report[section])}):")
         for line in report[section]:
             print(f"  {line}")

@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .harness import bench
 from .instances import named_objective, named_polytope
-from .objectives import distance_squared, power_distance, quadratic
+from .objectives import PowerDistance, Quadratic, distance_squared
 from .polytope import PolytopeError, load_polytope
 from .solvers import solve
 
@@ -72,7 +72,7 @@ def _parse_objective(spec, n):
             raise UsageError("quad objective needs Q=<file> and c=<file>")
         Q = np.atleast_2d(_load_array(opts["Q"]))
         c = np.atleast_1d(_load_array(opts["c"]))
-        return quadratic(Q, c)
+        return Quadratic(Q, c)
     if head == "powdist":
         try:
             p = float(opts.get("p", 2))
@@ -82,7 +82,7 @@ def _parse_objective(spec, n):
                   if "center" in opts else np.zeros(n))
         if p == 2:
             return distance_squared(center)
-        return power_distance(center, p)
+        return PowerDistance(center, p)
     try:
         return named_objective(head)
     except KeyError:

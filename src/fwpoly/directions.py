@@ -74,21 +74,16 @@ def candidates_bpfw(aset, g, v, gap):
 def candidates_ifw(poly, x, g, v, gap):
     """Global, in-face away, and in-face pairwise candidates.
 
-    The in-face candidates take their maximum steps from the polytope's
-    ratio test; a degenerate direction (x already a vertex of its face)
-    gets the conventional cap of 1.
+    The global step has cap 1, as in the other solvers: by convexity
+    x + eta (v - x) stays in the polytope for every eta in [0, 1].  The
+    in-face candidates take their maximum steps from the polytope's ratio
+    test; a degenerate direction (x already a vertex of its face) gets the
+    conventional cap of 1.
     """
     g = np.asarray(g, dtype=float)
-    fw = fw_direction(x, v, gap)
-    # moving toward a vertex never exits before eta = 1, so snap roundoff
-    oracle = poly.max_step(x, fw.vec)
-    if np.isfinite(oracle) and abs(oracle - 1.0) <= 1e-9:
-        oracle = 1.0
-    fw.eta_max = 1.0 if not np.isfinite(oracle) else min(oracle, 1.0)
-
     a = poly.in_face_lmo(x, -g)
     z = poly.in_face_lmo(x, g)
-    out = [fw]
+    out = [fw_direction(x, v, gap)]
     for kind, vec, payload in ((KIND_IN_AWAY, x - a, a), (KIND_IN_BPFW, z - a, (a, z))):
         eta = poly.max_step(x, vec)
         if not np.isfinite(eta):

@@ -9,8 +9,8 @@ Three point-to-optimum distances drive the convergence analysis:
 
 They always satisfy face <= vertex <= radial <= 1 and vanish only at y = x.
 What they compute from the polytope alone (its vertex supports and gauge
-facets) is kept in tables on the polytope, filled on first use, and a batched
-screen skips only the support solves that must fail, so supports are unchanged.
+facets) is kept in tables on the polytope, filled on first use, and one
+batched solve over the support table decides every candidate support.
 
 The facial distances of a face F are the inner one (min over subfaces G of
 the distance from G to the hull of the remaining vertices) and the outer one
@@ -93,15 +93,9 @@ def _gauge(hf, w):
     K contains the origin, so gauge(w) = 1 / max{t : t*w in K}, computed by
     one exact ratio test against the facet description of K.
     """
-    w = np.asarray(w, dtype=float)
-    nw = np.linalg.norm(w)
-    if nw < EPS_DIRECTION:
-        return 0.0
-    if not hf.D.size:
-        return 0.0  # K is a point: only reachable with w = 0
     rate = hf.D @ w
     slack = -hf.e  # slack of the origin
-    shrink = rate < -1e-12 * nw
+    shrink = rate < -1e-12 * np.linalg.norm(w)
     if not shrink.any():
         return 0.0
     t = float((np.maximum(slack[shrink], 0.0) / (-rate[shrink])).min())
@@ -119,12 +113,13 @@ def face_distance(poly, y, x):
 
 
 def _support_table(poly):
-    """The vertices, the support table and its screen, built on first use.
+    """The vertices, the support table and its batched form, built on first use.
 
     The table lists the affinely independent vertex subsets S of size at
     most dim+1, in itertools.combinations order, each with its bordered
-    matrix [V_S^T; 1].  The screen stacks those matrices, their
-    pseudo-inverses (both zero-padded to dim+1) and their condition numbers.
+    matrix [V_S^T; 1].  The batched form stacks those matrices and their
+    pseudo-inverses, both zero-padded to dim+1, with a mask of the unpadded
+    weights.
     """
     V = poly.enumerate_vertices(cap=VERTEX_DIST_VMAX)
     if poly._supports is None:
@@ -135,51 +130,35 @@ def _support_table(poly):
                 if _rank(M) == size:
                     table.append((S, M))
         Ms = np.zeros((len(table), poly.n + 1, poly.dim() + 1))
-        pinv, cond = np.zeros(Ms.transpose(0, 2, 1).shape), np.empty(len(table))
+        pinv = np.zeros(Ms.transpose(0, 2, 1).shape)
+        mask = np.zeros(pinv.shape[:2], dtype=bool)
         for i, (S, M) in enumerate(table):
             U, s, Wt = np.linalg.svd(M, full_matrices=False)
-            Ms[i, :, :len(S)], pinv[i, :len(S)], cond[i] = M, (Wt.T / s) @ U.T, s[0] / s[-1]
-        poly._supports = table, (Ms, pinv, cond)
+            Ms[i, :, :len(S)], pinv[i, :len(S)], mask[i, :len(S)] = M, (Wt.T / s) @ U.T, True
+        poly._supports = table, (Ms, pinv, mask)
     return V, *poly._supports
-
-
-def _must_reject(screen, rhs, tol):
-    """Per table row: whether the lstsq test of minimal_supports must reject it.
-
-    One product gives each row's weights lam = pinv @ rhs (padding adds zeros,
-    which decide nothing) and residual.  To first order these differ from
-    lstsq's by u*cond*|lam| and u*cond*|rhs| (Higham 2002, sections 3.5, 20.1),
-    1.1e-10 relative at cond <= 1e6: 90 times below the weight margin, and
-    below the residual margin tol while |rhs| <= 9*scale (any point of a
-    polytope in up to 80 dimensions).  A row past either margin fails lstsq.
-    """
-    Ms, pinv, cond = screen
-    lam = pinv @ rhs
-    res = np.linalg.norm((Ms @ lam[:, :, None])[:, :, 0] - rhs, axis=1)
-    negative = lam.min(axis=1) < -1e-8 * np.maximum(1.0, np.abs(lam).max(axis=1))
-    return (cond <= 1e6) & ((res > 2.0 * tol) | negative)
 
 
 def minimal_supports(poly, x):
     """Inclusion-minimal vertex supports that represent x with positive weights.
 
     Minimal supports are affinely independent, so they have at most dim+1
-    vertices and their barycentric coordinates are unique: one least-squares
-    solve per candidate subset decides membership.  The candidates come
-    from the support table, built on the first call and kept on the
-    polytope for as long as it lives; a screen skips only rows lstsq rejects.
+    vertices and their barycentric coordinates are unique: each candidate
+    subset's least-squares weights and residual decide membership.  The
+    candidates come from the support table, built on the first call and
+    kept on the polytope for as long as it lives; one batched product with
+    its pseudo-inverses solves them all.
     """
-    V, table, screen = _support_table(poly)
+    V, table, (Ms, pinv, mask) = _support_table(poly)
     tol = 1e-9 * max(1.0, float(np.abs(V).max()))
     rhs = np.append(np.asarray(x, dtype=float), 1.0)
+    lam = pinv @ rhs  # padding adds zero weights, masked out of the minimum
+    res = np.linalg.norm((Ms @ lam[:, :, None])[:, :, 0] - rhs, axis=1)
+    ok = (res <= tol) & (np.where(mask, lam, np.inf).min(axis=1) >= SUPPORT_MARGIN)
     found = []
-    for (S, M), rejected in zip(table, _must_reject(screen, rhs, tol)):
-        if rejected or any(set(m) <= set(S) for m in found):
-            continue
-        lam, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.linalg.norm(M @ lam - rhs) > tol:
-            continue
-        if lam.min() >= SUPPORT_MARGIN:
+    for i in np.flatnonzero(ok):
+        S = table[i][0]
+        if not any(set(m) <= set(S) for m in found):
             found.append(S)
     if not found:
         raise PolytopeError("minimal_supports: the point has no vertex support")
@@ -471,27 +450,6 @@ def _slack_bound(poly, lattice, G):
     return _one_sided_bound(poly, poly.face_rows(G), frozenset(), sigma_profile(poly))
 
 
-def phi_lower_bound_std(poly, face):
-    """The face separation bound facial_lower_bound(poly, face), in standard form.
-
-    The binding rows are coordinate axes, so the one maximal independent row
-    set is all of I_F and the slack-profile bound is 1/||sigma^-1 on I_F||.
-    Bounds the distance from the face to the hull of the
-    remaining vertices.  Note the subface-minimized inner facial distance
-    can sit below this value on faces of dimension >= 1 (a balanced
-    vertex split of a large face separates less than the face itself);
-    phi_lower_bound is the bound that tracks the inner distance.
-    """
-    if not isinstance(poly, StdFormPolytope):
-        raise PolytopeError("phi_lower_bound_std needs a standard-form polytope")
-    sigma = sigma_profile(poly)
-    fset = face_vertex_set(poly, face)
-    I_F = poly.face_rows(fset)
-    if not I_F:
-        raise PolytopeError("phi_lower_bound_std: face equals the polytope")
-    return _one_sided_bound(poly, I_F, frozenset(), sigma)
-
-
 def phibar_lower_bound_std(poly, face):
     """Standard-form lower bound on the outer facial distance.
 
@@ -575,7 +533,7 @@ class ErrorBoundCert:
         return self.mu > 0.0
 
 
-def derive_error_bound(poly, mu, theta, xstar_points, kind, lattice=None):
+def derive_error_bound(poly, mu, theta, xstar_points, kind):
     """Convert a norm error bound into a set-distance error bound.
 
     kind: "radial" (needs the optimum in the relative interior), "vertex"
@@ -594,9 +552,9 @@ def derive_error_bound(poly, mu, theta, xstar_points, kind, lattice=None):
     if kind in ("vertex", "face"):
         face = minimal_face_of_set(poly, pts)
         if kind == "vertex":
-            phi = inner_facial_distance(poly, face, lattice)
+            phi = inner_facial_distance(poly, face)
         else:
-            phi = outer_facial_distance(poly, face, lattice)
+            phi = outer_facial_distance(poly, face)
         return ErrorBoundCert(mu * phi ** (1.0 / theta), theta, kind,
                               f"facial distance {phi}")
     if kind == "simplex":

@@ -24,11 +24,11 @@ from .geometry import derive_error_bound
 from .objectives import (
     HolderCertificate,
     Objective,
+    PowerDistance,
     Quadratic,
     curvature_constant,
     distance_squared,
     holder_certificate,
-    power_distance,
 )
 from .polytope import (
     Box,
@@ -106,7 +106,7 @@ def fw_power4():
     exponent of the vanilla solver doubles relative to the quadratic case.
     """
     poly = Simplex(2)
-    obj = power_distance(np.array([0.58, 0.42]), 4)
+    obj = PowerDistance(np.array([0.58, 0.42]), 4)
     return _certify("fw_power4", poly, obj, ("radial",))
 
 

@@ -232,14 +232,6 @@ class PowerDistance(Objective):
         return f"PowerDistance(n={self.n}, p={self.p:g})"
 
 
-def quadratic(Q, c, c0=0.0):
-    return Quadratic(Q, c, c0)
-
-
-def power_distance(center, p):
-    return PowerDistance(center, p)
-
-
 def distance_squared(center):
     """||x - center||^2 as an explicit quadratic (exact line search, L = 2)."""
     center = np.asarray(center, dtype=float)

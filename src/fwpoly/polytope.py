@@ -767,11 +767,11 @@ class HFormPolytope(Polytope):
             )
 
 
-def simplex_like_cube(n, name=None):
+def simplex_like_cube(n):
     """The cube [0,1]^n in standard form via slack variables (0/1 vertices)."""
     A = np.hstack([np.eye(n), np.eye(n)])
     b = np.ones(n)
-    return StdFormPolytope(A, b, name=name or f"cube{n}_std")
+    return StdFormPolytope(A, b, name=f"cube{n}_std")
 
 
 # -- file format -----------------------------------------------------------
@@ -832,17 +832,22 @@ def _from_keywords(path, text):
             return default
         return vals[0][0]
 
+    def size():
+        n = float(head[0]) if head else scalar("n")
+        if not n.is_integer():
+            raise PolytopeError(f"{path}: n must be a whole number, got {n:g}")
+        return int(n)
+
     if kind == "simplex":
-        n = int(head[0]) if head else int(scalar("n"))
-        return Simplex(n)
+        return Simplex(size())
     if kind == "box":
         lo, hi = collect("lo"), collect("hi")
         if lo and hi:
             return Box(lo[0], hi[0])
-        n = int(head[0]) if head else int(scalar("n"))
+        n = size()
         return Box(np.zeros(n), np.ones(n))
     if kind == "l1ball":
-        n = int(head[0]) if head else int(scalar("n"))
+        n = size()
         r = float(head[1]) if len(head) > 1 else scalar("radius", 1.0)
         return L1Ball(n, r)
     if kind == "vrep":

@@ -102,6 +102,9 @@ class TestGeometryCommand:
                      id="stdform-no-b"),
         pytest.param(b"hform\nD 1 0\n", "hform needs 'D' rows and an 'e' row",
                      id="hform-no-e"),
+        pytest.param(b"simplex\nn 3.7\n", "n must be a whole number", id="simplex-n-fraction"),
+        pytest.param(b"l1ball\nn 2.5\n", "n must be a whole number", id="l1ball-n-fraction"),
+        pytest.param(b"box\nn 2.9\n", "n must be a whole number", id="box-n-fraction"),
     ])
     def test_garbled_file_is_usage_error(self, tmp_path, data, message):
         p = tmp_path / "bad.poly"

@@ -2,7 +2,8 @@
 
 The script compares the pinned runs of two checkouts, and it reaches into
 the pin modules and the harness for their rosters.  These tests run its
-record comparison on synthetic runs (a tie, a fork, a moved value), capture
+record comparison on synthetic runs (a tie, a fork, a moved value, a tie
+path), capture
 one small run the way its worker does, and check that every roster name the
 worker looks up still resolves, so a rename fails here rather than in the
 next comparison.  Its geometry mode is run on a small benchmark round and
@@ -83,6 +84,41 @@ def test_fork_onto_tied_vertices_is_named():
     report, _ = _compare(old, new)
     assert report["problems"] == []
     assert report["forks"] == ["run t=0: BPFW step on other vertices, <g, v> 0.5 vs 0.5 (tie)"]
+
+
+def _forked(vertices):
+    """Old and new runs that fork at t=0 onto other vertices, then move and run longer."""
+    old = _run([_rec(0, 1.0, "BPFW", step=(G, {"BPFW": (-1.5, (A, C))})),
+                _rec(1, 0.5, "FW"), _rec(2, 0.25, "FW")], f_final=0.125)
+    new = _run([_rec(0, 1.0, "BPFW", step=(G, {"BPFW": (-1.5, (vertices, C))})),
+                _rec(1, 0.5 + 1e-9, "FW"), _rec(2, 0.25, "Away"), _rec(3, 0.2, "FW")],
+               f_final=0.1)
+    return old, new
+
+
+def test_tie_path_after_a_tied_fork_is_listed_not_a_problem():
+    report, _ = _compare(*_forked(B))
+    assert report["problems"] == []
+    assert report["forks"] == ["run t=0: BPFW step on other vertices, <g, v> 0.5 vs 0.5 (tie)"]
+    assert report["tie paths"] == [
+        "run t=1: f_val 0.5 -> 0.500000001",
+        "run t=2: FW/case 1 -> Away/case 1",
+        "run: 3 -> 4 records",
+        "run: f_final 0.125 -> 0.1",
+    ]
+
+
+def test_the_same_moves_after_a_fork_without_a_tie_are_problems():
+    report, _ = _compare(*_forked((1.0, 1.0, 0.0)))
+    assert report["forks"] == ["run t=0: BPFW step on other vertices, <g, v> "
+                               "0.5 vs 1 (no tie)"]
+    assert report["problems"] == [
+        "run t=1: f_val 0.5 -> 0.500000001",
+        "run t=2: FW/case 1 -> Away/case 1",
+        "run: 3 -> 4 records",
+        "run: f_final 0.125 -> 0.1",
+    ]
+    assert "tie paths" not in report
 
 
 def test_moved_values_lengths_and_reasons_are_problems():

@@ -26,7 +26,6 @@ from fwpoly.geometry import (
     minimal_supports,
     outer_facial_distance,
     phi_lower_bound,
-    phi_lower_bound_std,
     phibar_lower_bound_std,
     radial_distance,
     relative_boundary_distance,
@@ -233,16 +232,14 @@ class TestSigmaAndLowerBounds:
                 assert facial_lower_bound(poly, F, other=G) <= exact + 1e-9
 
     def test_std_shortcut_matches_general(self):
-        # standard-form shortcut vs the generic formula on simplex-like sets
+        # the general bound vs the standard-form closed form on simplex-like sets
         for poly in (STD3, std5()):
             lattice = face_lattice(poly)
             for face in lattice:
                 if len(face.vset) == poly.n:
                     continue
                 gen = facial_lower_bound(poly, face)
-                shc = phi_lower_bound_std(poly, face)
-                assert shc == pytest.approx(gen, rel=1e-9)
-                assert shc == pytest.approx(inv_sigma_bound(poly, face.vset), rel=1e-12)
+                assert gen == pytest.approx(inv_sigma_bound(poly, face.vset), rel=1e-12)
 
     def test_phibar_bound_sound_std(self):
         lb = phibar_lower_bound_std(STD3, [0, 1])
@@ -473,7 +470,7 @@ def test_outer_distance_equals_min_over_every_disjoint_face(poly):
 
 
 def supports_unscreened(poly, x):
-    """minimal_supports without the screen: one lstsq on every table row."""
+    """minimal_supports by one lstsq on every table row, not the batched solve."""
     _, table, *_ = geometry._support_table(poly)
     V = poly.enumerate_vertices()
     x = np.asarray(x, dtype=float)
@@ -508,11 +505,23 @@ def item1_image(kappa, s):
 
 def test_ill_conditioned_image_keeps_its_supports():
     # the float supports on the kappa = 1e3, s = 1e7 image are wrong (on P
-    # they are (0,3,4) and (0,1,2,3)); the screen must not change them
+    # they are (0,3,4) and (0,1,2,3)); the batched solve must not change them
     poly, A, b = item1_image(1e3, 1e7)
     x = A @ np.array([0.2, 0.2, 0.2]) + b
     assert minimal_supports(poly, x) == supports_unscreened(poly, x) == [
         (0, 3, 4), (1, 2, 3), (1, 3, 4)]
+
+
+@pytest.mark.parametrize("make", [lambda: sphere(3, 9), lambda: item1_image(1e3, 1e7)[0]],
+                         ids=["sphere9_3", "item1(1e3,1e7)"])
+def test_supports_are_decided_without_lstsq(monkeypatch, make):
+    """One batched solve over a fresh support table decides every row."""
+    x = make().enumerate_vertices().mean(axis=0)
+    poly, calls, lstsq = make(), [], np.linalg.lstsq
+    assert poly._supports is None  # so the call below builds the table too
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+    assert minimal_supports(poly, x)
+    assert calls == []
 
 
 # polytope and the lattice whose vertex sets name its faces: an image of P

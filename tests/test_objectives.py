@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fwpoly.objectives import (
+    PowerDistance,
     Quadratic,
     audit_curvature,
     audit_error_bound,
@@ -11,8 +12,6 @@ from fwpoly.objectives import (
     distance_squared,
     holder_certificate,
     minimize,
-    power_distance,
-    quadratic,
 )
 from fwpoly.polytope import Box, Simplex
 
@@ -31,7 +30,7 @@ class TestBasics:
 
     def test_quadratic_gradient_consistency(self):
         Q = np.array([[2.0, 0.5], [0.5, 3.0]])
-        obj = quadratic(Q, np.array([-1.0, 0.5]))
+        obj = Quadratic(Q, np.array([-1.0, 0.5]))
         x = np.array([0.3, 0.7])
         h = 1e-6
         for i in range(2):
@@ -42,7 +41,7 @@ class TestBasics:
 
     def test_power_distance_value(self):
         c = np.array([0.5, 0.5])
-        obj = power_distance(c, 4)
+        obj = PowerDistance(c, 4)
         x = np.array([0.9, 0.1])
         assert obj.value(x) == pytest.approx(np.linalg.norm(x - c) ** 4, rel=1e-12)
 
@@ -58,7 +57,7 @@ class TestCurvature:
         assert curvature_constant(obj, S3) == pytest.approx(4.0, abs=1e-12)
 
     def test_audit_passes(self):
-        obj = quadratic(np.diag([2.0, 3.0, 6.0]), np.array([-2.2, -2.2, -0.5]))
+        obj = Quadratic(np.diag([2.0, 3.0, 6.0]), np.array([-2.2, -2.2, -0.5]))
         worst, bound, ok = audit_curvature(obj, S3)
         assert ok
         assert worst <= bound * (1 + 1e-9)
@@ -71,14 +70,14 @@ class TestCurvature:
         assert worst > 0.5 * bound * (1 + 1e-9)
 
     def test_power4_audit(self):
-        obj = power_distance(np.array([0.3, 0.3, 0.4]), 4)
+        obj = PowerDistance(np.array([0.3, 0.3, 0.4]), 4)
         _, _, ok = audit_curvature(obj, S3)
         assert ok
 
 
 class TestMinimize:
     def test_edge_optimum_quadratic(self):
-        obj = quadratic(np.diag([2.0, 3.0, 6.0]), np.array([-2.2, -2.2, -0.5]))
+        obj = Quadratic(np.diag([2.0, 3.0, 6.0]), np.array([-2.2, -2.2, -0.5]))
         res = minimize(obj, S3)
         assert res.fstar == pytest.approx(-1.6, abs=1e-12)
         assert len(res.points) == 1
@@ -92,12 +91,12 @@ class TestMinimize:
 
     def test_power_distance_feasible_center(self):
         c = np.array([0.25, 0.25, 0.5])
-        res = minimize(power_distance(c, 4), S3)
+        res = minimize(PowerDistance(c, 4), S3)
         assert res.fstar == pytest.approx(0.0, abs=1e-12)
 
     def test_box_corner_optimum(self):
         box = Box(np.zeros(2), np.ones(2))
-        obj = quadratic(np.eye(2), np.array([-5.0, -5.0]))
+        obj = Quadratic(np.eye(2), np.array([-5.0, -5.0]))
         res = minimize(obj, box)
         assert np.allclose(res.points[0], [1.0, 1.0], atol=1e-10)
 
@@ -110,7 +109,7 @@ class TestCertificates:
         assert cert.source == "analytic"
 
     def test_power4_sampled(self):
-        obj = power_distance(np.array([0.58, 0.42]), 4)
+        obj = PowerDistance(np.array([0.58, 0.42]), 4)
         cert = holder_certificate(obj, Simplex(2))
         assert cert.theta == 0.25
         assert 0.0 < cert.mu
@@ -134,7 +133,7 @@ class TestCertificates:
         assert not ok
 
     def test_wolfe_certificate_values(self):
-        obj = quadratic(np.diag([2.0, 3.0, 6.0]), np.array([-2.2, -2.2, -0.5]))
+        obj = Quadratic(np.diag([2.0, 3.0, 6.0]), np.array([-2.2, -2.2, -0.5]))
         cert = holder_certificate(obj, S3)
         # lambda_min / 2 = 1
         assert cert.mu == pytest.approx(1.0, abs=1e-12)

@@ -25,7 +25,7 @@ from fwpoly.instances import (
     wolfe_edge,
 )
 from fwpoly.active_set import ActiveSet
-from fwpoly.objectives import Objective, Quadratic, distance_squared, power_distance
+from fwpoly.objectives import Objective, PowerDistance, Quadratic, distance_squared
 from fwpoly.polytope import Box, PolytopeError, Simplex
 from fwpoly.solvers import CSV_CHUNK_ROWS, CSV_COLUMNS, IterRecord, solve
 
@@ -324,7 +324,7 @@ class TestValidation:
             solve(inst.poly, inst.obj, variant, step=step, L=L)
 
     @pytest.mark.parametrize("obj", [
-        power_distance([0.5], 4), power_distance([0.5, 0.5], 2),
+        PowerDistance([0.5], 4), PowerDistance([0.5, 0.5], 2),
         Quadratic(np.eye(2), np.zeros(2)), Quadratic(np.eye(4), np.zeros(4))])
     @pytest.mark.parametrize("step", ["ls", "ss"])
     def test_objective_of_another_dimension(self, obj, step):
@@ -337,7 +337,7 @@ class TestValidation:
     def test_objective_dimension_checked_before_the_curvature_constant(self):
         # L for a power distance on this box needs 2^70 vertices
         with pytest.raises(ValueError, match="objective has dimension 3"):
-            solve(Box(np.zeros(70), np.ones(70)), power_distance(np.zeros(3), 4), "FW",
+            solve(Box(np.zeros(70), np.ones(70)), PowerDistance(np.zeros(3), 4), "FW",
                   step="ss")
 
     def test_pow2_only_for_fwipw(self):
@@ -370,7 +370,7 @@ class TestValidation:
         # L for a power distance needs every vertex of the box: 2^70 of them
         box = Box(np.zeros(70), np.ones(70))
         with pytest.raises(ValueError, match=message):
-            solve(box, power_distance(np.zeros(70), 4), variant, step=step, **kwargs)
+            solve(box, PowerDistance(np.zeros(70), 4), variant, step=step, **kwargs)
 
 
 class TestExactVertexIdentity:
@@ -471,6 +471,16 @@ class TestOracleCounts:
         # the default start vertex costs one more LMO call
         assert counts == {"grad": T + 1, "value": T + 1, "lmo": T + 2,
                           "contains": T + 1}
+
+    @pytest.mark.parametrize("step", ["ls", "ss"])
+    def test_ifw_takes_two_ratio_tests_per_step(self, monkeypatch, step):
+        """The global step's cap is 1 by convexity; the in-face steps take one each."""
+        inst = wolfe_edge()
+        counts = {}
+        self._count(monkeypatch, counts, inst.poly, ("max_step",))
+        tr = run_instance(inst, "IFW", step=step, gap_tol=1e-12, max_iters=self.ITERS)
+        assert len(tr.records) > 0
+        assert counts["max_step"] == 2 * len(tr.records)
 
     @pytest.mark.parametrize("step", ["ls", "ss"])
     @pytest.mark.parametrize("variant", ["AFW", "BPFW"])

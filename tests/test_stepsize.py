@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fwpoly.objectives import Objective, PowerDistance, distance_squared, quadratic
+from fwpoly.objectives import Objective, PowerDistance, Quadratic, distance_squared
 from fwpoly.polytope import Simplex
 from fwpoly.solvers import solve
 from fwpoly.stepsize import StepRule, line_search, short_step, target_pow2
@@ -36,9 +36,7 @@ class TestLineSearch:
         assert line_search(obj, x, obj.grad(x), d, eta_max=1.0) == 0.0
 
     def test_nonquadratic_endpoint_snap(self):
-        from fwpoly.objectives import power_distance
-
-        obj = power_distance(np.array([2.0, 2.0]), 4)
+        obj = PowerDistance(np.array([2.0, 2.0]), 4)
         x = np.zeros(2)
         d = np.array([1.0, 1.0])
         # objective still decreasing at the cap; must return the cap exactly
@@ -204,7 +202,7 @@ class TestStepRule:
         rule = StepRule("pow2", L=2.0)
         d = Direction("FW", np.ones(2), 1.0, -1.0)
         with pytest.raises(ValueError):
-            rule.step(quadratic(np.eye(2), np.zeros(2)), np.zeros(2), np.ones(2), d)
+            rule.step(Quadratic(np.eye(2), np.zeros(2)), np.zeros(2), np.ones(2), d)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -20,10 +20,10 @@ from fwpoly.instances import (
     wolfe_edge,
 )
 from fwpoly.objectives import (
+    PowerDistance,
     Quadratic,
     QuadraticEvaluation,
     curvature_constant,
-    power_distance,
 )
 from fwpoly.polytope import Box, Simplex, StdFormPolytope
 from fwpoly.solvers import solve
@@ -198,7 +198,7 @@ class TestTrackedEvaluation:
 
 def test_stateless_evaluation_recomputes_from_x(monkeypatch):
     """An objective without a product of its own is evaluated at x each time."""
-    obj = power_distance(np.full(4, 0.1), 4)
+    obj = PowerDistance(np.full(4, 0.1), 4)
     calls = []
     monkeypatch.setattr(obj, "grad", lambda x, g=obj.grad: calls.append(x.copy()) or g(x))
     trace = solve(Simplex(4), obj, "AFW", step="ls", max_iters=20, gap_tol=1e-14,
