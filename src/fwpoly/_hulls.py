@@ -4,8 +4,9 @@ Everything here works on plain (N, n) arrays of points.  The three jobs are:
 
 * affine hulls (orthonormal tangent basis + normal equations),
 * inequality descriptions of convex hulls, degenerate dimensions included,
-  found in numpy (no Qhull): by walking every d-subset of the points, or
-  by gift wrapping from facet to facet when the subsets are too many,
+  found in numpy (no Qhull): beneath-beyond finds the points on each facet,
+  at a cost that follows the facets, and each facet's row is the one the
+  walk over every d-subset of the points would keep, bit for bit,
 * Euclidean projection of a point onto a convex hull of points, solved
   exactly by Wolfe's min-norm-point method on the simplex of hull
   coefficients; a result that fails the global optimality check raises
@@ -14,14 +15,13 @@ Everything here works on plain (N, n) arrays of points.  The three jobs are:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from itertools import combinations
 
 import numpy as np
 
 RANK_TOL = 1e-9
-HULL_WALK_MAX = 2**16  # d-subsets past which hull_hform wraps instead of walking
-HULL_CHUNK = 8192  # d-subsets _walk tests at a time
 MAX_CYCLES_PER_POINT = 10
 
 
@@ -69,18 +69,6 @@ class HullHForm:
     vertex_index: list
 
 
-def _subsets(m, d):
-    """Every d-subset of range(m) as a row, in itertools.combinations order."""
-    S = np.arange(m)[:, None]
-    for _ in range(d - 1):  # put i before each row whose first entry exceeds i
-        start = np.searchsorted(S[:, 0], np.arange(1, m + 1))
-        count = len(S) - start
-        ends = np.cumsum(count)
-        rows = np.arange(ends[-1]) + np.repeat(start - ends + count, count)
-        S = np.column_stack([np.repeat(np.arange(m), count), S[rows]])
-    return S
-
-
 def _cofactor_normals(E):
     """Generalised cross products: E[k, j, s] is coordinate k of edge j of subset s."""
     if len(E) == 3:
@@ -89,86 +77,84 @@ def _cofactor_normals(E):
     return np.array([(-1) ** k * np.linalg.det(np.delete(E, k, axis=0).T) for k in range(len(E))])
 
 
-def _walk(Q, tol):
-    """Facets of conv(Q) (m distinct points spanning R^d) from every d-subset.
+def _candidates(Q, tol):
+    """The points on each facet of conv(Q) (m distinct points spanning R^d), by beneath-beyond.
 
-    A subset's plane (cofactor normal about its first point) is kept when all
-    points lie on one side of it within tol.  Kept planes through the same
-    points make one facet, one row from the subset with the largest normal,
-    if that subset is independent.  Returns unit inward normals, offsets and
-    the facet-by-point incidence.
+    A d-simplex starts the hull: the point of least x_0, then each next point
+    farthest from the flat of those chosen.  Then the point farthest beyond a
+    facet joins: the facets it sees by more than tol go, and cones from their
+    horizon ridges to it replace them.  A point within tol of every facet
+    never joins, so the cost follows the facets (Clarkson & Shor 1989).
+    Returns one row per distinct final plane, marking the points within tol
+    of it.
     """
-    QT, probe = Q.T.copy(), Q[np.r_[Q.argmin(0), Q.argmax(0)]]  # probe: extreme points
-    S_all, kept = _subsets(*Q.shape), []  # kept, per chunk: subsets, sizes, normals, incidence
-    for lo in range(0, len(S_all), HULL_CHUNK):
-        S = S_all[lo:lo + HULL_CHUNK]
-        G = np.take(QT, S.T, axis=1)  # G[k, j, s]: coordinate k of point j of subset s
-        normals = _cofactor_normals(G[:, 1:] - G[:, :1])
-        offset, size = np.einsum("ks,ks->s", G[:, 0], normals), np.linalg.norm(normals, axis=0)
-        t, dist = tol * size, probe @ normals - offset  # the probe rejects most subsets cheaply
-        live = np.flatnonzero(((dist.min(0) >= -t) | (dist.max(0) <= t)) & (size > 0))
-        t, dist = t[live], Q @ np.take(normals, live, axis=1) - offset[live]
-        above = dist.min(0) >= -t
-        on = np.flatnonzero(above | (dist.max(0) <= t))
-        live = live[on]
-        unit = np.take(normals, live, axis=1) * (np.where(above[on], 1.0, -1.0) / size[live])
-        kept.append((S[live], size[live], unit.T, np.abs(dist[:, on]).T <= t[on, None]))
-    S, size, U, inc = (np.concatenate(col) for col in zip(*kept))
-    order = np.argsort(-size, kind="stable")  # a group's first subset has its largest normal
+    d, simplex = Q.shape[1], [int(Q[:, 0].argmin())]
+    R = Q - Q[simplex[0]]  # each point less its projection on the chosen flat
+    for _ in range(d):
+        simplex.append(int(np.einsum("ij,ij->i", R, R).argmax()))
+        u = R[simplex[-1]] / np.linalg.norm(R[simplex[-1]])
+        R = R - np.outer(R @ u, u)
+    Q = Q - Q[simplex].mean(axis=0)  # the origin is inside: each facet's plane is a.x = 1
+    facets = new = [tuple(sorted(simplex[:i] + simplex[i + 1:])) for i in range(d + 1)]
+    beyond = np.zeros((len(Q), 0))  # beyond[i, f]: how far point i lies beyond facet f
+    while True:
+        a = np.linalg.solve(Q[new], np.ones((len(new), d, 1)))[..., 0]
+        beyond = np.hstack([beyond, (Q @ a.T - 1.0) / np.linalg.norm(a, axis=1)])
+        p, f = divmod(int(beyond.argmax()), beyond.shape[1])
+        if beyond[p, f] <= tol:
+            break
+        seen = beyond[p] > tol
+        ridges = Counter(r for s in np.flatnonzero(seen).tolist()
+                         for r in combinations(facets[s], d - 1))
+        new = [tuple(sorted(r + (p,))) for r, k in ridges.items() if k == 1]  # the horizon
+        facets = [f for f, gone in zip(facets, seen.tolist()) if not gone] + new
+        beyond = beyond[:, ~seen]
+    on = np.abs(beyond).T <= tol
+    return on[np.unique(np.packbits(on, axis=1), axis=0, return_index=True)[1]]
+
+
+def _rows(Q, on, tol):
+    """Facet rows of conv(Q) from the points on each facet (the rows of ``on``),
+    bit for bit those of the walk over every d-subset of the points.
+
+    The walk keeps a subset's plane (its cofactor normal about its first
+    point) when all points lie on one side of it within tol.  Kept planes
+    through the same points make one facet, and its row comes from the subset
+    with the largest normal (first in combinations order among equals), if
+    that subset is independent.  That subset lies on the facet, so here each
+    facet's d-subsets are sized alone, the Gram determinants of their edges
+    first screening out those under half the largest, and only the largest
+    is tested.  Returns unit inward normals, offsets and the facet-by-point
+    incidence, in combinations order of the subsets the rows come from.
+    """
+    d = Q.shape[1]
+    count, S, group = on.sum(axis=1), [], []
+    for c in np.unique(count).tolist():  # the facets with c points, all at once
+        rows = np.flatnonzero(count == c)
+        index = np.array(list(combinations(range(c), d)))
+        S.append(np.nonzero(on[rows])[1].reshape(len(rows), c)[:, index].reshape(-1, d))
+        group.append(np.repeat(rows, len(index)))
+    S, group = np.concatenate(S), np.concatenate(group)
+    E = Q[S[:, 1:]] - Q[S[:, :1]]  # E[s, j]: edge j of subset s
+    gram = np.linalg.det(E @ E.transpose(0, 2, 1))  # the squared normal sizes, to rounding
+    top = np.full(len(on), -np.inf)
+    np.maximum.at(top, group, gram)
+    inside = (on.astype(int) @ on.T == count[:, None]).sum(axis=1) > 1  # within another facet
+    keep = np.flatnonzero(inside[group] | (gram >= np.minimum(top, top / 2)[group]))
+    keep = keep[np.lexsort(S[keep].T[::-1])]  # in combinations order
+    S, E = S[keep], E[keep].T
+    normals = _cofactor_normals(E)
+    size = np.linalg.norm(normals, axis=0)
+    t, dist = tol * size, Q @ normals - np.einsum("sk,ks->s", Q[S[:, 0]], normals)
+    above = dist.min(0) >= -t
+    kept = np.flatnonzero((above | (dist.max(0) <= t)) & (size > 0))
+    U = (normals[:, kept] * (np.where(above[kept], 1.0, -1.0) / size[kept])).T
+    inc = np.abs(dist[:, kept]).T <= t[kept, None]
+    order = np.argsort(-size[kept], kind="stable")  # a facet's first subset has its largest normal
     packed = np.packbits(inc[order], axis=1)
     best = np.sort(order[np.unique(packed.view(f"V{packed.shape[1]}"), return_index=True)[1]])
-    G = np.take(QT, S[best].T, axis=1)
-    best = best[_rank(np.transpose(G[:, 1:] - G[:, :1])) == Q.shape[1] - 1]  # independent: a facet
-    return U[best], np.sum(Q[S[best, 0]] * U[best], axis=1), inc[best]
-
-
-def _turn(Q, c, n, w, tol):
-    """Turn the supporting plane {x : n.(x - c) = 0} about the flat through c
-    normal to n and w, away from w, until it meets the next point."""
-    a, b = (Q - c) @ n, (Q - c) @ w
-    up = np.flatnonzero(a > tol)
-    j = up[np.argmin(b[up] / a[up])]
-    v = a[j] * w - b[j] * n
-    return v / np.linalg.norm(v)
-
-
-def _wrap(Q, tol):
-    """Facets of conv(Q) (m distinct points spanning R^d, d >= 2) by gift wrapping.
-
-    The plane x_0 = min turns about its contact set until that set spans a
-    facet.  From each facet, hull_hform of its points gives the facet's own
-    plane (fitted to all of them) and its ridges; turning the facet's plane
-    about each ridge, away from the facet, finds the neighbour across it.  The
-    cost follows the facets, not the C(m, d) subsets.  Returns what _walk does.
-    """
-    from .polytope import PolytopeError
-
-    n, c, spread = np.eye(Q.shape[1])[0], Q[Q[:, 0].argmin()], np.abs(Q).max()
-    for _ in range(Q.shape[1]):  # each turn adds a dimension to the contact set
-        W = affine_hull(np.vstack([Q[np.abs((Q - c) @ n) <= tol], c + spread * n]))[2]
-        if not len(W):  # W: directions normal to n and to the contact set
-            break
-        n = _turn(Q, c, n, W[0], tol)
-    todo, seen, U, off = [(n, c)], set(), [], []
-    while todo:
-        n, c = todo.pop()
-        on = np.abs((Q - c) @ n) <= tol
-        if on.tobytes() in seen:
-            continue
-        F = hull_hform(Q[on])  # F.A: the facet's plane; F.D, F.e: its ridges
-        if len(F.A) != 1:
-            raise PolytopeError(f"hull_hform: {on.sum()} points on a facet span no hyperplane")
-        sign = np.sign(F.A[0] @ n)
-        U.append(sign * F.A[0])
-        off.append(sign * F.b[0])
-        seen.add(on.tobytes())
-        ridge_points = Q[on][np.argmin(Q[on] @ F.D.T - F.e, axis=0)]
-        todo += [(_turn(Q, r, U[-1], w, tol), r) for w, r in zip(F.D, ridge_points)]
-    U, off = np.array(U), np.array(off)
-    inc = np.abs(U @ Q.T - off[:, None]) <= tol
-    # a facet met through two different point sets was fitted twice: keep one
-    keep = np.sort(np.unique(np.packbits(inc, axis=1), axis=0, return_index=True)[1])
-    return U[keep], off[keep], inc[keep]
+    best = best[_rank(np.transpose(E[:, :, kept[best]])) == d - 1]  # independent: a facet
+    return U[best], np.sum(Q[S[kept[best], 0]] * U[best], axis=1), inc[best]
 
 
 def hull_hform(points):
@@ -178,31 +164,25 @@ def hull_hform(points):
     point (d = 0) is handled directly.  Exact duplicates are dropped (each maps
     to its first index) and the facets of the m distinct points are found in
     numpy, points within RANK_TOL times their spread of a plane counting as on
-    it: by _walk over the C(m, d) subsets when there are at most HULL_WALK_MAX
-    of them (every hull the package, its tests and its benchmark build; the
-    largest, 73 distinct points in R^3, has 62,196), else by gift wrapping
-    (_wrap), whose cost follows the facets.  A point is a vertex when the
+    it.  One path serves every d >= 1: beneath-beyond (_candidates) finds the
+    points on each facet, and _rows gives each facet the row that the walk
+    over all C(m, d) subsets keeps, bit for bit.  A point is a vertex when the
     normals of its facets have rank d.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    n = P.shape[1]
     x0, B, N = affine_hull(P)
     d = B.shape[1]
-    A = N
-    b = N @ x0 if N.size else np.zeros(0)
-
     if d == 0:
-        return HullHForm(A, b, np.zeros((0, n)), np.zeros(0), [0])
+        return HullHForm(N, N @ x0, np.zeros((0, P.shape[1])), np.zeros(0), [0])
 
     Y = (P - x0) @ B
     first = np.sort(np.unique((Y + 0.0).view(f"V{8 * d}"), return_index=True)[1])  # -0.0 is 0.0
     Q = Y[first]
     tol = RANK_TOL * np.linalg.norm(Q, axis=1).max()  # Q[0] = Y[0] = 0
-    walk = d == 1 or comb(len(Q), d) <= HULL_WALK_MAX
-    U, off, inc = (_walk if walk else _wrap)(Q, tol)
+    U, off, inc = _rows(Q, _candidates(Q, tol), tol)
     D = U @ B.T
     vertex = first[_rank(inc.T[:, :, None] * U) == d]
-    return HullHForm(A, b, D, off + D @ x0, vertex.tolist())
+    return HullHForm(N, N @ x0, D, off + D @ x0, vertex.tolist())
 
 
 def _affine_lsq(M, support, w):

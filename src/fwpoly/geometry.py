@@ -41,6 +41,7 @@ from .polytope import (
     Face,
     PolytopeError,
     StdFormPolytope,
+    _as_point,
     _null_basis,
     _point_in,
 )
@@ -151,7 +152,7 @@ def minimal_supports(poly, x):
     """
     V, table, (Ms, pinv, mask) = _support_table(poly)
     tol = 1e-9 * max(1.0, float(np.abs(V).max()))
-    rhs = np.append(np.asarray(x, dtype=float), 1.0)
+    rhs = np.append(_as_point(x, poly.n), 1.0)
     lam = pinv @ rhs  # padding adds zero weights, masked out of the minimum
     res = np.linalg.norm((Ms @ lam[:, :, None])[:, :, 0] - rhs, axis=1)
     ok = (res <= tol) & (np.where(mask, lam, np.inf).min(axis=1) >= SUPPORT_MARGIN)

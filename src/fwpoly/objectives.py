@@ -30,7 +30,7 @@ import numpy as np
 
 from ._hulls import project_to_hull
 from .geometry import face_lattice
-from .polytope import PolytopeError, _distinct, _read_only
+from .polytope import PolytopeError, _as_matrix, _as_vector, _distinct, _read_only
 
 _PD_TOL = 1e-10
 
@@ -91,10 +91,10 @@ class Quadratic(Objective):
         c = np.array(c, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or c.shape != (Q.shape[0],):
             raise ValueError("Quadratic: Q must be square and match c")
+        Q, self.c = _as_matrix(Q, len(c), "Quadratic: Q"), _as_vector(c, len(c), "Quadratic: c")
         if not np.allclose(Q, Q.T, atol=1e-10):
             raise ValueError("Quadratic: Q must be symmetric")
         self.Q = _read_only(0.5 * (Q + Q.T))
-        self.c = _read_only(c)
         self.c0 = float(c0)
         self._eigs = np.linalg.eigvalsh(self.Q)
         if self._eigs[0] < -1e-9 * max(1.0, abs(self._eigs[-1])):
@@ -196,9 +196,9 @@ class PowerDistance(Objective):
     """f(x) = ||x - center||^p with p >= 2."""
 
     def __init__(self, center, p):
-        self.center = _read_only(np.array(center, dtype=float))
+        self.center = _as_vector(center, np.size(center), "PowerDistance: center")
         self.p = float(p)
-        if self.p < 2:
+        if not self.p >= 2:  # NaN fails too
             raise ValueError("PowerDistance: p must be >= 2")
 
     @property

@@ -26,6 +26,7 @@ small that every coordinate is already a multiple of it in doubles.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -189,11 +190,6 @@ def _classify(eta, eta_max):
     return 1
 
 
-def _check_feasible(poly, x, t):
-    if not poly.contains(x):
-        raise PolytopeError(f"iterate left the polytope at t={t}")
-
-
 class _PointState:
     """FW, and IFW through _InFaceState: the iterate is a bare point.
 
@@ -206,7 +202,8 @@ class _PointState:
     def __init__(self, poly, variant, rule, x0):
         self.poly, self.rule = poly, rule
         self.x = np.asarray(x0, dtype=float) if x0 is not None else poly.initial_vertex()
-        _check_feasible(poly, self.x, 0)
+        if not poly.contains(self.x):
+            raise PolytopeError("x0 is not in the polytope")
 
     def direction(self, g, v, gap):
         """(chosen direction, strong gap <g, a - v> or None); gap is <g, x - v>."""
@@ -331,6 +328,8 @@ def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
         raise ValueError(f"unknown variant {variant!r}")
     if not gap_tol > 0:  # NaN fails too
         raise ValueError(f"gap_tol must be positive, got {gap_tol!r}")
+    if not isinstance(max_iters, numbers.Integral):
+        raise ValueError(f"max_iters must be a whole number, got {max_iters!r}")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     if variant == "FWIPW" and step != "pow2":
@@ -382,7 +381,8 @@ def solve(poly, obj, variant, step="ls", L=None, max_iters=1000, gap_tol=1e-8,
         if record_points:
             add_x(x.tobytes())
         state.update(d, eta, t)
-        _check_feasible(poly, state.x, t + 1)
+        if not poly.contains(state.x):
+            raise PolytopeError(f"iterate left the polytope at t={t + 1}")
         ev.advance(state.x, d.vec, eta, refresh=case == 3)
     cols = {k: _read_only(np.frombuffer(c, dtype=c.typecode)) if isinstance(c, array)
             else tuple(c) for k, c in cols.items()}

@@ -417,6 +417,12 @@ def test_reused_polytope_equals_fresh(name, seed):
     assert phi_lower_bound(poly, face, lattice=lattice) == phi_lower_bound(fresh(), face)
 
 
+def test_minimal_supports_names_the_point_shape():
+    # a 2-vector met numpy's matmul error
+    with pytest.raises(PolytopeError, match=r"expected a point of shape \(3,\), got shape \(2,\)"):
+        minimal_supports(VRepPolytope(np.eye(3)), [0.5, 0.5])
+
+
 def test_vertex_distance_builds_each_support_gauge_once(monkeypatch):
     builds = []
 

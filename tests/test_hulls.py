@@ -1,8 +1,9 @@
 """Facet descriptions and Euclidean projection onto convex hulls of points.
 
 ``hull_hform`` must find the facets Qhull finds, one row per distinct plane,
-whether it walks the point subsets or wraps from facet to facet; Qhull is
-the oracle here, and this is the only module that imports ``scipy.spatial``.
+and its rows, offsets and vertices must equal bit for bit those of the walk
+over every d-subset of the points (``walk`` below).  Qhull and the walk are
+the oracles here, and this is the only module that imports ``scipy.spatial``.
 Every projection (Wolfe's method) must be a point of the coefficient simplex
 that no coefficient direction improves, and on small hulls its distance must
 match a brute-force oracle over every support.
@@ -205,21 +206,68 @@ def assert_matches_qhull(P):
     assert np.allclose(hf.A @ P.T, hf.b[:, None], atol=1e-12 * spread)
 
 
+POINT_SETS = (st.sampled_from(["gaussian", "flat in R^4", "duplicated", "lattice"]),
+              st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 12))
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.sampled_from(["gaussian", "flat in R^4", "duplicated", "lattice"]),
-       st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 12), st.booleans())
-def test_random_point_sets_match_qhull(kind, seed, n, extra, wrap):
-    with pytest.MonkeyPatch.context() as mp:
-        if wrap:  # gift wrapping all the way down, facets' ridges included
-            mp.setattr(_hulls, "HULL_WALK_MAX", 0)
-        assert_matches_qhull(random_points(kind, seed, n, n + 2 + extra))
+@given(*POINT_SETS)
+def test_random_point_sets_match_qhull(kind, seed, n, extra):
+    assert_matches_qhull(random_points(kind, seed, n, n + 2 + extra))
 
 
-@pytest.mark.parametrize("walk_max", [_hulls.HULL_WALK_MAX, 0], ids=["walk", "wrap"])
 @pytest.mark.parametrize("name", sorted(FIXED))
-def test_fixed_point_sets_match_qhull(name, walk_max, monkeypatch):
-    monkeypatch.setattr(_hulls, "HULL_WALK_MAX", walk_max)
+def test_fixed_point_sets_match_qhull(name):
     assert_matches_qhull(FIXED[name])
+
+
+# -- the same bits as the walk over every d-subset --------------------------------------
+
+
+def walk(Q, tol):
+    """Facet rows of conv(Q) (m distinct points spanning R^d) from every d-subset.
+
+    A subset's plane (cofactor normal about its first point) is kept when all
+    points lie on one side of it within tol.  Kept planes through the same
+    points make one facet, one row from the subset with the largest normal
+    (first in combinations order among equals), if that subset is independent.
+    """
+    S = np.array(list(itertools.combinations(range(len(Q)), Q.shape[1])))
+    G = np.take(Q.T, S.T, axis=1)  # G[k, j, s]: coordinate k of point j of subset s
+    normals = _hulls._cofactor_normals(G[:, 1:] - G[:, :1])
+    size = np.linalg.norm(normals, axis=0)
+    t, dist = tol * size, Q @ normals - np.einsum("ks,ks->s", G[:, 0], normals)
+    above = dist.min(0) >= -t
+    on = np.flatnonzero((above | (dist.max(0) <= t)) & (size > 0))
+    U = (normals[:, on] * (np.where(above[on], 1.0, -1.0) / size[on])).T
+    inc = np.abs(dist[:, on]).T <= t[on, None]
+    order = np.argsort(-size[on], kind="stable")
+    packed = np.packbits(inc[order], axis=1)
+    best = np.sort(order[np.unique(packed.view(f"V{packed.shape[1]}"), return_index=True)[1]])
+    E = G[:, 1:, on[best]] - G[:, :1, on[best]]
+    best = best[_hulls._rank(np.transpose(E)) == Q.shape[1] - 1]
+    return U[best], np.sum(Q[S[on[best], 0]] * U[best], axis=1), inc[best]
+
+
+def assert_walks_the_same(P):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_hulls, "_rows", lambda Q, groups, tol: walk(Q, tol))
+        walked = hull_hform(P)
+    hf = hull_hform(P)
+    assert hf.D.shape == walked.D.shape and hf.vertex_index == walked.vertex_index
+    assert hf.D.tobytes() == walked.D.tobytes() and hf.e.tobytes() == walked.e.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(*POINT_SETS)
+def test_random_point_sets_walk_the_same(kind, seed, n, extra):
+    P = random_points(kind, seed, n, n + 2 + extra)  # C(m, d) <= C(21, 4) = 5,985
+    assert_walks_the_same(P)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_fixed_point_sets_walk_the_same(name):
+    assert_walks_the_same(FIXED[name])  # at most C(73, 3) = 62,196 subsets
 
 
 @pytest.mark.parametrize("k", [-20, 23])
@@ -249,16 +297,18 @@ def test_collinear_points_give_the_two_end_rows():
     assert np.allclose(hf.D[0], -hf.D[1], atol=1e-15)
 
 
-def test_many_subsets_are_wrapped_not_walked(monkeypatch):
-    walk = _hulls._walk
+def test_many_subsets_take_one_hull_call(monkeypatch):
+    calls, hform = [], _hulls.hull_hform
 
-    def small_walk(Q, tol):  # the facets' own hulls may still be walked
-        assert comb(*Q.shape) <= _hulls.HULL_WALK_MAX
-        return walk(Q, tol)
+    def counted(points):
+        calls.append(len(points))
+        return hform(points)
 
-    monkeypatch.setattr(_hulls, "_walk", small_walk)
+    monkeypatch.setattr(_hulls, "hull_hform", counted)
     P = np.random.default_rng(0).standard_normal((60, 4))
-    assert comb(60, 4) > _hulls.HULL_WALK_MAX
+    assert comb(60, 4) > 2**16
+    _hulls.hull_hform(P)
+    assert calls == [60]  # nothing recurses into the facets' own hulls
     assert_matches_qhull(P)
     # repeated points do not count: 4 distinct points, 4 triples
     hf = hull_hform(np.tile(np.vstack([np.zeros(3), np.eye(3)]), (500, 1)))
@@ -270,6 +320,18 @@ def test_face_distance_at_the_centre_of_a_4_cube():
     box = Box(np.zeros(4), np.ones(4))
     x, w = np.full(4, 0.5), np.array([0.3, -0.1, 0.2, 0.05])
     assert geometry.face_distance(box, x + w, x) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_face_distance_at_the_vertex_mean_of_14_sphere_points():
+    # the gauge body has 183 distinct points in R^3, C(183, 3) = 1,004,731 subsets
+    rng = np.random.default_rng(3)
+    rng.standard_normal(9 * 4 + 4)  # the draws of 9 sphere points in R^4 before them
+    V = rng.standard_normal((14, 3))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    x = V.mean(axis=0)
+    y = x + 0.01 * rng.standard_normal(3)
+    assert geometry.face_distance(VRepPolytope(V), y, x) == pytest.approx(
+        0.010178539783550624, rel=1e-12)
 
 
 def test_many_collinear_points_give_the_two_end_rows():

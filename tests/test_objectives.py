@@ -45,6 +45,16 @@ class TestBasics:
         x = np.array([0.9, 0.1])
         assert obj.value(x) == pytest.approx(np.linalg.norm(x - c) ** 4, rel=1e-12)
 
+    # each built before, and [[nan]] was called "not symmetric"
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Quadratic(np.eye(1), [np.inf]), "Quadratic: c has a nonfinite entry"),
+        (lambda: Quadratic([[np.nan]], [0.0]), "Quadratic: Q has a nonfinite entry"),
+        (lambda: PowerDistance([np.nan, 0.0], 2), "PowerDistance: center has a nonfinite entry"),
+    ], ids=["quadratic c", "quadratic Q", "power distance centre"])
+    def test_nonfinite_data_rejected_by_name(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestCurvature:
     def test_identity_quadratic_on_simplex(self):

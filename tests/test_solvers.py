@@ -355,8 +355,18 @@ class TestValidation:
                   x0=np.array([0.5, 0.5, 0.0]))
 
     def test_infeasible_x0_rejected(self):
-        with pytest.raises(PolytopeError):
+        # this was "iterate left the polytope at t=0", for IFW too
+        with pytest.raises(PolytopeError, match="x0 is not in the polytope"):
             solve(S3, self.OBJ, "FW", x0=np.array([2.0, 0.0, 0.0]))
+
+    def test_infeasible_x0_rejected_by_ifw(self):
+        with pytest.raises(PolytopeError, match="x0 is not in the polytope"):
+            solve(S3, self.OBJ, "IFW", x0=np.array([2.0, 0.0, 0.0]))
+
+    def test_fractional_max_iters(self):
+        # range() raised a TypeError
+        with pytest.raises(ValueError, match="max_iters must be a whole number, got 2.5"):
+            solve(S3, self.OBJ, "FW", max_iters=2.5)
 
     @pytest.mark.parametrize("variant, step, kwargs, message", [
         ("nope", "ss", {}, "unknown variant 'NOPE'"),
