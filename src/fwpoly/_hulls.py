@@ -121,11 +121,12 @@ def _rows(Q, on, tol):
     point) when all points lie on one side of it within tol.  Kept planes
     through the same points make one facet, and its row comes from the subset
     with the largest normal (first in combinations order among equals), if
-    that subset is independent.  That subset lies on the facet, so here each
-    facet's d-subsets are sized alone, the Gram determinants of their edges
-    first screening out those under half the largest, and only the largest
-    is tested.  Returns unit inward normals, offsets and the facet-by-point
-    incidence, in combinations order of the subsets the rows come from.
+    that subset is independent.  That subset lies on a facet, so here the
+    walk runs on each facet's d-subsets alone, less those whose edges' Gram
+    determinant is under half the facet's largest (every subset stays on a
+    facet whose points lie within another's).  Returns unit inward normals,
+    offsets and the facet-by-point incidence, in combinations order of the
+    subsets the rows come from.
     """
     d = Q.shape[1]
     count, S, group = on.sum(axis=1), [], []
