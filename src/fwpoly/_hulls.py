@@ -5,8 +5,8 @@ Everything here works on plain (N, n) arrays of points.  The three jobs are:
 * affine hulls (orthonormal tangent basis + normal equations),
 * inequality descriptions of convex hulls, degenerate dimensions included,
   found in numpy (no Qhull): beneath-beyond finds the points on each facet,
-  at a cost that follows the facets, and each facet's row is the one the
-  walk over every d-subset of the points would keep, bit for bit,
+  and each facet's row is chosen by the rule of the walk over every
+  d-subset of the points, from that facet's widest subsets alone,
 * Euclidean projection of a point onto a convex hull of points, solved
   exactly by Wolfe's min-norm-point method on the simplex of hull
   coefficients; a result that fails the global optimality check raises
@@ -77,16 +77,22 @@ def _cofactor_normals(E):
     return np.array([(-1) ** k * np.linalg.det(np.delete(E, k, axis=0).T) for k in range(len(E))])
 
 
+def _gram(Q, S):
+    """Squared cofactor-normal sizes of the subsets (rows of S): their edges' Gram determinants."""
+    E = Q[S[:, 1:]] - Q[S[:, :1]]
+    return np.linalg.det(E @ E.transpose(0, 2, 1))
+
+
 def _candidates(Q, tol):
     """The points on each facet of conv(Q) (m distinct points spanning R^d), by beneath-beyond.
 
     A d-simplex starts the hull: the point of least x_0, then each next point
     farthest from the flat of those chosen.  Then the point farthest beyond a
     facet joins: the facets it sees by more than tol go, and cones from their
-    horizon ridges to it replace them.  A point within tol of every facet
-    never joins, so the cost follows the facets (Clarkson & Shor 1989).
-    Returns one row per distinct final plane, marking the points within tol
-    of it.
+    horizon ridges to it replace them (Clarkson & Shor 1989).  A point within
+    tol of every facet never joins.  Returns one row per distinct final
+    plane, marking the points within tol of it, and the points of the final
+    facets: every vertex is among them.
     """
     d, simplex = Q.shape[1], [int(Q[:, 0].argmin())]
     R = Q - Q[simplex[0]]  # each point less its projection on the chosen flat
@@ -99,7 +105,7 @@ def _candidates(Q, tol):
     beyond = np.zeros((len(Q), 0))  # beyond[i, f]: how far point i lies beyond facet f
     while True:
         a = np.linalg.solve(Q[new], np.ones((len(new), d, 1)))[..., 0]
-        beyond = np.hstack([beyond, (Q @ a.T - 1.0) / np.linalg.norm(a, axis=1)])
+        beyond = np.concatenate([beyond, (Q @ a.T - 1.0) / np.linalg.norm(a, axis=1)], axis=1)
         p, f = divmod(int(beyond.argmax()), beyond.shape[1])
         if beyond[p, f] <= tol:
             break
@@ -109,41 +115,45 @@ def _candidates(Q, tol):
         new = [tuple(sorted(r + (p,))) for r, k in ridges.items() if k == 1]  # the horizon
         facets = [f for f, gone in zip(facets, seen.tolist()) if not gone] + new
         beyond = beyond[:, ~seen]
-    on = np.abs(beyond).T <= tol
-    return on[np.unique(np.packbits(on, axis=1), axis=0, return_index=True)[1]]
+    on = (np.abs(beyond) <= tol).T.copy()  # C order, so each row packs into one void
+    packed, joined = np.packbits(on, axis=1), np.isin(np.arange(len(Q)), facets)
+    return on[np.unique(packed.view(f"V{packed.shape[1]}"), return_index=True)[1]], joined
 
 
-def _rows(Q, on, tol):
-    """Facet rows of conv(Q) from the points on each facet (the rows of ``on``),
-    bit for bit those of the walk over every d-subset of the points.
+def _rows(Q, on, joined, tol):
+    """Facet rows of conv(Q) from the points on each facet (the rows of ``on``).
 
-    The walk keeps a subset's plane (its cofactor normal about its first
-    point) when all points lie on one side of it within tol.  Kept planes
-    through the same points make one facet, and its row comes from the subset
-    with the largest normal (first in combinations order among equals), if
-    that subset is independent.  That subset lies on a facet, so here the
-    walk runs on each facet's d-subsets alone, less those whose edges' Gram
-    determinant is under half the facet's largest (every subset stays on a
-    facet whose points lie within another's).  Returns unit inward normals,
-    offsets and the facet-by-point incidence, in combinations order of the
-    subsets the rows come from.
+    The walk over every d-subset keeps a subset's plane (its cofactor normal
+    about its first point) when all points lie on one side of it within tol.
+    Kept planes through the same points make one facet, and its row comes
+    from the subset with the largest normal (first in combinations order
+    among equals), if that subset is independent.  Here the walk runs on
+    each facet's widest subsets alone, those whose squared size is within
+    a relative 1e-6 of the facet's largest, and its pick is among them.  A
+    subset's size is, up to sign, affine in each of its points, so the
+    largest is reached at vertices, and every vertex joined: every d-subset
+    of a facet's joined points is tried.  A widest subset holding a point
+    that did not join stays widest when that point gives way to a vertex
+    around it, so swapping such points in, one at a time, finds the rest.
+    The cost grows with C(k, d) for a facet with k joined points, and with
+    its widest subsets times its other points.  Returns unit inward
+    normals, offsets and incidence, in combinations order of their subsets.
     """
     d = Q.shape[1]
-    count, S, group = on.sum(axis=1), [], []
-    for c in np.unique(count).tolist():  # the facets with c points, all at once
-        rows = np.flatnonzero(count == c)
-        index = np.array(list(combinations(range(c), d)))
-        S.append(np.nonzero(on[rows])[1].reshape(len(rows), c)[:, index].reshape(-1, d))
-        group.append(np.repeat(rows, len(index)))
-    S, group = np.concatenate(S), np.concatenate(group)
-    E = Q[S[:, 1:]] - Q[S[:, :1]]  # E[s, j]: edge j of subset s
-    gram = np.linalg.det(E @ E.transpose(0, 2, 1))  # the squared normal sizes, to rounding
-    top = np.full(len(on), -np.inf)
-    np.maximum.at(top, group, gram)
-    inside = (on.astype(int) @ on.T == count[:, None]).sum(axis=1) > 1  # within another facet
-    keep = np.flatnonzero(inside[group] | (gram >= np.minimum(top, top / 2)[group]))
-    keep = keep[np.lexsort(S[keep].T[::-1])]  # in combinations order
-    S, E = S[keep], E[keep].T
+    T = np.array([(f, *s) for f, row in enumerate(on & joined)  # a facet, then a subset of it
+                  for s in combinations(np.flatnonzero(row).tolist(), d)], dtype=int)
+    gram, cut = _gram(Q, T[:, 1:]), np.zeros(len(on))
+    np.maximum.at(cut, T[:, 0], gram * (1 - 1e-6))
+    T, extra, n = T[gram > cut[T[:, 0]]], on & ~joined, 0
+    while n < len(T):  # swap a point for one that did not join, until no subset is new
+        n, (i, x) = len(T), np.nonzero(extra[T[:, 0]])
+        new = np.repeat(T[i], d, axis=0)
+        new[np.arange(len(new)), np.tile(np.arange(1, d + 1), len(i))] = np.repeat(x, d)
+        new[:, 1:].sort(axis=1)
+        T = np.vstack([T, new[_gram(Q, new[:, 1:]) > cut[new[:, 0]]]])
+        T = T[np.unique(T.view(f"V{T.itemsize * (d + 1)}"), return_index=True)[1]]
+    S = T[np.lexsort(T[:, :0:-1].T), 1:]  # in combinations order
+    E = (Q[S[:, 1:]] - Q[S[:, :1]]).T  # E[k, j, s]: coordinate k of edge j of subset s
     normals = _cofactor_normals(E)
     size = np.linalg.norm(normals, axis=0)
     t, dist = tol * size, Q @ normals - np.einsum("sk,ks->s", Q[S[:, 0]], normals)
@@ -166,9 +176,12 @@ def hull_hform(points):
     to its first index) and the facets of the m distinct points are found in
     numpy, points within RANK_TOL times their spread of a plane counting as on
     it.  One path serves every d >= 1: beneath-beyond (_candidates) finds the
-    points on each facet, and _rows gives each facet the row that the walk
-    over all C(m, d) subsets keeps, bit for bit.  A point is a vertex when the
-    normals of its facets have rank d.
+    points on each facet, and _rows picks each facet's row by the rule of
+    the walk over all C(m, d) subsets, from the facet's widest subsets.  The
+    rows equal the walk's bit for bit on every input tried (tests/test_hulls.py
+    holds them to it); this is measured, not proved, for points within about
+    tol of a plane.  A point is a vertex when the normals of its facets have
+    rank d.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     x0, B, N = affine_hull(P)
@@ -180,7 +193,7 @@ def hull_hform(points):
     first = np.sort(np.unique((Y + 0.0).view(f"V{8 * d}"), return_index=True)[1])  # -0.0 is 0.0
     Q = Y[first]
     tol = RANK_TOL * np.linalg.norm(Q, axis=1).max()  # Q[0] = Y[0] = 0
-    U, off, inc = _rows(Q, _candidates(Q, tol), tol)
+    U, off, inc = _rows(Q, *_candidates(Q, tol), tol)
     D = U @ B.T
     vertex = first[_rank(inc.T[:, :, None] * U) == d]
     return HullHForm(N, N @ x0, D, off + D @ x0, vertex.tolist())

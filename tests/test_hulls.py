@@ -21,7 +21,7 @@ from scipy.spatial import ConvexHull
 from fwpoly import _hulls, geometry
 from fwpoly._hulls import hull_hform, project_to_hull
 from fwpoly.instances import named_polytope
-from fwpoly.polytope import Box, PolytopeError, VRepPolytope
+from fwpoly.polytope import Box, L1Ball, PolytopeError, VRepPolytope
 
 from test_geometry import PRISM, SPHERE9
 
@@ -251,7 +251,7 @@ def walk(Q, tol):
 
 def assert_walks_the_same(P):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_hulls, "_rows", lambda Q, groups, tol: walk(Q, tol))
+        mp.setattr(_hulls, "_rows", lambda Q, on, joined, tol: walk(Q, tol))
         walked = hull_hform(P)
     hf = hull_hform(P)
     assert hf.D.shape == walked.D.shape and hf.vertex_index == walked.vertex_index
@@ -320,6 +320,22 @@ def test_face_distance_at_the_centre_of_a_4_cube():
     box = Box(np.zeros(4), np.ones(4))
     x, w = np.full(4, 0.5), np.array([0.3, -0.1, 0.2, 0.05])
     assert geometry.face_distance(box, x + w, x) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_face_distance_at_the_centre_of_a_5_cube():
+    # the gauge body is {-1, 0, 1}^5: each of its 10 facets holds 81 points,
+    # C(81, 5) = 25,621,596 5-subsets apiece, and 16 vertices, C(16, 5) = 4,368
+    box = Box(np.zeros(5), np.ones(5))
+    x, w = np.full(5, 0.5), np.array([0.3, -0.1, 0.2, 0.05, 0.1])
+    assert geometry.face_distance(box, x + w, x) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_face_distance_at_an_interior_point_of_an_l1_ball_in_r7():
+    # the gauge body is the l1 ball of radius 2 with its 84 edge midpoints:
+    # each of its 128 facets holds 28 points, C(28, 7) = 1,184,040 7-subsets
+    # apiece, and 7 vertices; the gauge of w is ||w||_1 / 2
+    x, w = np.full(7, 0.01 / 7), np.full(7, 0.09 / 7)
+    assert geometry.face_distance(L1Ball(7), x + w, x) == pytest.approx(0.045, abs=1e-12)
 
 
 def test_face_distance_at_the_vertex_mean_of_14_sphere_points():
