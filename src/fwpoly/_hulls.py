@@ -116,7 +116,7 @@ def _candidates(Q, tol):
         facets = [f for f, gone in zip(facets, seen.tolist()) if not gone] + new
         beyond = beyond[:, ~seen]
     on = (np.abs(beyond) <= tol).T.copy()  # C order, so each row packs into one void
-    packed, joined = np.packbits(on, axis=1), np.isin(np.arange(len(Q)), facets)
+    packed, joined = np.packbits(on, axis=1), np.bincount(np.ravel(facets), minlength=len(Q)) > 0
     return on[np.unique(packed.view(f"V{packed.shape[1]}"), return_index=True)[1]], joined
 
 
@@ -145,7 +145,7 @@ def _rows(Q, on, joined, tol):
     gram, cut = _gram(Q, T[:, 1:]), np.zeros(len(on))
     np.maximum.at(cut, T[:, 0], gram * (1 - 1e-6))
     T, extra, n = T[gram > cut[T[:, 0]]], on & ~joined, 0
-    while n < len(T):  # swap a point for one that did not join, until no subset is new
+    while n < len(T) and extra.any():  # swap in a point that did not join, until none is new
         n, (i, x) = len(T), np.nonzero(extra[T[:, 0]])
         new = np.repeat(T[i], d, axis=0)
         new[np.arange(len(new)), np.tile(np.arange(1, d + 1), len(i))] = np.repeat(x, d)
