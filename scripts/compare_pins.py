@@ -36,7 +36,10 @@ compares geometry values instead: the five sweeps that ``SWEEP_DIGESTS`` in
 proper face) and the result rows of the benchmark's ``geometry`` workload at
 seed 1.  Every moved value is listed with its distance in units in the last
 place of the old value; the exit status is 1 when a value moves by more than
-4 ulp or the rows differ in number or labels, else 0.
+4 ulp or the rows differ in number or labels, else 0.  For each sweep and
+for the benchmark round it also prints the ``hull_distance`` calls each
+checkout made, so a change that skips projections shows its cut beside its
+verdict.
 """
 
 from __future__ import annotations
@@ -191,18 +194,32 @@ def _geometry_row(line):
     return label, tuple(None if v == "None" else float(v) for v in values)
 
 
-def geometry_values(tg, workloads, size):
-    """Every sweep row that tg pins and the benchmark's geometry rows at seed 1."""
-    out = {}
-    for name in sorted(tg.SWEEP_DIGESTS):
-        poly = tg.sweep_polytope(name)
-        out[("sweep", name)] = [("face " + ",".join(map(str, sorted(face.vset))), tuple(vals))
-                                for face, *vals in tg.sweep(poly, tg.face_lattice(poly))]
-    with tempfile.TemporaryDirectory() as tmp:
-        workloads.run_round("geometry", workloads.build("geometry", 1, size), tmp,
-                            workloads.Ledger())
-        with open(os.path.join(tmp, "geometry.csv")) as fh:
-            out[("benchmark", "geometry")] = [_geometry_row(line) for line in fh]
+def geometry_values(tg, workloads, size, calls):
+    """Every sweep row that tg pins and the benchmark's geometry rows at seed 1.
+
+    ``calls`` receives per key the ``geometry.hull_distance`` calls made to
+    collect it.
+    """
+    from fwpoly import geometry
+
+    out, made, hull_distance = {}, [], geometry.hull_distance
+    geometry.hull_distance = lambda *args: made.append(1) or hull_distance(*args)
+    try:
+        for name in sorted(tg.SWEEP_DIGESTS):
+            poly = tg.sweep_polytope(name)
+            out[("sweep", name)] = [
+                ("face " + ",".join(map(str, sorted(face.vset))), tuple(vals))
+                for face, *vals in tg.sweep(poly, tg.face_lattice(poly))]
+            calls[("sweep", name)] = len(made)
+            made.clear()
+        with tempfile.TemporaryDirectory() as tmp:
+            workloads.run_round("geometry", workloads.build("geometry", 1, size), tmp,
+                                workloads.Ledger())
+            with open(os.path.join(tmp, "geometry.csv")) as fh:
+                out[("benchmark", "geometry")] = [_geometry_row(line) for line in fh]
+        calls[("benchmark", "geometry")] = len(made)
+    finally:
+        geometry.hull_distance = hull_distance
     return out
 
 
@@ -212,8 +229,10 @@ def geometry_worker(out_path):
     sys.path.insert(0, os.path.join(os.environ["CHECKOUT"], "benchmark"))
     import workloads
 
+    calls = {}
+    values = geometry_values(tg, workloads, workloads.FULL, calls)
     with open(out_path, "wb") as fh:
-        pickle.dump(geometry_values(tg, workloads, workloads.FULL), fh)
+        pickle.dump((values, calls), fh)
 
 
 # -- driver: compares two checkouts ---------------------------------------------------
@@ -400,10 +419,13 @@ def compare_values(old, new):
 
 def compare_geometry(old_tree, new_tree):
     with tempfile.TemporaryDirectory() as tmp:
-        old = _collect(old_tree, tmp, "old", "--geometry-worker")
-        new = _collect(new_tree, tmp, "new", "--geometry-worker")
+        old, old_calls = _collect(old_tree, tmp, "old", "--geometry-worker")
+        new, new_calls = _collect(new_tree, tmp, "new", "--geometry-worker")
     lines, problems = compare_values(old, new)
     print("\n".join(lines))
+    print("hull_distance calls, old -> new:")
+    for key in sorted(old_calls):
+        print(f"  {':'.join(key)}  {old_calls[key]} -> {new_calls.get(key)}")
     print(f"problems ({len(problems)}):")
     for line in problems:
         print(f"  {line}")

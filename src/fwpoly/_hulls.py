@@ -220,7 +220,7 @@ def _gains(P, w, lam, scale):
     """
     resid = P.T @ lam - w
     Pr = P @ resid
-    return Pr - lam @ Pr, -1e-11 * scale * max(1.0, np.linalg.norm(resid))
+    return Pr - lam @ Pr, -1e-11 * scale * max(1.0, np.sqrt(resid @ resid))  # as norm computes it
 
 
 def _polish(P, w, lam, scale):
@@ -275,7 +275,7 @@ def project_to_hull(points, target):
         j = int(np.argmin(gain))
         if gain[j] >= floor or lam[j] > 0:  # optimal, or stalled by rounding
             break
-        support = np.union1d(np.flatnonzero(lam > 0), [j])
+        support = np.flatnonzero((lam > 0) | (np.arange(N) == j))
         mu = _affine_lsq(M, support, w)
         while (mu <= 0).any():  # false once rounding has dropped every weight
             cur = lam[support]

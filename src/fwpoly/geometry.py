@@ -17,9 +17,12 @@ the distance from G to the hull of the remaining vertices) and the outer one
 (min over disjoint face pairs).  Each is a min over subfaces G of a
 separation that depends on G alone, so a FaceLattice memoises those per G:
 one lattice passed to a sweep over faces computes each subface's separation
-once.  The outer separation of G solves only against the maximal faces
-disjoint from G, as no face is nearer to G than one containing it: the same
-min in exact arithmetic, at most an ulp or so apart in floating point.  Both
+at most once.  The outer separation of G solves only against the maximal
+faces disjoint from G, as no face is nearer to G than one containing it: the
+same min in exact arithmetic, at most an ulp or so apart in floating point.
+A proved bound on the distance of two hulls (_apart) screens both: a pair is
+projected only where the bound leaves it a chance to set the minimum, so
+each value is the min of the same hull_distance floats as unscreened.  Both
 distances admit computable lower bounds from the per-row slack profile
 sigma, which the lattice memoises per G the same way; those bounds and the
 resulting error-bound certificates live here too.
@@ -217,13 +220,17 @@ class FaceLattice(list):
     other vertices), ``outer[G]`` = min over faces H sharing no vertex with
     G of dist(G, H), solved for maximal such H only, and ``lower[G]`` =
     the slack-profile bound on ``inner[G]``, which also depends on the
-    rows.  Each is filled on first use and lives as long as the lattice.
+    rows.  Each is filled on first use and lives as long as the lattice,
+    ``inner[G]`` only where G could set a minimum (see _subface_min).
     """
 
     def __init__(self, faces, poly):
         super().__init__(faces)
         self.vertices = poly.enumerate_vertices()
         self.rows = (poly.D, poly.e)
+        D = poly.D[np.linalg.norm(poly.D, axis=1) > 0]
+        self.heights = self.vertices @ (D / np.linalg.norm(D, axis=1, keepdims=True)).T
+        self.scale = 2.0 * float(np.linalg.norm(self.vertices, axis=1).max())
         self.inner = {}
         self.outer = {}
         self.lower = {}
@@ -304,12 +311,14 @@ def minimal_face_of_set(poly, points):
 # -- facial distances ----------------------------------------------------------
 
 
-def _subface_min(poly, face, lattice, memo, separation, what):
+def _subface_min(poly, face, lattice, memo, separation, what, screened=False):
     """Min over the proper subfaces G of F of separation(poly, lattice, G).
 
     Each G's separation depends on G alone, so it is memoised in the
     lattice table named by ``memo`` ("inner", "outer" or "lower") and
-    computed only on a miss.  The whole polytope is no candidate: no vertex
+    computed only on a miss; ``screened`` skips a miss that _apart puts
+    _beyond the min so far (over G's own subfaces, as the lattice runs
+    smallest first, and more).  The whole polytope is no candidate: no vertex
     lies outside it and no face is disjoint from it.  With no admissible G
     this raises ``what``.
     """
@@ -318,11 +327,13 @@ def _subface_min(poly, face, lattice, memo, separation, what):
     fset = face_vertex_set(poly, face)
     full = frozenset(range(len(lattice.vertices)))
     best = np.inf
-    for G in lattice:
-        if G.vset <= fset and G.vset != full:
-            sep = table.get(G.vset)
+    for G in (L.vset for L in lattice):
+        if G <= fset and G != full:
+            sep = table.get(G)
             if sep is None:
-                sep = table[G.vset] = separation(poly, lattice, G.vset)
+                if screened and _beyond(lattice, _apart(lattice, G, [full - G])[0], best):
+                    continue
+                sep = table[G] = separation(poly, lattice, G)
             best = min(best, sep)
     if not np.isfinite(best):
         raise PolytopeError(what)
@@ -334,19 +345,51 @@ def _hull_separation(poly, lattice, G):
     return hull_distance(V[sorted(G)], V[sorted(frozenset(range(len(V))) - G)])
 
 
+def _apart(lattice, G, others):
+    """Proved lower bounds on dist(conv G, conv H), one per vertex set H in others.
+
+    For a unit row normal u, a in conv(G) and b in conv(H), Cauchy-Schwarz
+    gives ||b - a|| >= u.(b - a) >= min_H u.v - max_G u.v; the bound is the
+    largest of these and their mirrors over the rows, or 0.
+    """
+    h, mine = lattice.heights, lattice.heights[sorted(G)]
+    theirs = np.array([[v in H for v in range(len(h))] for H in others], bool)
+    theirs = theirs.reshape(len(others), len(h), 1)
+    return np.maximum(np.where(theirs, h, np.inf).min(1) - mine.max(0),
+                      mine.min(0) - np.where(theirs, h, -np.inf).max(1)).max(1, initial=0.0)
+
+
+def _beyond(lattice, bound, best):
+    """Whether a pair with this _apart bound projects to a float above best.
+
+    True when the bound exceeds best by 1e-9 (best + scale), scale being
+    twice the largest vertex norm (at least the diameter): the heights round
+    by a few n eps (best + scale), and hull_distance is the norm of a float
+    convex combination of at most n + 1 rounded differences, so within a
+    few n eps scale of the exact distance.
+    """
+    return bound > best + 1e-9 * (best + lattice.scale)
+
+
 def _disjoint_separation(poly, lattice, G):
     """Min of dist(G, H) over the maximal faces H disjoint from G.
 
     H inside H' gives dist(G, H') <= dist(G, H).  The lattice runs smallest
     first, so walking it from the end meets every container of H before H.
+    The faces are projected in increasing order of their _apart bounds, up
+    to the first _beyond the best distance found, as every later one is.
     """
     V = lattice.vertices
     maximal = []
     for H in reversed(lattice):
         if not (G & H.vset or any(H.vset <= K for K in maximal)):
             maximal.append(H.vset)
-    VG = V[sorted(G)]
-    return min((hull_distance(VG, V[sorted(H)]) for H in maximal), default=np.inf)
+    VG, bound, best = V[sorted(G)], _apart(lattice, G, maximal), np.inf
+    for k in np.argsort(bound, kind="stable"):
+        if _beyond(lattice, bound[k], best):
+            break
+        best = min(best, hull_distance(VG, V[sorted(maximal[k])]))
+    return best
 
 
 def inner_facial_distance(poly, face, lattice=None):
@@ -356,7 +399,7 @@ def inner_facial_distance(poly, face, lattice=None):
     every subface of F competes.
     """
     return _subface_min(poly, face, lattice, "inner", _hull_separation,
-                        "inner_facial_distance: no admissible subface")
+                        "inner_facial_distance: no admissible subface", screened=True)
 
 
 def outer_facial_distance(poly, face, lattice=None):
@@ -392,11 +435,7 @@ def independent_binding_sets(poly, binding):
     r = _rank(Dsub)
     if comb(len(idx), r) > 20000:
         raise PolytopeError("independent_binding_sets: too many subsets")
-    out = []
-    for S in itertools.combinations(idx, r):
-        if _rank(poly.D[list(S)]) == r:
-            out.append(tuple(S))
-    return out
+    return [S for S in itertools.combinations(idx, r) if _rank(poly.D[list(S)]) == r]
 
 
 def facial_lower_bound(poly, face, other=None):
@@ -415,10 +454,7 @@ def facial_lower_bound(poly, face, other=None):
     if fset & gset:
         raise PolytopeError("facial_lower_bound: faces must be disjoint")
     I_G = poly.face_rows(gset)
-    return max(
-        _one_sided_bound(poly, I_F, I_G, sigma),
-        _one_sided_bound(poly, I_G, I_F, sigma),
-    )
+    return max(_one_sided_bound(poly, I_F, I_G, sigma), _one_sided_bound(poly, I_G, I_F, sigma))
 
 
 def _one_sided_bound(poly, binding, exclude, sigma):
@@ -476,15 +512,9 @@ def phibar_lower_bound_std(poly, face):
         raise PolytopeError("phibar_lower_bound_std needs a standard-form polytope")
     sigma = sigma_profile(poly)
     fset = face_vertex_set(poly, face)
-    vals = []
-    vert_vals = []
-    for j in sorted(fset):
-        I_v = poly.face_rows([j])
-        if not I_v:
-            continue
-        vert_vals.append(_one_sided_bound(poly, I_v, frozenset(), sigma))
-    if vert_vals:
-        vals.append(min(vert_vals))
+    vert_vals = [_one_sided_bound(poly, I_v, frozenset(), sigma)
+                 for I_v in (poly.face_rows([j]) for j in sorted(fset)) if I_v]
+    vals = [min(vert_vals)] if vert_vals else []
     comp = frozenset(range(poly.n)) - poly.face_rows(fset)
     if comp:
         vals.append(_one_sided_bound(poly, comp, frozenset(), sigma))

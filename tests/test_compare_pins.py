@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fwpoly import _hulls
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "compare_pins.py"
 
@@ -206,10 +208,14 @@ def test_geometry_mode_collects_every_pinned_sweep_and_benchmark_row():
     import test_geometry as tg
 
     workloads = _load("benchmark_workloads", ROOT / "benchmark" / "workloads.py")
-    values = cp.geometry_values(tg, workloads, workloads.TINY)
-    assert sorted(values) == [("benchmark", "geometry")] + [
+    calls = {}
+    values = cp.geometry_values(tg, workloads, workloads.TINY, calls)
+    assert sorted(values) == sorted(calls) == [("benchmark", "geometry")] + [
         ("sweep", name) for name in sorted(tg.SWEEP_DIGESTS)]
     assert len(values[("sweep", "cube3")]) == 26
+    # the sweep's hull_distance calls, counted apart from the round's
+    assert calls[("sweep", "cube3")] == 74 and calls[("benchmark", "geometry")] > 0
+    assert tg.geometry.hull_distance is _hulls.hull_distance  # the counter is taken out
     assert values[("benchmark", "geometry")][0] == ("box2 #0", (math.sqrt(2) / 2, 1.0))
     lines, problems = cp.compare_values(values, values)
     assert problems == [] and lines == [f"unmoved ({len(values)}): " + ", ".join(

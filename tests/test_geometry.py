@@ -288,6 +288,21 @@ def sweep(poly, lattice):
             for face in lattice if face.vset != full]
 
 
+def sweep_calls(monkeypatch, poly, lattice):
+    """hull_distance calls after one sweep and after a second on the same lattice."""
+    calls = []
+
+    def counting(P, Q):
+        calls.append(1)
+        return hull_distance(P, Q)
+
+    monkeypatch.setattr(geometry, "hull_distance", counting)
+    sweep(poly, lattice)
+    first = len(calls)
+    sweep(poly, lattice)  # every separation a query needs is memoised by now
+    return first, len(calls)
+
+
 class TestSharedLattice:
     @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
     def test_sweep_digest(self, name):
@@ -314,13 +329,6 @@ class TestSharedLattice:
             assert phi_lower_bound(poly, face) == lower
 
     def test_cube3_sweep_computes_each_separation_once(self, monkeypatch):
-        calls = []
-
-        def counting(P, Q):
-            calls.append(1)
-            return hull_distance(P, Q)
-
-        monkeypatch.setattr(geometry, "hull_distance", counting)
         poly = named_polytope("cube3")
         lattice = face_lattice(poly)
         full = lattice[-1].vset
@@ -331,10 +339,17 @@ class TestSharedLattice:
         maximal = sum(1 for G in proper for H in lattice if not (G & H.vset)
                       and not any(H.vset < K.vset for K in lattice if not (G & K.vset)))
         assert (pairs, maximal, len(proper)) == (386, 54, 26)
-        sweep(poly, lattice)
-        assert len(calls) == maximal + len(proper)
-        sweep(poly, lattice)  # every separation is memoised by now
-        assert len(calls) == maximal + len(proper)
+        # each G's maximal disjoint faces lie at one distance, so the screen
+        # keeps all 54 outer solves; it skips 6 of the 26 inner ones
+        assert sweep_calls(monkeypatch, poly, lattice) == (74, 74)
+        assert (len(lattice.inner), len(lattice.outer)) == (20, 26)
+
+    def test_sphere9_sweep_computes_each_separation_at_most_once(self, monkeypatch):
+        # unscreened: 290 maximal disjoint pairs and 44 inner separations
+        poly = sweep_polytope("sphere9")
+        lattice = face_lattice(poly)
+        assert sweep_calls(monkeypatch, poly, lattice) == (121, 121)
+        assert (len(lattice.inner), len(lattice.outer)) == (30, 44)
 
     def test_plain_face_list_accepted(self):
         faces = list(face_lattice(BOX2))
@@ -473,6 +488,55 @@ def test_outer_distance_equals_min_over_every_disjoint_face(poly):
             assert abs(got - want) <= 4 * math.ulp(want)
     for G, want in brute.items():  # and each subface's memoised separation
         assert abs(lattice.outer[G] - want) <= 4 * math.ulp(want)
+
+
+# the oracle below projects every pair the screen may skip; all cases are
+# near unit scale, where project_to_hull is exact (far from it, its
+# optimality check can raise on pairs the screen skips and the oracle not)
+ORACLE_CASES = {name: (lambda name=name: sweep_polytope(name)) for name in SWEEP_DIGESTS}
+for _name, _hi in (("box2", (1.0, 1.0)), ("box_2x1", (2.0, 1.0))):  # acceptance c01
+    ORACLE_CASES[_name] = lambda hi=_hi: Box(np.zeros(2), np.array(hi))
+for _seed, (_m, _dim) in enumerate([(7, 3), (8, 3), (9, 3), (6, 4), (7, 4)]):
+    ORACLE_CASES[f"random{_m}_R{_dim}"] = (
+        lambda seed=_seed, m=_m, dim=_dim: random_vrep(np.random.default_rng(seed), m, dim))
+
+
+def unscreened_sweep(lattice):
+    """(inner, outer) of every proper face: every subface, every maximal disjoint H."""
+    V = lattice.vertices
+    full = frozenset(range(len(V)))
+    proper = [G.vset for G in lattice if G.vset != full]
+    inner = {G: hull_distance(V[sorted(G)], V[sorted(full - G)]) for G in proper}
+    outer = {}
+    for G in proper:
+        disjoint = [H.vset for H in lattice if not G & H.vset]
+        outer[G] = min(hull_distance(V[sorted(G)], V[sorted(H)]) for H in disjoint
+                       if not any(H < K for K in disjoint))
+    return [(min(inner[G] for G in proper if G <= F), min(outer[G] for G in proper if G <= F))
+            for F in proper]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_screened_sweep_equals_unscreened_oracle(name):
+    poly = ORACLE_CASES[name]()
+    lattice = face_lattice(poly)
+    want = unscreened_sweep(face_lattice(poly))
+    assert [(inner, outer) for _, inner, outer, _ in sweep(poly, lattice)] == want
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_apart_bounds_every_pair_distance(name):
+    poly = ORACLE_CASES[name]()
+    lattice = face_lattice(poly)
+    V = lattice.vertices
+    full = frozenset(range(len(V)))
+    for G in (F.vset for F in lattice if F.vset != full):
+        others = [full - G] + [H.vset for H in lattice if not G & H.vset]
+        for H, bound in zip(others, geometry._apart(lattice, G, others)):
+            # where a row normal realises the distance, the two round apart
+            # by up to 2 ulp here, far inside the screen's 1e-9 margin
+            dist = hull_distance(V[sorted(G)], V[sorted(H)])
+            assert 0.0 <= bound <= dist + 4 * math.ulp(dist)
 
 
 def supports_unscreened(poly, x):
