@@ -33,10 +33,12 @@ pin has a problem, else 0.
 
 compares geometry values instead: the five sweeps that ``SWEEP_DIGESTS`` in
 ``tests/test_geometry.py`` pins (inner, outer and phi_lower_bound of every
-proper face) and the result rows of the benchmark's ``geometry`` workload at
-seed 1.  Every moved value is listed with its distance in units in the last
-place of the old value; the exit status is 1 when a value moves by more than
-4 ulp or the rows differ in number or labels, else 0.  For each sweep and
+proper face), the result rows of the benchmark's ``geometry`` workload at
+seed 1, and ``minimal_supports(poly, x)`` at the x of every pair of that
+round.  Every moved value is listed with its distance in units in the last
+place of the old value, and every moved support list beside its old one; the
+exit status is 1 when a value moves by more than 4 ulp, a pair's supports
+differ, or the rows differ in number or labels, else 0.  For each sweep and
 for the benchmark round it also prints the ``hull_distance`` calls each
 checkout made, so a change that skips projections shows its cut beside its
 verdict.
@@ -195,12 +197,14 @@ def _geometry_row(line):
 
 
 def geometry_values(tg, workloads, size, calls):
-    """Every sweep row that tg pins and the benchmark's geometry rows at seed 1.
+    """Every sweep row that tg pins, the benchmark's geometry rows at seed 1
+    and the minimal supports at each of its pairs' x (or the error raised).
 
-    ``calls`` receives per key the ``geometry.hull_distance`` calls made to
-    collect it.
+    ``calls`` receives per value key the ``geometry.hull_distance`` calls
+    made to collect it.
     """
     from fwpoly import geometry
+    from fwpoly.polytope import PolytopeError
 
     out, made, hull_distance = {}, [], geometry.hull_distance
     geometry.hull_distance = lambda *args: made.append(1) or hull_distance(*args)
@@ -212,14 +216,23 @@ def geometry_values(tg, workloads, size, calls):
                 for face, *vals in tg.sweep(poly, tg.face_lattice(poly))]
             calls[("sweep", name)] = len(made)
             made.clear()
+        inputs = workloads.build("geometry", 1, size)
         with tempfile.TemporaryDirectory() as tmp:
-            workloads.run_round("geometry", workloads.build("geometry", 1, size), tmp,
-                                workloads.Ledger())
+            workloads.run_round("geometry", inputs, tmp, workloads.Ledger())
             with open(os.path.join(tmp, "geometry.csv")) as fh:
                 out[("benchmark", "geometry")] = [_geometry_row(line) for line in fh]
         calls[("benchmark", "geometry")] = len(made)
     finally:
         geometry.hull_distance = hull_distance
+
+    def supports(poly, x):
+        try:
+            return tuple(geometry.minimal_supports(poly, x))
+        except PolytopeError as exc:
+            return str(exc)
+
+    out[("supports", "geometry")] = [(f"{gi.name} #{p}", supports(gi.poly, x))
+                                     for gi in inputs for p, (_, x) in enumerate(gi.pairs)]
     return out
 
 
@@ -396,9 +409,18 @@ def compare_values(old, new):
     for key in sorted(old):
         where = ":".join(key)
         a, b = old[key], new.get(key, [])
-        if [label for label, _ in a] != [label for label, _ in b] or any(
+        supports = key[0] == "supports"  # any change of a support list is a problem
+        if [label for label, _ in a] != [label for label, _ in b] or not supports and any(
                 len(va) != len(vb) for (_, va), (_, vb) in zip(a, b)):
             problems.append(f"{where}: rows differ in number, labels or length")
+            continue
+        if supports:
+            moved = [f"{where} {label}: {x} -> {y}" for (label, x), (_, y) in zip(a, b)
+                     if x != y]
+            lines.extend("moved  " + line for line in moved)
+            problems.extend(moved)
+            if not moved:
+                unmoved.append(where)
             continue
         moved = [(label, col, x, y) for (label, va), (_, vb) in zip(a, b)
                  for col, (x, y) in enumerate(zip(va, vb)) if x != y]

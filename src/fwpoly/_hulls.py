@@ -199,43 +199,42 @@ def hull_hform(points):
     return HullHForm(N, N @ x0, D, off + D @ x0, vertex.tolist())
 
 
-def _affine_lsq(M, support, w):
-    """Minimizer of ||M[:, support] mu - w|| subject to sum(mu) = 1 (KKT solve)."""
+def _affine_lsq(M, support):
+    """Minimizer of ||M[:, support] mu|| subject to sum(mu) = 1, by substitution.
+
+    mu[1:] solves least squares on the columns less the first; mu[0] = 1 - sum(mu[1:]).
+    """
     Ms = M[:, support]
-    k = support.size
-    K = np.zeros((k + 1, k + 1))
-    K[:k, :k] = Ms.T @ Ms
-    K[:k, k] = 1.0
-    K[k, :k] = 1.0
-    rhs = np.concatenate([Ms.T @ w, [1.0]])
-    sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    return sol[:k]
+    mu = np.linalg.lstsq(Ms[:, 1:] - Ms[:, :1], -Ms[:, 0], rcond=None)[0]
+    return np.concatenate([[1.0 - mu.sum()], mu])
 
 
-def _gains(P, w, lam, scale):
-    """Per-point first-order gains <p_i - x, x - w> at x = P^T lam, and the floor.
+def _gains(P, lam, scale):
+    """Per-point first-order gains <p_i - x, x> at x = P^T lam, and the floor.
 
     lam is optimal iff no gain is below the floor: moving weight onto any
-    point cannot shorten x - w.
+    point cannot shorten x.  A gain rounds by about the largest |coordinate|
+    times the larger of the points' spread and |x| (scale is that pair), and
+    the floor is 1e-11 of that.
     """
-    resid = P.T @ lam - w
-    Pr = P @ resid
-    return Pr - lam @ Pr, -1e-11 * scale * max(1.0, np.sqrt(resid @ resid))  # as norm computes it
+    x, (big, spread) = P.T @ lam, scale
+    Px = P @ x
+    return Px - lam @ Px, -1e-11 * big * max(spread, np.sqrt(x @ x))  # as norm computes it
 
 
-def _polish(P, w, lam, scale):
+def _polish(P, lam, scale):
     """Re-solve on the support lam > 0; the optimal coefficients, or None."""
     support = np.flatnonzero(lam > 0)
     if support.size == 0:
         return None
-    mu = _affine_lsq(P.T, support, w)
+    mu = _affine_lsq(P.T, support)
     if mu.min() < -1e-11:
         return None
     mu = np.maximum(mu, 0.0)
     mu /= mu.sum()
     cand = np.zeros(P.shape[0])
     cand[support] = mu
-    gain, floor = _gains(P, w, cand, scale)
+    gain, floor = _gains(P, cand, scale)
     return cand if gain.min() >= floor else None
 
 
@@ -243,40 +242,40 @@ def project_to_hull(points, target):
     """Project ``target`` onto conv(points); returns ``(distance, lam)``.
 
     Wolfe's min-norm-point method (Math. Programming 11, 1976) on the simplex
-    of coefficients.  Each major cycle adds the point of smallest gain; each
-    minor cycle solves the affine least-squares problem on the support and,
-    where a weight comes out non-positive, steps back along the segment until
-    that weight is zero and drops it.  The final support is re-solved and
-    checked for global optimality: the result is exact to linear-algebra
-    precision, or the call raises PolytopeError.
+    of coefficients, with the target moved to the origin.  Each major cycle
+    adds the point of smallest gain; each minor cycle solves the affine
+    least-squares problem on the support and, where a weight comes out
+    non-positive, steps back along the segment until that weight is zero
+    and drops it.  The final support is re-solved and checked for global
+    optimality: the result is exact to linear-algebra precision, or the
+    call raises PolytopeError.
 
-    The check is exact only near unit scale: its floor grows linearly with
-    the coordinate scale while the gains it bounds grow quadratically, and
-    the bordered KKT matrix of ``_affine_lsq`` loses the sum constraint
-    under lstsq's default rcond.  On random hulls with coordinates near 1e3
-    some calls raise PolytopeError, and near 1e6 over half do, so the
-    facial distances of a polytope far from unit scale can raise.
+    The check's floor is quadratic in scale, like the gains it bounds, and
+    sees the points about the target only.  On random hulls of up to 8
+    points in R^1..R^10, scaled by 1e-6 to 1e12 or shifted by up to 1e9, no
+    call raised, and every distance matched a brute force over every
+    support to 2e-15 of the spread when scaled; when shifted by 1e6 or 1e9,
+    to 4e-11 or 2e-8 of it, the shift's rounding of the points.
     """
     from .polytope import PolytopeError
 
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    w = np.asarray(target, dtype=float)
+    P = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(target, dtype=float)
     N = P.shape[0]
     M = P.T  # columns are the points
-    scale = max(1.0, float(np.abs(P).max()), float(np.abs(w).max()))
+    scale = float(np.abs(P).max()), float(np.ptp(P, axis=0).max())
     lam = np.zeros(N)
-    lam[np.argmin(np.sum((P - w) ** 2, axis=1))] = 1.0
+    lam[np.argmin(np.sum(P ** 2, axis=1))] = 1.0
     # the method is finite in exact arithmetic and a minor cycle drops a point
     # that a major cycle added, so the cap on major cycles bounds both and
     # only catches a loop that rounding keeps alive
     cap = MAX_CYCLES_PER_POINT * N
     for _ in range(cap):
-        gain, floor = _gains(P, w, lam, scale)
+        gain, floor = _gains(P, lam, scale)
         j = int(np.argmin(gain))
         if gain[j] >= floor or lam[j] > 0:  # optimal, or stalled by rounding
             break
         support = np.flatnonzero((lam > 0) | (np.arange(N) == j))
-        mu = _affine_lsq(M, support, w)
+        mu = _affine_lsq(M, support)
         while (mu <= 0).any():  # false once rounding has dropped every weight
             cur = lam[support]
             out = np.flatnonzero(mu <= 0)
@@ -284,15 +283,15 @@ def project_to_hull(points, target):
             lam[support] = cur + ratios.min() * (mu - cur)
             lam[support[out[np.argmin(ratios)]]] = 0.0
             support = np.flatnonzero(lam > 0)
-            mu = _affine_lsq(M, support, w)
+            mu = _affine_lsq(M, support)
         lam[:] = 0.0
         lam[support] = mu
     else:
         raise PolytopeError(f"project_to_hull: no convergence in {cap} cycles")
-    cand = _polish(P, w, lam, scale)
+    cand = _polish(P, lam, scale)
     if cand is None:
         raise PolytopeError("project_to_hull: the final support fails the optimality check")
-    return float(np.linalg.norm(M @ cand - w)), cand
+    return float(np.linalg.norm(M @ cand)), cand
 
 
 def hull_distance(points_a, points_b):

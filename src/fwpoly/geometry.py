@@ -120,26 +120,24 @@ def _support_table(poly):
     """The vertices, the support table and its batched form, built on first use.
 
     The table lists the affinely independent vertex subsets S of size at
-    most dim+1, in itertools.combinations order, each with its bordered
-    matrix [V_S^T; 1].  The batched form stacks those matrices and their
-    pseudo-inverses, both zero-padded to dim+1, with a mask of the unpadded
-    weights.
+    most dim+1, in itertools.combinations order: those whose differences
+    V_S[1:] - V_S[0] have rank |S| - 1.  The batched form stacks those
+    differences as columns and their pseudo-inverses, both zero-padded to
+    dim, with the base points V_S[0] and a mask of the unpadded weights.
     """
     V = poly.enumerate_vertices(cap=VERTEX_DIST_VMAX)
     if poly._supports is None:
-        table = []
-        for size in range(1, poly.dim() + 2):
-            for S in itertools.combinations(range(len(V)), size):
-                M = np.vstack([V[list(S)].T, np.ones(size)])
-                if _rank(M) == size:
-                    table.append((S, M))
-        Ms = np.zeros((len(table), poly.n + 1, poly.dim() + 1))
-        pinv = np.zeros(Ms.transpose(0, 2, 1).shape)
+        table = [S for size in range(1, poly.dim() + 2)
+                 for S in itertools.combinations(range(len(V)), size)
+                 if _rank(V[list(S[1:])] - V[S[0]]) == size - 1]
+        E = np.zeros((len(table), poly.n, poly.dim()))
+        pinv = np.zeros(E.transpose(0, 2, 1).shape)
         mask = np.zeros(pinv.shape[:2], dtype=bool)
-        for i, (S, M) in enumerate(table):
-            U, s, Wt = np.linalg.svd(M, full_matrices=False)
-            Ms[i, :, :len(S)], pinv[i, :len(S)], mask[i, :len(S)] = M, (Wt.T / s) @ U.T, True
-        poly._supports = table, (Ms, pinv, mask)
+        for i, S in enumerate(table):
+            D = (V[list(S[1:])] - V[S[0]]).T
+            U, s, Wt = np.linalg.svd(D, full_matrices=False)
+            E[i, :, :len(s)], pinv[i, :len(s)], mask[i, :len(s)] = D, (Wt.T / s) @ U.T, True
+        poly._supports = table, (E, pinv, V[[S[0] for S in table]], mask)
     return V, *poly._supports
 
 
@@ -148,20 +146,21 @@ def minimal_supports(poly, x):
 
     Minimal supports are affinely independent, so they have at most dim+1
     vertices and their barycentric coordinates are unique: each candidate
-    subset's least-squares weights and residual decide membership.  The
-    candidates come from the support table, built on the first call and
-    kept on the polytope for as long as it lives; one batched product with
-    its pseudo-inverses solves them all.
+    subset's weights (those past the first solve x - V_S[0] on the
+    differences, the first is 1 less their sum) and residual, within 1e-9 of
+    the vertices' spread, decide membership.  The candidates come from the
+    support table; one batched product with its pseudo-inverses solves them
+    all.
     """
-    V, table, (Ms, pinv, mask) = _support_table(poly)
-    tol = 1e-9 * max(1.0, float(np.abs(V).max()))
-    rhs = np.append(_as_point(x, poly.n), 1.0)
-    lam = pinv @ rhs  # padding adds zero weights, masked out of the minimum
-    res = np.linalg.norm((Ms @ lam[:, :, None])[:, :, 0] - rhs, axis=1)
-    ok = (res <= tol) & (np.where(mask, lam, np.inf).min(axis=1) >= SUPPORT_MARGIN)
+    V, table, (E, pinv, base, mask) = _support_table(poly)
+    r = _as_point(x, poly.n) - base
+    mu = (pinv @ r[:, :, None])[:, :, 0]  # padding adds zero weights, masked out of the minimum
+    res = np.linalg.norm((E @ mu[:, :, None])[:, :, 0] - r, axis=1)
+    least = np.minimum(1.0 - mu.sum(axis=1), np.where(mask, mu, np.inf).min(axis=1))
+    ok = (res <= 1e-9 * np.abs(V - V[0]).max()) & (least >= SUPPORT_MARGIN)
     found = []
     for i in np.flatnonzero(ok):
-        S = table[i][0]
+        S = table[i]
         if not any(set(m) <= set(S) for m in found):
             found.append(S)
     if not found:
@@ -215,13 +214,15 @@ class FaceLattice(list):
 
     A list, so indexing, iteration and len work as usual.  It records the
     vertex array and the inequality rows (D, e) of the polytope it was built
-    from, and memoises per subface G, keyed by vertex set, what the facial
-    distances and their bound minimise: ``inner[G]`` = dist(G, hull of the
-    other vertices), ``outer[G]`` = min over faces H sharing no vertex with
-    G of dist(G, H), solved for maximal such H only, and ``lower[G]`` =
-    the slack-profile bound on ``inner[G]``, which also depends on the
-    rows.  Each is filled on first use and lives as long as the lattice,
-    ``inner[G]`` only where G could set a minimum (see _subface_min).
+    from, marks in ``members`` (faces x vertices, boolean) the vertices of
+    each face, and memoises per subface G, keyed by vertex set, what the
+    facial distances and their bound minimise: ``inner[G]`` = dist(G, hull
+    of the other vertices), ``outer[G]`` = min over faces H sharing no
+    vertex with G of dist(G, H), solved for maximal such H only, and
+    ``lower[G]`` = the slack-profile bound on ``inner[G]``, which also
+    depends on the rows.  Each is filled on first use and lives as long as
+    the lattice, ``inner[G]`` only where G could set a minimum (see
+    _subface_min).
     """
 
     def __init__(self, faces, poly):
@@ -231,6 +232,7 @@ class FaceLattice(list):
         D = poly.D[np.linalg.norm(poly.D, axis=1) > 0]
         self.heights = self.vertices @ (D / np.linalg.norm(D, axis=1, keepdims=True)).T
         self.scale = 2.0 * float(np.linalg.norm(self.vertices, axis=1).max())
+        self.members = np.array([[v in F.vset for v in range(len(self.vertices))] for F in self])
         self.inner = {}
         self.outer = {}
         self.lower = {}
@@ -327,11 +329,11 @@ def _subface_min(poly, face, lattice, memo, separation, what, screened=False):
     fset = face_vertex_set(poly, face)
     full = frozenset(range(len(lattice.vertices)))
     best = np.inf
-    for G in (L.vset for L in lattice):
+    for G, mine in zip((L.vset for L in lattice), lattice.members):
         if G <= fset and G != full:
             sep = table.get(G)
             if sep is None:
-                if screened and _beyond(lattice, _apart(lattice, G, [full - G])[0], best):
+                if screened and _beyond(lattice, _apart(lattice, G, ~mine[None])[0], best):
                     continue
                 sep = table[G] = separation(poly, lattice, G)
             best = min(best, sep)
@@ -345,16 +347,14 @@ def _hull_separation(poly, lattice, G):
     return hull_distance(V[sorted(G)], V[sorted(frozenset(range(len(V))) - G)])
 
 
-def _apart(lattice, G, others):
-    """Proved lower bounds on dist(conv G, conv H), one per vertex set H in others.
+def _apart(lattice, G, theirs):
+    """Proved lower bounds on dist(conv G, conv H), one per vertex mask H in theirs.
 
     For a unit row normal u, a in conv(G) and b in conv(H), Cauchy-Schwarz
     gives ||b - a|| >= u.(b - a) >= min_H u.v - max_G u.v; the bound is the
     largest of these and their mirrors over the rows, or 0.
     """
-    h, mine = lattice.heights, lattice.heights[sorted(G)]
-    theirs = np.array([[v in H for v in range(len(h))] for H in others], bool)
-    theirs = theirs.reshape(len(others), len(h), 1)
+    h, mine, theirs = lattice.heights, lattice.heights[sorted(G)], theirs[:, :, None]
     return np.maximum(np.where(theirs, h, np.inf).min(1) - mine.max(0),
                       mine.min(0) - np.where(theirs, h, -np.inf).max(1)).max(1, initial=0.0)
 
@@ -381,14 +381,15 @@ def _disjoint_separation(poly, lattice, G):
     """
     V = lattice.vertices
     maximal = []
-    for H in reversed(lattice):
-        if not (G & H.vset or any(H.vset <= K for K in maximal)):
-            maximal.append(H.vset)
-    VG, bound, best = V[sorted(G)], _apart(lattice, G, maximal), np.inf
+    for k in reversed(range(len(lattice))):
+        if not (G & lattice[k].vset or any(lattice[k].vset <= lattice[j].vset for j in maximal)):
+            maximal.append(k)
+    theirs = lattice.members[maximal]
+    VG, bound, best = V[sorted(G)], _apart(lattice, G, theirs), np.inf
     for k in np.argsort(bound, kind="stable"):
         if _beyond(lattice, bound[k], best):
             break
-        best = min(best, hull_distance(VG, V[sorted(maximal[k])]))
+        best = min(best, hull_distance(VG, V[theirs[k]]))
     return best
 
 

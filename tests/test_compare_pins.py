@@ -204,14 +204,27 @@ def test_compare_values_lists_moved_values_and_fails_above_four_ulp():
                         "sweep:c: rows differ in number, labels or length"]
 
 
+def test_compare_values_fails_on_any_moved_support():
+    old = {("supports", "geometry"): [("0:cube3 #0", ((0, 1),)), ("0:cube3 #1", ((2,),))]}
+    new = {("supports", "geometry"): [("0:cube3 #0", ((0, 1),)), ("0:cube3 #1", ((3,),))]}
+    lines, problems = cp.compare_values(old, new)
+    assert problems == ["supports:geometry 0:cube3 #1: ((2,),) -> ((3,),)"]
+    assert lines == ["moved  " + problems[0], "unmoved (0): "]
+    assert cp.compare_values(old, old) == (["unmoved (1): supports:geometry"], [])
+
+
 def test_geometry_mode_collects_every_pinned_sweep_and_benchmark_row():
     import test_geometry as tg
 
     workloads = _load("benchmark_workloads", ROOT / "benchmark" / "workloads.py")
     calls = {}
     values = cp.geometry_values(tg, workloads, workloads.TINY, calls)
-    assert sorted(values) == sorted(calls) == [("benchmark", "geometry")] + [
+    assert sorted(calls) == [("benchmark", "geometry")] + [
         ("sweep", name) for name in sorted(tg.SWEEP_DIGESTS)]
+    # and the minimal supports at the x of each of the round's pairs
+    assert sorted(values) == sorted([*calls, ("supports", "geometry")])
+    label, found = values[("supports", "geometry")][0]
+    assert label == "0:box3 #0" and found and all(isinstance(S, tuple) for S in found)
     assert len(values[("sweep", "cube3")]) == 26
     # the sweep's hull_distance calls, counted apart from the round's
     assert calls[("sweep", "cube3")] == 74 and calls[("benchmark", "geometry")] > 0

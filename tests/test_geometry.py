@@ -257,14 +257,16 @@ SPHERE9 = [[0.166, -0.427, 0.889], [-0.668, 0.33, 0.667], [0.86, 0.25, 0.444],
 # SHA-256 of the reprs of (inner, outer, phi_lower_bound), one line per
 # proper face in lattice order, generated before the facial distances were
 # memoised on the lattice; simplex5std and sphere9 re-pinned when Wolfe's
-# method replaced the gradient projection (within 3 ulp of PARENT_TABLE), and
-# sphere9 again when numpy facet enumeration replaced Qhull (within 4 ulp)
+# method replaced the gradient projection (within 3 ulp of PARENT_TABLE),
+# sphere9 again when numpy facet enumeration replaced Qhull (within 4 ulp), and
+# all but cube2std when the projection's affine solve moved to differences
+# from its first point (within 2 ulp of the previous pins)
 SWEEP_DIGESTS = {
-    "cube3": "c5525a15ea75ba62c0653fe8d82690ca02b1ee572c11c25e11a8dfb78f877275",
-    "truncsimplex": "7790571b5619100d4ca168d67c66419f2536a6da4130e182d244d22cf7db0bbd",
-    "simplex5std": "95c184cc1ed2d463aedafed851d3936e52ebb73c0f134fae5c07a801d67297e3",
+    "cube3": "9d50329739e99bb72ecbf748453613546f0b24126039a27724529f8d580a7498",
+    "truncsimplex": "e4b895e70a87a7093d7a8022cc9453e759e6d9b5dbfa8c294b357b1d8cbdd3d4",
+    "simplex5std": "a45040d81b0e88e9f19438c2de2519cdb300084fe13f124f3647021547af33d5",
     "cube2std": "bd73772bd6786d276107f43b50749287ba0e06015dfaa476e782f9072ffecdd7",
-    "sphere9": "7b8621d465861c45616b2fcd0c35561b4a4e467dd1eaae82527e98079d11616d",
+    "sphere9": "e32c961223d0081ca476daecc0ce2d409939b9e9f39dd79097d22f8c2630d472",
 }
 
 PARENT_TABLE = Path(__file__).with_name("shared_lattice_parent.txt")
@@ -490,9 +492,7 @@ def test_outer_distance_equals_min_over_every_disjoint_face(poly):
         assert abs(lattice.outer[G] - want) <= 4 * math.ulp(want)
 
 
-# the oracle below projects every pair the screen may skip; all cases are
-# near unit scale, where project_to_hull is exact (far from it, its
-# optimality check can raise on pairs the screen skips and the oracle not)
+# the oracle below projects every pair the screen may skip
 ORACLE_CASES = {name: (lambda name=name: sweep_polytope(name)) for name in SWEEP_DIGESTS}
 for _name, _hi in (("box2", (1.0, 1.0)), ("box_2x1", (2.0, 1.0))):  # acceptance c01
     ORACLE_CASES[_name] = lambda hi=_hi: Box(np.zeros(2), np.array(hi))
@@ -532,7 +532,8 @@ def test_apart_bounds_every_pair_distance(name):
     full = frozenset(range(len(V)))
     for G in (F.vset for F in lattice if F.vset != full):
         others = [full - G] + [H.vset for H in lattice if not G & H.vset]
-        for H, bound in zip(others, geometry._apart(lattice, G, others)):
+        rows = np.array([[v in H for v in range(len(V))] for H in others])
+        for H, bound in zip(others, geometry._apart(lattice, G, rows)):
             # where a row normal realises the distance, the two round apart
             # by up to 2 ulp here, far inside the screen's 1e-9 margin
             dist = hull_distance(V[sorted(G)], V[sorted(H)])
@@ -540,20 +541,22 @@ def test_apart_bounds_every_pair_distance(name):
 
 
 def supports_unscreened(poly, x):
-    """minimal_supports by one lstsq on every table row, not the batched solve."""
-    _, table, *_ = geometry._support_table(poly)
+    """minimal_supports by one lstsq per table row, not the batched solve.
+
+    Each row S solves x - V_S[0] on the differences V_S[1:] - V_S[0]; the
+    first weight is 1 less the others' sum.
+    """
     V = poly.enumerate_vertices()
     x = np.asarray(x, dtype=float)
-    scale = max(1.0, float(np.abs(V).max()))
-    rhs = np.concatenate([x, [1.0]])
     found = []
-    for S, M in table:
+    for S in geometry._support_table(poly)[1]:
         if any(set(m) <= set(S) for m in found):
             continue
-        lam, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.linalg.norm(M @ lam - rhs) > 1e-9 * scale:
+        D, r = (V[list(S[1:])] - V[S[0]]).T, x - V[S[0]]
+        mu = np.linalg.lstsq(D, r, rcond=None)[0]
+        if np.linalg.norm(D @ mu - r) > 1e-9 * np.abs(V - V[0]).max():
             continue
-        if lam.min() >= geometry.SUPPORT_MARGIN:
+        if np.append(1.0 - mu.sum(), mu).min() >= geometry.SUPPORT_MARGIN:
             found.append(S)
     if not found:
         raise PolytopeError("minimal_supports: the point has no vertex support")
@@ -574,12 +577,23 @@ def item1_image(kappa, s):
 
 
 def test_ill_conditioned_image_keeps_its_supports():
-    # the float supports on the kappa = 1e3, s = 1e7 image are wrong (on P
-    # they are (0,3,4) and (0,1,2,3)); the batched solve must not change them
+    # the kappa = 1e3, s = 1e7 image keeps P's supports; a sum-to-one row
+    # beside its coordinate rows lost them to (1,2,3) and (1,3,4)
     poly, A, b = item1_image(1e3, 1e7)
     x = A @ np.array([0.2, 0.2, 0.2]) + b
     assert minimal_supports(poly, x) == supports_unscreened(poly, x) == [
-        (0, 3, 4), (1, 2, 3), (1, 3, 4)]
+        (0, 3, 4), (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("image", [lambda: item1_image(1e3, 1e7),
+                                   lambda: (VRepPolytope(P_ITEM1 + 2.0**20), np.eye(3), 2.0**20)],
+                         ids=["item1(1e3,1e7)", "item1+2^20"])
+def test_vertex_distance_on_an_image_equals_p(image):
+    # both returned 1.0 while the support solve carried a sum-to-one row
+    poly, A, b = image()
+    x, y = A @ np.array([0.2, 0.2, 0.2]) + b, A @ np.array([0.6, 0.1, 0.1]) + b
+    assert vertex_distance(VRepPolytope(P_ITEM1), [0.6, 0.1, 0.1], [0.2, 0.2, 0.2]) == 0.5
+    assert vertex_distance(poly, y, x) == pytest.approx(0.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("make", [lambda: sphere(3, 9), lambda: item1_image(1e3, 1e7)[0]],

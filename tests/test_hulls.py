@@ -71,7 +71,7 @@ def assert_optimal(P, w, dist, lam):
     scale = max(1.0, float(np.abs(P).max()), float(np.abs(w).max()))
     assert lam.min() >= 0.0
     assert lam.sum() == pytest.approx(1.0, abs=1e-12)
-    resid = lam @ P - w
+    resid = lam @ (P - w)  # about the target, as the projection computes it
     assert dist == np.linalg.norm(resid)
     # the polish inequality: moving weight onto any point cannot shorten x - w
     gain = P @ resid - lam @ (P @ resid)
@@ -100,6 +100,23 @@ def test_distance_matches_brute_force(N, n, shape, inside, seed):
     assert dist == pytest.approx(brute_force_distance(P, w), abs=1e-12)
 
 
+# the generators' hulls far from unit scale, where each coordinate is far
+# larger than the sum of the weights: a sum-to-one row solved beside such
+# coordinate rows made over half of these projections raise
+FAR = {"x2^10": lambda Z: Z * 2.0**10, "x2^20": lambda Z: Z * 2.0**20,
+       "+2^20": lambda Z: Z + 2.0**20}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 10), st.sampled_from(SHAPES),
+       st.booleans(), st.sampled_from(sorted(FAR)), st.integers(0, 2**32 - 1))
+def test_far_from_unit_scale_matches_brute_force(N, n, shape, inside, far, seed):
+    P0 = random_hull(seed, N, n, shape)
+    P, w = FAR[far](P0), FAR[far](random_target(seed, P0, inside))
+    dist, _ = project_to_hull(P, w)
+    assert abs(dist - brute_force_distance(P, w)) <= 1e-9 * np.ptp(P, axis=0).max()
+
+
 # the difference set V - V of Simplex(3) (three zero rows) and a target on its
 # boundary, from the gauge bisection of TestGaugeBisection seed 0
 GAUGE_DIFFS = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0],
@@ -118,7 +135,7 @@ def test_tiny_support_weight_is_kept():
 
 
 def test_rejected_check_raises(monkeypatch):
-    monkeypatch.setattr(_hulls, "_polish", lambda P, w, lam, scale: None)
+    monkeypatch.setattr(_hulls, "_polish", lambda P, lam, scale: None)
     with pytest.raises(PolytopeError):
         project_to_hull(GAUGE_DIFFS, GAUGE_TARGET)
 
